@@ -32,6 +32,7 @@ from .errors import (
     GroupTooLargeError,
     InsufficientDataError,
     MatrixTooLargeError,
+    PointsCapError,
     QuasiReflectionError,
     UnsupportedDimensionError,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "MonomialElement",
     "MonomialRep",
     "PlurigenusTable",
+    "PointsCapError",
     "QuasiReflectionError",
     "SingularityVerdict",
     "UnsupportedDimensionError",

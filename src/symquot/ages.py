@@ -6,10 +6,13 @@ module tracks only the integer exponents a, so sums and ages come out
 as exact integers and Fractions with no complex arithmetic anywhere.
 
 Per cycle of length ri the exponents are {j * (r/ri) : 0 <= j < ri}; the
-total over a cycle is (r/ri) * ri * (ri-1) / 2, which grounds the closed
-form used by ``age_closed_form``. The exponent multiset is invariant
-under a -> k*a mod r for k coprime to r, so the age does not depend on
-which primitive root the exponents are written against.
+total over a cycle is r * (ri-1) / 2, which gives the closed form
+S = n * (d - #parts) * r / 2 of ``age_closed_form``. The multiset route
+(``cycle_eigen_exponents``, ``nfold``, ``age``, ``is_quasi_reflection``)
+is kept as the reference that tests and ``bruteforce_check`` compare the
+closed form against. The exponent multiset is invariant under
+a -> k*a mod r for k coprime to r, so the age does not depend on which
+primitive root the exponents are written against.
 """
 
 from __future__ import annotations
@@ -90,16 +93,14 @@ def age(e: EigenExponents) -> tuple[int, Fraction]:
 def age_closed_form(t: CycleType, n: int) -> tuple[int, Fraction]:
     """Closed form for the age of n copies, bypassing the multiset.
 
-    S = n/2 * sum_i (r/ri) * ri * (ri - 1). Every bracket term is even
-    (ri odd makes ri-1 even; ri even forces r even), so S stays integral
-    with pure integer arithmetic.
+    A cycle of length ri adds (r/ri) * ri * (ri - 1) / 2 = r * (ri - 1) / 2
+    to S, so S = n * (d - #parts) * r / 2. It is an integer: odd r makes
+    every part odd and d - #parts = sum(ri - 1) even.
     """
     if n < 1:
         raise ValueError(f"number of copies must be positive, got {n}")
     r = element_order(t)
-    bracket = sum((r // part) * part * (part - 1) for part in t.parts)
-    assert bracket % 2 == 0, f"odd bracket for {t}: {bracket}"
-    s = n * (bracket // 2)
+    s = n * (t.d - t.num_parts) * r // 2
     return s, Fraction(s, r)
 
 

@@ -8,7 +8,7 @@ Subcommands:
   selftest     oracle / closed-form / Burnside cross-check suite
 
 Exit codes: 0 success, 1 selftest discrepancy, 2 usage error, 3 domain
-error (quasi-reflections, closure or matrix caps). Every error prints a
+error (quasi-reflections; closure, matrix or points caps). Every error prints a
 single machine-parsable line on stderr: ``error: <code>: <message>``.
 Reports contain no timestamps; identical inputs give identical bytes.
 """
@@ -21,8 +21,6 @@ import time
 
 from . import monomial, plurigenera, report, sympower
 from ._version import __version__
-from .ages import age_closed_form
-from .combinatorics import CycleType
 from .errors import DomainError
 
 
@@ -166,21 +164,22 @@ def run_selftest(max_dim: int, max_points: int, tolerance: float, out=None) -> i
                 failures.append(f"oracle n={n} d={d} class {row.cycle_type}: {row.detail}")
         out.write(f"selftest: oracle n={n}, d=1..{max_points}: {checked} classes\n")
 
-    # minimal-age law, canonicity, index parity from the closed-form scan
+    # closed-form verdict against a scan of the class table
     for n in range(2, max_dim + 1):
         for d in range(2, max_points + 1):
             v = sympower.verdict(n, d)
-            transposition_age = age_closed_form(CycleType((2,) + (1,) * (d - 2)), n)[1]
-            if not v.canonical:
-                failures.append(f"verdict n={n} d={d}: not canonical")
-            if v.min_age != transposition_age or v.min_age * 2 != n:
+            rows = sympower.class_table(n, d)
+            least = min((r for r in rows if not r.cycle_type.is_identity()),
+                        key=lambda r: r.age)
+            scanned = (least.age, str(least.cycle_type), least.age >= 1, least.age > 1,
+                       1 if all(r.det_is_plus_one for r in rows) else 2)
+            got = (v.min_age, v.witness, v.canonical, v.terminal, v.index)
+            if got != scanned:
+                failures.append(f"verdict n={n} d={d}: {got} but the scan gives {scanned}")
+            if v.min_age * 2 != n or v.index != 1 + n % 2:
                 failures.append(
-                    f"verdict n={n} d={d}: min age {v.min_age}, expected {n}/2"
-                )
-            expected_index = 1 if n % 2 == 0 else 2
-            if v.index != expected_index:
-                failures.append(
-                    f"verdict n={n} d={d}: index {v.index}, expected {expected_index}"
+                    f"verdict n={n} d={d}: min age {v.min_age}, index {v.index}, "
+                    f"expected {n}/2 and {1 + n % 2}"
                 )
     out.write(f"selftest: verdict scan n=2..{max_dim}, d=2..{max_points}\n")
 

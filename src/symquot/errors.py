@@ -39,6 +39,12 @@ class GroupTooLargeError(DomainError):
         self.cap = cap
 
 
+class PointsCapError(GroupTooLargeError):
+    """Number of points d over a symmetric-power cap (verdict or class table)."""
+
+    code = "too-many-points"
+
+
 class MatrixTooLargeError(DomainError):
     """Requested brute-force matrix exceeds the size cap."""
 

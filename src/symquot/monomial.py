@@ -6,10 +6,20 @@ basis vector e_i to zeta_m^{exponents[i]} * e_{perm[i]}, i.e. the entry
 at (perm[i], i) is zeta_m^{exponents[i]}. Permutations are stored
 0-based internally; the on-disk form uses 1-based images.
 
-Eigenvalues stay exact throughout: a cycle of length l whose entry
-exponents sum to K contributes the l-th roots of zeta_m^K, recorded as
-Fractions of a full turn, so the canonical/terminal decision never
-touches floating point.
+Verdicts come from one integer rule. For g = (sigma, e) on C^N, let
+K_c = sum of e_i over a cycle c of sigma, reduced mod m. A cycle of
+length l contributes the l-th roots of zeta_m^{K_c}, whose turns sum to
+K_c/m + (l - 1)/2 and of which exactly one is 1 when K_c = 0, none
+otherwise. Hence
+
+    age(g) = sum_c K_c/m + (N - #cycles(sigma))/2,
+    #(eigenvalues != 1) = N - #{c : K_c = 0},
+
+and g is a quasi-reflection iff that count is 1. The determinant is
+exp(2 pi i age(g)) and a character, so the index is the lcm of the age
+denominators of the generators. The eigenvalue-multiset route
+(``element_eigen_exponents``, ``det_turn``) is kept as the reference
+that tests and the selftest compare against.
 
 Closure construction is single-writer; every produced value is
 immutable, and the analysis scan is read-only, so verdicts and closed
@@ -26,7 +36,7 @@ from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
-from .ages import EigenExponents, age, is_quasi_reflection
+from .ages import EigenExponents
 from .errors import GroupTooLargeError, QuasiReflectionError
 
 DEFAULT_CLOSURE_CAP = 20000
@@ -109,7 +119,6 @@ class SingularityVerdict:
     group_order: int
     min_age: Fraction | None  # None for the trivial group (no witnesses)
     witness: str | None
-    quasi_reflections: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.terminal and not self.canonical:
@@ -171,12 +180,20 @@ def _cycles(perm: tuple[int, ...]) -> list[list[int]]:
     return cycles
 
 
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    return -1 if (len(perm) - len(_cycles(perm))) % 2 else 1
+def element_age(g: MonomialElement, root_order: int) -> tuple[Fraction, int]:
+    """Age of ``g`` and its number of eigenvalues != 1, from cycle sums."""
+    m = root_order
+    cycles = _cycles(g.perm)
+    k_total = moved = 0
+    for cycle in cycles:
+        k_sum = sum(g.exponents[i] for i in cycle) % m
+        k_total += k_sum
+        moved += len(cycle) - (k_sum == 0)
+    return Fraction(2 * k_total + m * (len(g.perm) - len(cycles)), 2 * m), moved
 
 
 def element_eigen_exponents(g: MonomialElement, root_order: int) -> EigenExponents:
-    """Exact eigenvalue exponents of ``g`` at its own order.
+    """Exact eigenvalue exponents of ``g`` at its own order (reference route).
 
     Each length-l cycle with entry-exponent sum K contributes the l-th
     roots of zeta_m^K: turn fractions (K + m*j) / (m*l) for j < l. The
@@ -196,51 +213,48 @@ def element_eigen_exponents(g: MonomialElement, root_order: int) -> EigenExponen
 
 
 def det_turn(g: MonomialElement, root_order: int) -> Fraction:
-    """det(g) as an exact fraction of a full turn: det = exp(2 pi i turn)."""
+    """det(g) as an exact fraction of a full turn: det = exp(2 pi i turn).
+
+    Reference route: sign(perm) * zeta_m^{sum(exponents)}.
+    """
     turn = Fraction(sum(g.exponents), root_order)
-    if _perm_sign(g.perm) < 0:
+    if (len(g.perm) - len(_cycles(g.perm))) % 2:
         turn += Fraction(1, 2)
     return turn % 1
 
 
 def analyze(rep: MonomialRep) -> SingularityVerdict:
-    """Age-criterion verdict for a closed monomial group.
+    """Age-criterion verdict for a closed monomial group, in one pass.
 
     canonical: every non-identity element has age >= 1; terminal: strictly
     greater. gorenstein: the determinant character is trivial; the index
-    is that character's order. The witness is the first element of
-    minimal age in closure order. Quasi-reflections abort the analysis:
-    the quotient is not taken in that regime.
+    is that character's order, the lcm of the generators' age
+    denominators. The witness is the first element of minimal age in
+    closure order. Quasi-reflections abort the analysis: the quotient is
+    not taken in that regime.
     """
     if rep.elements is None:
         raise ValueError("group is not closed yet; call close_group first")
     m = rep.root_order
-    ident = rep.identity()
-
-    scanned = []
     quasi = []
+    min_age: Fraction | None = None
+    witness: str | None = None
     for g in rep.elements:
-        if g == ident:
+        a, moved = element_age(g, m)
+        if moved == 0:  # only the identity has every eigenvalue 1
             continue
-        exps = element_eigen_exponents(g, m)
-        if is_quasi_reflection(exps):
+        if moved == 1:
             quasi.append(g.describe())
-        scanned.append((g, exps))
+        if min_age is None or a < min_age:
+            min_age = a
+            witness = g.describe()
     if quasi:
         raise QuasiReflectionError(
             f"group contains {len(quasi)} quasi-reflection(s): " + "; ".join(quasi),
             elements=tuple(quasi),
         )
 
-    min_age: Fraction | None = None
-    witness: str | None = None
-    for g, exps in scanned:
-        _, a = age(exps)
-        if min_age is None or a < min_age:
-            min_age = a
-            witness = g.describe()
-
-    index = lcm(1, *(det_turn(g, m).denominator for g in rep.elements))
+    index = lcm(1, *(element_age(g, m)[0].denominator for g in rep.generators))
     return SingularityVerdict(
         canonical=min_age is None or min_age >= 1,
         terminal=min_age is None or min_age > 1,
@@ -252,6 +266,18 @@ def analyze(rep: MonomialRep) -> SingularityVerdict:
     )
 
 
+def _int_field(value, what: str) -> int:
+    if type(value) is not int:  # JSON true/false load as bool, an int subclass
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _int_list(value, what: str) -> list[int]:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return [_int_field(k, f"{what} entry") for k in value]
+
+
 def rep_from_dict(data: dict) -> MonomialRep:
     """Build a representation from the canonical JSON form.
 
@@ -261,29 +287,30 @@ def rep_from_dict(data: dict) -> MonomialRep:
          "generators": [{"perm": [1-based images], "exponents": [k_1..k_N]}]}
 
     ``exponents`` may be omitted per generator and defaults to zeros.
+    Numbers must be JSON integers; anything else raises ValueError.
     """
     try:
-        dimension = int(data["dimension"])
-        root_order = int(data["root_order"])
+        dimension = _int_field(data["dimension"], "dimension")
+        root_order = _int_field(data["root_order"], "root_order")
         raw_gens = data["generators"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"representation file is missing field: {exc}") from exc
+    if root_order < 1:
+        raise ValueError(f"root order must be >= 1, got {root_order}")
+    if not isinstance(raw_gens, list):
+        raise ValueError(f"generators must be a list, got {raw_gens!r}")
     generators = []
     for entry in raw_gens:
-        try:
-            images = entry["perm"]
-            exps = tuple(
-                int(k) % root_order
-                for k in entry.get("exponents", [0] * dimension)
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed generator entry {entry!r}") from exc
-        if sorted(images) != list(range(1, dimension + 1)):
+        if not isinstance(entry, dict) or "perm" not in entry:
+            raise ValueError(f"malformed generator entry {entry!r}")
+        images = _int_list(entry["perm"], "perm")
+        if len(images) != dimension or sorted(images) != list(range(1, dimension + 1)):
             raise ValueError(
                 f"perm must list each of 1..{dimension} exactly once: {images}"
             )
+        exps = _int_list(entry.get("exponents", [0] * dimension), "exponents")
         perm = tuple(i - 1 for i in images)
-        generators.append(MonomialElement(perm, exps))
+        generators.append(MonomialElement(perm, tuple(k % root_order for k in exps)))
     return MonomialRep(
         dimension=dimension, root_order=root_order, generators=tuple(generators)
     )

@@ -43,7 +43,6 @@ def verdict_dict(v: SingularityVerdict) -> dict:
         "group_order": v.group_order,
         "min_age": fraction_str(v.min_age),
         "witness": v.witness,
-        "quasi_reflections": list(v.quasi_reflections),
     }
 
 

@@ -2,12 +2,19 @@
 
 The model near a maximal-diagonal point is C^(n*d) / S_d with S_d
 permuting n blocks of coordinates, i.e. n copies of the permutation
-action on C^d. Cycle types index the conjugacy classes and the exponent
-multiset is Galois-stable, so one partition scan replaces a scan of all
-d! elements. ``materialize_rep`` builds the same group explicitly for
-cross-checking against the generic monomial engine, and
-``bruteforce_check`` verifies the constructions against numpy
-eigendecompositions class by class.
+action on C^d. By the cycle-sum rule of ``monomial`` with all exponents
+zero, an element of cycle type t has age n * (d - #parts(t)) / 2. The
+least non-identity age is therefore n/2, reached only at the
+transpositions (2,1^{d-2}); they generate S_d, so the index is the
+denominator of n/2. ``verdict`` returns this without a scan.
+``class_table`` lists one row per cycle type, ``materialize_rep`` builds
+the same group explicitly for cross-checking against the generic
+monomial engine, and ``bruteforce_check`` verifies the constructions
+against numpy eigendecompositions class by class.
+
+Two caps on d are checked before any work: ``VERDICT_POINTS_CAP`` keeps
+d! printable, and ``TABLE_POINTS_CAP`` bounds the p(d) rows of a class
+table.
 
 Stabilizers at non-maximal points are products of smaller symmetric
 groups, so their local models are products of smaller instances of this
@@ -27,34 +34,37 @@ from .ages import (
     age_closed_form,
     age_record,
     cycle_eigen_exponents,
-    det_sign,
     nfold,
 )
 from .combinatorics import CycleType, element_order, partitions
-from .errors import MatrixTooLargeError, UnsupportedDimensionError
+from .errors import MatrixTooLargeError, PointsCapError, UnsupportedDimensionError
 from .monomial import MonomialElement, MonomialRep, SingularityVerdict
 
 MATRIX_SIZE_CAP = 64
+VERDICT_POINTS_CAP = 1000  # d! stays far below Python's 4300-digit int->str limit
+TABLE_POINTS_CAP = 50  # p(50) = 204226 classes
 
 
-def _require_dim(n: int) -> None:
+def _check_model(n: int, d: int, cap: int, what: str) -> None:
+    """Validate (n, d) for the model before any work, with d capped at ``cap``."""
     if n < 2:
         raise UnsupportedDimensionError(
             f"dim {n} is unsupported: with dim < 2 the transpositions act as "
             "quasi-reflections, so the age criterion does not apply"
         )
+    if d < 1:
+        raise ValueError(f"number of points must be >= 1, got {d}")
+    if d > cap:
+        raise PointsCapError(f"{d} points exceed the {what} cap of {cap}", cap=cap)
 
 
 def verdict(n: int, d: int) -> SingularityVerdict:
     """Singularity verdict for n copies of the S_d permutation action.
 
-    Scans one representative per conjugacy class using the closed-form
-    age; the determinant character has order at most 2, so the index
-    comes from the same scan.
+    No scan: the least age n/2 sits at the transpositions, which generate
+    S_d, so the index is the denominator of n/2.
     """
-    _require_dim(n)
-    if d < 1:
-        raise ValueError(f"number of points must be >= 1, got {d}")
+    _check_model(n, d, VERDICT_POINTS_CAP, "verdict")
     if d == 1:
         # trivial group: a smooth point
         return SingularityVerdict(
@@ -66,35 +76,21 @@ def verdict(n: int, d: int) -> SingularityVerdict:
             min_age=None,
             witness=None,
         )
-    min_age: Fraction | None = None
-    witness: str | None = None
-    det_trivial = True
-    for t in partitions(d):
-        if t.is_identity():
-            continue
-        _, a = age_closed_form(t, n)
-        if det_sign(t, n) != 1:
-            det_trivial = False
-        if min_age is None or a < min_age:
-            min_age = a
-            witness = str(t)
-    index = 1 if det_trivial else 2
+    min_age = Fraction(n, 2)
     return SingularityVerdict(
         canonical=min_age >= 1,
         terminal=min_age > 1,
-        gorenstein=det_trivial,
-        index=index,
+        gorenstein=min_age.denominator == 1,
+        index=min_age.denominator,
         group_order=factorial(d),
         min_age=min_age,
-        witness=witness,
+        witness=str(CycleType((2,) + (1,) * (d - 2))),
     )
 
 
 def class_table(n: int, d: int) -> list[AgeRecord]:
     """One AgeRecord per conjugacy class, in canonical partition order."""
-    _require_dim(n)
-    if d < 1:
-        raise ValueError(f"number of points must be >= 1, got {d}")
+    _check_model(n, d, TABLE_POINTS_CAP, "class-table")
     return [age_record(t, n) for t in partitions(d)]
 
 
@@ -153,9 +149,7 @@ def bruteforce_check(
     closed form exactly. Discrepancies are reported per class, never
     silently dropped.
     """
-    _require_dim(n)
-    if d < 1:
-        raise ValueError(f"number of points must be >= 1, got {d}")
+    _check_model(n, d, TABLE_POINTS_CAP, "class-table")
     if n * d > MATRIX_SIZE_CAP:
         raise MatrixTooLargeError(
             f"brute-force matrix would be {n * d} x {n * d}, over the cap "

@@ -50,6 +50,34 @@ def test_sympower_rejects_zero_points_as_usage_error(run_cli):
     assert err.startswith("error: usage:")
 
 
+def test_sympower_large_points_answers_without_a_scan(run_cli):
+    code, out, err = run_cli("sympower", "--dim", "2", "--points", "100")
+    assert code == 0 and err == ""
+    assert "min age: 1/1 at (2," in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--points", "51", "--table"),
+        ("--points", "1001"),
+        ("--points", "1000000"),
+        ("--points", "1000000", "--table"),
+    ],
+)
+def test_sympower_points_caps_are_domain_errors(run_cli, argv):
+    code, out, err = run_cli("sympower", "--dim", "2", *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: too-many-points:")
+    assert err.count("\n") == 1
+
+
+def test_sympower_at_the_verdict_cap_prints_the_group_order(run_cli):
+    code, out, err = run_cli("sympower", "--dim", "2", "--points", "1000", "--format", "json")
+    assert code == 0 and err == ""
+    assert len(str(json.loads(out)["verdict"]["group_order"])) == 2568  # digits of 1000!
+
+
 def test_missing_required_flag_is_usage_error(run_cli):
     code, _, _ = run_cli("sympower", "--dim", "2")
     assert code == 2
@@ -116,6 +144,24 @@ def test_analyze_malformed_file_is_usage_error(run_cli, tmp_path):
     code, _, err = run_cli("analyze", "--rep", str(rep))
     assert code == 2
     assert err.startswith("error: usage:")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dimension": 2, "root_order": 0, "generators": [{"perm": [2, 1], "exponents": [1, 1]}]}',
+        '{"dimension": 2, "root_order": 2, "generators": [{"perm": ["a", 2], "exponents": [1, 1]}]}',
+        '{"dimension": 2, "root_order": 2, "generators": [{"perm": [1.0, 2], "exponents": [1, 1]}]}',
+        '{"dimension": 2, "root_order": 2, "generators": 5}',
+    ],
+)
+def test_analyze_ill_typed_file_is_one_usage_line(run_cli, tmp_path, text):
+    rep = tmp_path / "ill-typed.json"
+    rep.write_text(text)
+    code, out, err = run_cli("analyze", "--rep", str(rep))
+    assert code == 2 and out == ""
+    assert err.startswith("error: usage:")
+    assert err.count("\n") == 1
 
 
 def test_analyze_missing_file_is_usage_error(run_cli, tmp_path):

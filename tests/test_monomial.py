@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from symquot import (
     CycleType,
     GroupTooLargeError,
+    age,
     MonomialElement,
     MonomialRep,
     QuasiReflectionError,
@@ -18,11 +19,12 @@ from symquot import (
     close_group,
     cycle_eigen_exponents,
     element_eigen_exponents,
+    is_quasi_reflection,
     materialize_rep,
     partitions,
     rep_from_dict,
 )
-from symquot.monomial import det_turn
+from symquot.monomial import det_turn, element_age
 
 
 def diag_rep(root_order, exps):
@@ -354,8 +356,117 @@ def test_rep_from_dict_defaults_exponents_to_zero():
         {"dimension": 2, "root_order": 2},
         {"dimension": 2, "root_order": 2, "generators": [{"perm": [1, 1]}]},
         {"dimension": 2, "root_order": 2, "generators": [{"exponents": [0, 0]}]},
+        {"dimension": 2, "root_order": 0, "generators": [{"perm": [2, 1], "exponents": [1, 1]}]},
+        {"dimension": 2, "root_order": 2, "generators": [{"perm": ["a", 2], "exponents": [1, 1]}]},
+        {"dimension": 2, "root_order": 2, "generators": [{"perm": [1.0, 2], "exponents": [1, 1]}]},
+        {"dimension": 2, "root_order": 2, "generators": 5},
+        {"dimension": True, "root_order": 2, "generators": []},
+        {"dimension": 2, "root_order": 2, "generators": [{"perm": [1, 2], "exponents": [True, 0]}]},
     ],
 )
 def test_rep_from_dict_rejects_malformed_input(data):
     with pytest.raises(ValueError):
         rep_from_dict(data)
+
+
+# The cycle-sum closed form against routes that share no code with it:
+# numpy eigenvalues of the explicit complex matrix, and the exact
+# eigenvalue-multiset route.
+
+
+def sl_rep(m):
+    """(Z/m)^2 x| Z/3 on C^3 inside SL: diag(1, -1, 0), diag(0, 1, -1), a 3-cycle."""
+    gens = (
+        MonomialElement((0, 1, 2), (1, m - 1, 0)),
+        MonomialElement((0, 1, 2), (0, 1, m - 1)),
+        MonomialElement((1, 2, 0), (0, 0, 0)),
+    )
+    return MonomialRep(dimension=3, root_order=m, generators=gens)
+
+
+def wreath_rep(m):
+    """mu_m wr S_2 on (C^2)^2: the block swap and diag(zeta, 1/zeta) on block 0."""
+    gens = (
+        MonomialElement((2, 3, 0, 1), (0, 0, 0, 0)),
+        MonomialElement((0, 1, 2, 3), (1, m - 1, 0, 0)),
+    )
+    return MonomialRep(dimension=4, root_order=m, generators=gens)
+
+
+def two_diag_rep():
+    """1/5(1,4,0) and 1/5(1,1,1): only the second generator moves det, to order 5."""
+    gens = (MonomialElement((0, 1, 2), (1, 4, 0)), MonomialElement((0, 1, 2), (1, 1, 1)))
+    return MonomialRep(dimension=3, root_order=5, generators=gens)
+
+
+ORACLE_GROUPS = {
+    "zeta4-swap": zeta4_swap_rep,
+    "diag-6-1-5": lambda: diag_rep(6, (1, 5)),
+    "sym-2-3": lambda: materialize_rep(2, 3),
+    "sl-4": lambda: sl_rep(4),
+    "wreath-3": lambda: wreath_rep(3),
+    "two-diag-5": two_diag_rep,
+}
+
+
+def numpy_age(g, m):
+    """Age and number of eigenvalues != 1, from numpy on the complex matrix."""
+    size = len(g.perm)
+    mat = np.zeros((size, size), dtype=complex)
+    for i, (image, k) in enumerate(zip(g.perm, g.exponents)):
+        mat[image, i] = np.exp(2j * np.pi * k / m)
+    eigenvalues = np.linalg.eigvals(mat)
+    turns = (np.angle(eigenvalues) / (2 * np.pi)) % 1.0
+    turns[turns > 1 - 1e-9] = 0.0
+    return float(turns.sum()), int(np.sum(np.abs(eigenvalues - 1) > 1e-7))
+
+
+def check_element_age(g, m):
+    a, moved = element_age(g, m)
+    numeric_age, numeric_moved = numpy_age(g, m)
+    assert abs(float(a) - numeric_age) < 1e-9
+    assert moved == numeric_moved
+    exps = element_eigen_exponents(g, m)
+    assert a == age(exps)[1]
+    assert (moved == 1) == is_quasi_reflection(exps)
+    assert det_turn(g, m) == a % 1
+
+
+@pytest.mark.parametrize("make_rep", ORACLE_GROUPS.values(), ids=ORACLE_GROUPS.keys())
+def test_element_age_matches_numpy_and_multiset_on_every_element(make_rep):
+    closed = close_group(make_rep())
+    for g in closed.elements:
+        check_element_age(g, closed.root_order)
+
+
+@pytest.mark.parametrize("make_rep", ORACLE_GROUPS.values(), ids=ORACLE_GROUPS.keys())
+def test_generator_index_equals_det_order_over_all_elements(make_rep):
+    closed = close_group(make_rep())
+    m = closed.root_order
+    assert analyze(closed).index == lcm(
+        1, *(det_turn(g, m).denominator for g in closed.elements)
+    )
+
+
+def draw_element(draw, size, m):
+    perm = tuple(draw(st.permutations(range(size))))
+    exps = tuple(draw(st.lists(st.integers(0, m - 1), min_size=size, max_size=size)))
+    return MonomialElement(perm, exps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_element_age_matches_numpy_and_multiset_on_random_elements(data):
+    m = data.draw(st.integers(1, 12))
+    check_element_age(draw_element(data.draw, data.draw(st.integers(1, 4)), m), m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_generator_age_denominators_give_the_det_order(data):
+    size, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
+    gens = [draw_element(data.draw, size, m) for _ in range(data.draw(st.integers(1, 2)))]
+    closed = close_group(MonomialRep(dimension=size, root_order=m, generators=tuple(gens)))
+    assert lcm(1, *(element_age(g, m)[0].denominator for g in gens)) == lcm(
+        1, *(det_turn(g, m).denominator for g in closed.elements)
+    )

@@ -8,6 +8,7 @@ import pytest
 from symquot import (
     CycleType,
     MatrixTooLargeError,
+    PointsCapError,
     UnsupportedDimensionError,
     bruteforce_check,
     class_table,
@@ -15,7 +16,8 @@ from symquot import (
     materialize_rep,
     verdict,
 )
-from symquot import oracle
+from symquot import oracle, sympower
+from symquot.sympower import TABLE_POINTS_CAP, VERDICT_POINTS_CAP
 
 
 def test_verdict_even_dim_is_gorenstein():
@@ -52,6 +54,35 @@ def test_verdict_rejects_small_dim_citing_quasi_reflections(n):
 def test_verdict_rejects_nonpositive_points():
     with pytest.raises(ValueError):
         verdict(2, 0)
+
+
+def test_verdict_at_its_cap_is_closed_form():
+    v = verdict(3, VERDICT_POINTS_CAP)
+    assert v.group_order == factorial(VERDICT_POINTS_CAP)
+    assert v.min_age == Fraction(3, 2) and v.index == 2
+    assert v.witness == str(CycleType((2,) + (1,) * (VERDICT_POINTS_CAP - 2)))
+
+
+def test_verdict_past_its_cap_is_domain_error():
+    with pytest.raises(PointsCapError) as err:
+        verdict(2, VERDICT_POINTS_CAP + 1)
+    assert err.value.cap == VERDICT_POINTS_CAP
+    assert err.value.code == "too-many-points"
+
+
+def test_class_table_admits_its_cap(monkeypatch):
+    # p(50) = 204226 rows take seconds, so count the request, not the rows
+    seen = []
+    monkeypatch.setattr(sympower, "partitions", lambda d: seen.append(d) or iter(()))
+    assert class_table(2, TABLE_POINTS_CAP) == []
+    assert seen == [TABLE_POINTS_CAP] and TABLE_POINTS_CAP >= 50
+
+
+def test_class_table_past_its_cap_is_domain_error(monkeypatch):
+    monkeypatch.setattr(sympower, "partitions", lambda d: pytest.fail("scanned"))
+    with pytest.raises(PointsCapError) as err:
+        class_table(2, TABLE_POINTS_CAP + 1)
+    assert err.value.cap == TABLE_POINTS_CAP
 
 
 @pytest.mark.parametrize("n", range(2, 7))
