@@ -79,11 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_sympower(args) -> int:
     v = sympower.verdict(args.dim, args.points)
     records = sympower.class_table(args.dim, args.points) if args.table else None
-    if args.format == "json":
-        payload = report.sympower_payload(args.dim, args.points, v, records)
-        sys.stdout.write(report.canonical_json(payload))
-    else:
-        sys.stdout.write(report.sympower_markdown(args.dim, args.points, v, records))
+    payload = report.sympower_payload(args.dim, args.points, v, records)
+    sys.stdout.write(report.render(payload, args.format))
     return 0
 
 
@@ -91,10 +88,7 @@ def cmd_analyze(args) -> int:
     rep = monomial.load_rep_file(args.rep)
     closed = monomial.close_group(rep)
     v = monomial.analyze(closed)
-    if args.format == "json":
-        sys.stdout.write(report.canonical_json(report.analyze_payload(closed, v)))
-    else:
-        sys.stdout.write(report.analyze_markdown(closed, v))
+    sys.stdout.write(report.render(report.analyze_payload(closed, v), args.format))
     return 0
 
 
@@ -126,11 +120,8 @@ def cmd_plurigenera(args) -> int:
     if args.kappa is not None:
         kappa = _parse_kappa(args.kappa, args.dim)
         kappa_scaled = plurigenera.kodaira_scale(kappa, args.points)
-    if args.format == "json":
-        payload = report.plurigenera_payload(table, kappa, kappa_scaled)
-        sys.stdout.write(report.canonical_json(payload))
-    else:
-        sys.stdout.write(report.plurigenera_markdown(table, kappa, kappa_scaled))
+    payload = report.plurigenera_payload(table, kappa, kappa_scaled)
+    sys.stdout.write(report.render(payload, args.format))
     return 0
 
 

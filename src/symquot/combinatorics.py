@@ -26,12 +26,9 @@ class CycleType:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.parts:
-            raise ValueError("cycle type needs at least one part")
-        if any(p < 1 for p in self.parts):
-            raise ValueError(f"cycle lengths must be positive: {self.parts}")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"parts must be non-increasing: {self.parts}")
+        parts = self.parts  # once sorted, a positive last part makes every part positive
+        if not parts or parts[-1] < 1 or list(parts) != sorted(parts, reverse=True):
+            raise ValueError(f"parts must be positive and non-increasing, got {parts}")
 
     @property
     def d(self) -> int:

@@ -46,7 +46,7 @@ class PointsCapError(GroupTooLargeError):
 
 
 class MatrixTooLargeError(DomainError):
-    """Requested brute-force matrix exceeds the size cap."""
+    """A matrix size cap was exceeded: brute-force matrices or a file's dimension."""
 
     code = "matrix-too-large"
 

@@ -37,10 +37,11 @@ from math import lcm
 from pathlib import Path
 
 from .ages import EigenExponents
-from .errors import GroupTooLargeError, QuasiReflectionError
+from .errors import GroupTooLargeError, MatrixTooLargeError, QuasiReflectionError
 
 DEFAULT_CLOSURE_CAP = 20000
 CLOSURE_CAP_ENV = "QC_CLOSURE_CAP"
+DIMENSION_CAP = 256  # for files read by rep_from_dict; every element is an N-tuple
 
 
 @dataclass(frozen=True)
@@ -128,11 +129,18 @@ class SingularityVerdict:
 
 
 def configured_cap(cap: int | None = None) -> int:
-    """Resolve the closure cap: explicit argument, else env, else default."""
+    """Resolve the closure cap: explicit argument, else env, else default.
+
+    An environment value that is not an integer >= 1 raises ValueError.
+    """
     if cap is not None:
         return cap
     env = os.environ.get(CLOSURE_CAP_ENV)
-    return int(env) if env else DEFAULT_CLOSURE_CAP
+    if not env:
+        return DEFAULT_CLOSURE_CAP
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"{CLOSURE_CAP_ENV} must be an integer >= 1, got {env!r}")
+    return int(env)
 
 
 def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
@@ -287,7 +295,8 @@ def rep_from_dict(data: dict) -> MonomialRep:
          "generators": [{"perm": [1-based images], "exponents": [k_1..k_N]}]}
 
     ``exponents`` may be omitted per generator and defaults to zeros.
-    Numbers must be JSON integers; anything else raises ValueError.
+    Numbers must be JSON integers; anything else raises ValueError. A
+    dimension above ``DIMENSION_CAP`` raises MatrixTooLargeError.
     """
     try:
         dimension = _int_field(data["dimension"], "dimension")
@@ -297,6 +306,8 @@ def rep_from_dict(data: dict) -> MonomialRep:
         raise ValueError(f"representation file is missing field: {exc}") from exc
     if root_order < 1:
         raise ValueError(f"root order must be >= 1, got {root_order}")
+    if dimension > DIMENSION_CAP:
+        raise MatrixTooLargeError(f"dimension {dimension} exceeds the cap of {DIMENSION_CAP}")
     if not isinstance(raw_gens, list):
         raise ValueError(f"generators must be a list, got {raw_gens!r}")
     generators = []

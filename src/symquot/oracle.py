@@ -4,14 +4,19 @@ This path is deliberately independent of the exact constructions in
 ``ages``: it builds 0/1 permutation matrices, runs numpy's
 eigendecomposition, and reads exponents off the eigenvalue arguments.
 An eigenvalue exp(i * theta) is accepted as eps^a only when
-theta * r / (2 pi) sits within the tolerance of the integer a.
+theta * r / (2 pi) sits within the tolerance of the integer a. numpy is
+imported inside the functions that use it, so ``import symquot`` does
+not load it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .combinatorics import CycleType
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOLERANCE = 1e-6
 
@@ -26,6 +31,8 @@ def permutation_matrix(t: CycleType) -> np.ndarray:
     Cycles occupy consecutive index blocks; column i carries a single 1
     in the row the permutation sends i to.
     """
+    import numpy as np
+
     d = t.d
     mat = np.zeros((d, d))
     base = 0
@@ -40,6 +47,8 @@ def nfold_matrix(t: CycleType, n: int) -> np.ndarray:
     """Block-diagonal direct sum of n copies of ``permutation_matrix(t)``."""
     if n < 1:
         raise ValueError(f"number of copies must be positive, got {n}")
+    import numpy as np
+
     return np.kron(np.eye(n), permutation_matrix(t))
 
 
@@ -52,6 +61,8 @@ def numeric_exponents(
     RecoveryError when any recovered exponent misses the nearest integer
     by more than ``tolerance``.
     """
+    import numpy as np
+
     eigenvalues = np.linalg.eigvals(matrix)
     exponents = []
     for lam in eigenvalues:

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .combinatorics import conjugacy_classes
 from .errors import InsufficientDataError
 
@@ -195,5 +193,6 @@ def growth_exponent_check(
     # math.log accepts arbitrary-size ints, so huge binomials are fine
     xs = [math.log(m) for m, _ in tail]
     ys = [math.log(p) for _, p in tail]
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    covariance = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    return covariance / sum((x - x_mean) ** 2 for x in xs)

@@ -1,11 +1,11 @@
-"""Deterministic JSON and markdown emitters.
+"""Deterministic reports: one payload per command, rendered as JSON or markdown.
 
-JSON output is canonical: sorted keys, two-space indent, a trailing
-newline, exact rationals rendered as "p/q" strings (with "inf" for the
-no-witness sentinel), so parsing a report and re-serializing it is
-byte-identical. The only floats ever emitted are growth-fit slopes.
-Payloads carry a metadata block with the package version and nothing
-time-dependent, so identical inputs give identical bytes.
+The ``*_payload`` functions alone decide a report's fields and values;
+``render`` writes a payload as canonical JSON (sorted keys, two-space
+indent, a trailing newline, so re-serializing a parsed report is
+byte-identical) or as markdown. Exact rationals are "p/q" strings ("inf"
+for the no-witness sentinel); the only floats ever emitted are growth-fit
+slopes. Payloads hold the package version and nothing time-dependent.
 """
 
 from __future__ import annotations
@@ -109,71 +109,60 @@ def plurigenera_payload(
     return payload
 
 
-def _verdict_lines(v: SingularityVerdict) -> list[str]:
-    lines = [
-        f"- canonical: {str(v.canonical).lower()}",
-        f"- terminal: {str(v.terminal).lower()}",
-        f"- gorenstein: {str(v.gorenstein).lower()}",
-        f"- index: {v.index}",
-        f"- group order: {v.group_order}",
-    ]
-    if v.min_age is None:
-        lines.append("- min age: inf (trivial group, smooth point)")
-    else:
-        lines.append(f"- min age: {fraction_str(v.min_age)} at {v.witness}")
-    return lines
+HEADINGS = {
+    "sympower": "# Symmetric-power model: {dim} copies of the S_{points} permutation action",
+    "monomial": "# Monomial group on C^{dimension} (root order {root_order})",
+    "plurigenera": "# Plurigenera of the degree-{points} symmetric power (dim {dim})",
+}
+VERDICT_KEYS = ("canonical", "terminal", "gorenstein", "index", "group_order")
 
 
-def class_table_markdown(records: list[AgeRecord]) -> list[str]:
-    lines = [
-        "| cycle type | class size | order | S | age | det |",
-        "| --- | --- | --- | --- | --- | --- |",
-    ]
-    for rec in records:
-        det = "+1" if rec.det_is_plus_one else "-1"
-        lines.append(
-            f"| {rec.cycle_type} | {rec.class_size} | {rec.order} "
-            f"| {rec.s_sum} | {fraction_str(rec.age)} | {det} |"
-        )
-    return lines
+def markdown(payload: dict) -> str:
+    """A heading from the ``model`` block, then one section per block present.
+
+    Values appear as JSON spells them, so booleans read true/false.
+    """
+    sections = [[HEADINGS[payload["model"]["kind"]].format(**payload["model"])]]
+    if "verdict" in payload:
+        v = payload["verdict"]
+        lines = [f"- {key.replace('_', ' ')}: {json.dumps(v[key])}" for key in VERDICT_KEYS]
+        if v["min_age"] == "inf":
+            lines.append("- min age: inf (trivial group, smooth point)")
+        else:
+            lines.append(f"- min age: {v['min_age']} at {v['witness']}")
+        sections.append(lines)
+    if "classes" in payload:
+        sections.append([
+            "| cycle type | class size | order | S | age | det |",
+            "| --- | --- | --- | --- | --- | --- |",
+            *(
+                f"| ({','.join(map(str, c['cycle_type']))}) | {c['class_size']} "
+                f"| {c['order']} | {c['s_sum']} | {c['age']} | {c['det']:+d} |"
+                for c in payload["classes"]
+            ),
+        ])
+    if "rows" in payload:
+        sections.append([
+            "| m | P_m(X) | P_m(sym^d) | parity valid |",
+            "| --- | --- | --- | --- |",
+            *(
+                f"| {r['m']} | {r['p_m_x']} | {r['p_m_sigma']} | {json.dumps(r['valid'])} |"
+                for r in payload["rows"]
+            ),
+        ])
+    if "kodaira" in payload:
+        k = payload["kodaira"]
+        sections.append([f"- Kodaira dimension: {k['input']} scales to {k['scaled']}"])
+    return "\n\n".join("\n".join(lines) for lines in sections) + "\n"
+
+
+def render(payload: dict, fmt: str) -> str:
+    """The report text: canonical JSON for ``fmt == "json"``, else markdown."""
+    return canonical_json(payload) if fmt == "json" else markdown(payload)
 
 
 def sympower_markdown(
     n: int, d: int, v: SingularityVerdict, records: list[AgeRecord] | None = None
 ) -> str:
-    lines = [f"# Symmetric-power model: {n} copies of the S_{d} permutation action", ""]
-    lines.extend(_verdict_lines(v))
-    if records is not None:
-        lines.append("")
-        lines.extend(class_table_markdown(records))
-    return "\n".join(lines) + "\n"
-
-
-def analyze_markdown(rep: MonomialRep, v: SingularityVerdict) -> str:
-    lines = [
-        f"# Monomial group on C^{rep.dimension} (root order {rep.root_order})",
-        "",
-    ]
-    lines.extend(_verdict_lines(v))
-    return "\n".join(lines) + "\n"
-
-
-def plurigenera_markdown(
-    table: PlurigenusTable,
-    kappa: KodairaDim | None = None,
-    kappa_scaled: KodairaDim | None = None,
-) -> str:
-    lines = [
-        f"# Plurigenera of the degree-{table.d} symmetric power (dim {table.n})",
-        "",
-        "| m | P_m(X) | P_m(sym^d) | parity valid |",
-        "| --- | --- | --- | --- |",
-    ]
-    for row in table.rows:
-        lines.append(
-            f"| {row.m} | {row.p_m_x} | {row.p_m_sigma} "
-            f"| {str(row.valid).lower()} |"
-        )
-    if kappa is not None and kappa_scaled is not None:
-        lines.extend(["", f"- Kodaira dimension: {kappa} scales to {kappa_scaled}"])
-    return "\n".join(lines) + "\n"
+    """Markdown of ``sympower_payload(n, d, v, records)``."""
+    return markdown(sympower_payload(n, d, v, records))

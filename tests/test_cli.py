@@ -138,6 +138,26 @@ def test_analyze_closure_cap_is_domain_error(run_cli, tmp_path, monkeypatch):
     assert "10" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "abc", "1.5"])
+def test_analyze_bad_closure_cap_is_usage_error(run_cli, tmp_path, monkeypatch, value):
+    monkeypatch.setenv("QC_CLOSURE_CAP", value)
+    rep = tmp_path / "rep.json"
+    rep.write_text('{"dimension": 2, "root_order": 2, "generators": []}')
+    code, out, err = run_cli("analyze", "--rep", str(rep))
+    assert code == 2 and out == ""
+    assert err.startswith("error: usage: QC_CLOSURE_CAP must be an integer >= 1")
+    assert err.count("\n") == 1
+
+
+def test_analyze_dimension_cap_is_domain_error(run_cli, tmp_path):
+    rep = tmp_path / "wide.json"
+    rep.write_text('{"dimension": 200000, "root_order": 1, "generators": []}')
+    code, out, err = run_cli("analyze", "--rep", str(rep))
+    assert code == 3 and out == ""
+    assert err.startswith("error: matrix-too-large:")
+    assert err.count("\n") == 1
+
+
 def test_analyze_malformed_file_is_usage_error(run_cli, tmp_path):
     rep = tmp_path / "broken.json"
     rep.write_text("{not json")
@@ -213,6 +233,64 @@ def test_plurigenera_bad_pm_is_usage_error(run_cli):
     assert err.startswith("error: usage:")
 
 
+SYMPOWER_TABLE_MD = """\
+# Symmetric-power model: 3 copies of the S_3 permutation action
+
+- canonical: true
+- terminal: true
+- gorenstein: false
+- index: 2
+- group order: 6
+- min age: 3/2 at (2,1)
+
+| cycle type | class size | order | S | age | det |
+| --- | --- | --- | --- | --- | --- |
+| (3) | 2 | 3 | 9 | 3/1 | +1 |
+| (2,1) | 3 | 2 | 3 | 3/2 | -1 |
+| (1,1,1) | 1 | 1 | 0 | 0/1 | +1 |
+"""
+
+TRIVIAL_GROUP_MD = """\
+# Monomial group on C^2 (root order 1)
+
+- canonical: true
+- terminal: true
+- gorenstein: true
+- index: 1
+- group order: 1
+- min age: inf (trivial group, smooth point)
+"""
+
+PLURIGENERA_KAPPA_MD = """\
+# Plurigenera of the degree-2 symmetric power (dim 3)
+
+| m | P_m(X) | P_m(sym^d) | parity valid |
+| --- | --- | --- | --- |
+| 1 | 5 | 15 | false |
+| 2 | 3 | 6 | true |
+
+- Kodaira dimension: 2 scales to 4
+"""
+
+
+def test_sympower_table_markdown_layout(run_cli):
+    assert run_cli("sympower", "--dim", "3", "--points", "3", "--table") == (
+        0, SYMPOWER_TABLE_MD, ""
+    )
+
+
+def test_analyze_trivial_group_markdown_layout(run_cli, tmp_path):
+    rep = tmp_path / "trivial.json"
+    rep.write_text('{"dimension": 2, "root_order": 1, "generators": []}')
+    assert run_cli("analyze", "--rep", str(rep)) == (0, TRIVIAL_GROUP_MD, "")
+
+
+def test_plurigenera_kodaira_markdown_layout(run_cli):
+    assert run_cli(
+        "plurigenera", "--dim", "3", "--points", "2", "--pm", "1=5,2=3", "--kappa=2"
+    ) == (0, PLURIGENERA_KAPPA_MD, "")
+
+
 def test_genus_bound_output(run_cli):
     code, out, _ = run_cli("genus-bound", "--regime", "general", "--points", "4")
     assert code == 0
@@ -248,3 +326,13 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout == "minimal genus: 5\n"
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy is only for the numeric oracle; CLI start-up must not pay for it
+    result = subprocess.run(
+        [sys.executable, "-c", "import symquot, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from symquot import (
     CycleType,
     GroupTooLargeError,
+    MatrixTooLargeError,
     age,
     MonomialElement,
     MonomialRep,
@@ -24,7 +25,7 @@ from symquot import (
     partitions,
     rep_from_dict,
 )
-from symquot.monomial import det_turn, element_age
+from symquot.monomial import DIMENSION_CAP, det_turn, element_age
 
 
 def diag_rep(root_order, exps):
@@ -346,6 +347,13 @@ def test_rep_from_dict_defaults_exponents_to_zero():
         {"dimension": 3, "root_order": 1, "generators": [{"perm": [2, 1, 3]}]}
     )
     assert rep.generators[0].exponents == (0, 0, 0)
+
+
+def test_rep_from_dict_caps_the_dimension():
+    at_cap = rep_from_dict({"dimension": DIMENSION_CAP, "root_order": 1, "generators": []})
+    assert close_group(at_cap).order == 1
+    with pytest.raises(MatrixTooLargeError):
+        rep_from_dict({"dimension": DIMENSION_CAP + 1, "root_order": 1, "generators": []})
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,12 @@
 """Dimension formulas, Kodaira scaling, genus bounds, and growth fits."""
 
+import math
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symquot import (
     InsufficientDataError,
@@ -153,6 +157,22 @@ def test_growth_parity_filter():
     assert growth_exponent_check(even_rows, 2, n=3) == growth_exponent_check(
         even_rows, 2
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        st.integers(1, 500), st.integers(1, 10**12), min_size=3, max_size=40
+    )
+)
+def test_growth_slope_matches_numpy_polyfit(table):
+    # d = 1 keeps P_m unchanged; the fit runs on the large-m half of the rows
+    rows = sorted(table.items())
+    tail = rows[-max(3, len(rows) // 2):]
+    xs = [math.log(m) for m, _ in tail]
+    ys = [math.log(p) for _, p in tail]
+    expected = np.polyfit(xs, ys, 1)[0]
+    assert abs(growth_exponent_check(rows, 1) - expected) < 1e-9
 
 
 def test_growth_requires_distinct_m():
