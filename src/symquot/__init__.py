@@ -6,27 +6,14 @@ symmetric-power model (n copies of the S_d permutation action), plus
 plurigenus tables, Kodaira-dimension scaling, and genus bounds for
 symmetric powers. All group-theoretic results are exact; floating point
 only appears in the numeric verification oracle and the growth fit.
+
+The top level holds the names the README's library surface documents and
+the error classes. Everything else is reached through its module:
+``symquot.sympower``, ``symquot.monomial``, ``symquot.combinatorics``,
+and ``symquot.oracle`` for every reference route.
 """
 
 from ._version import __version__
-from .ages import (
-    AgeRecord,
-    EigenExponents,
-    age,
-    age_closed_form,
-    cycle_eigen_exponents,
-    det_sign,
-    is_quasi_reflection,
-    nfold,
-)
-from .combinatorics import (
-    ClassInfo,
-    CycleType,
-    class_size,
-    conjugacy_classes,
-    element_order,
-    partitions,
-)
 from .errors import (
     DomainError,
     GroupTooLargeError,
@@ -36,19 +23,9 @@ from .errors import (
     QuasiReflectionError,
     UnsupportedDimensionError,
 )
-from .monomial import (
-    MonomialElement,
-    MonomialRep,
-    SingularityVerdict,
-    analyze,
-    close_group,
-    element_eigen_exponents,
-    load_rep_file,
-    rep_from_dict,
-)
+from .monomial import analyze, close_group, rep_from_dict
 from .plurigenera import (
     KodairaDim,
-    PlurigenusTable,
     genus_bound,
     growth_exponent_check,
     invariant_dim_burnside,
@@ -56,47 +33,24 @@ from .plurigenera import (
     plurigenus_table,
     sym_dim,
 )
-from .sympower import bruteforce_check, class_table, materialize_rep, verdict
+from .sympower import verdict
 
 __all__ = [
     "__version__",
-    "AgeRecord",
-    "ClassInfo",
-    "CycleType",
     "DomainError",
-    "EigenExponents",
     "GroupTooLargeError",
     "InsufficientDataError",
     "KodairaDim",
     "MatrixTooLargeError",
-    "MonomialElement",
-    "MonomialRep",
-    "PlurigenusTable",
     "PointsCapError",
     "QuasiReflectionError",
-    "SingularityVerdict",
     "UnsupportedDimensionError",
-    "age",
-    "age_closed_form",
     "analyze",
-    "bruteforce_check",
-    "class_size",
-    "class_table",
     "close_group",
-    "conjugacy_classes",
-    "cycle_eigen_exponents",
-    "det_sign",
-    "element_eigen_exponents",
-    "element_order",
     "genus_bound",
     "growth_exponent_check",
     "invariant_dim_burnside",
-    "is_quasi_reflection",
     "kodaira_scale",
-    "load_rep_file",
-    "materialize_rep",
-    "nfold",
-    "partitions",
     "plurigenus_table",
     "rep_from_dict",
     "sym_dim",

@@ -19,7 +19,7 @@ import argparse
 import sys
 import time
 
-from . import monomial, plurigenera, report, sympower
+from . import monomial, oracle, plurigenera, report, sympower
 from ._version import __version__
 from .errors import DomainError
 
@@ -149,7 +149,7 @@ def run_selftest(max_dim: int, max_points: int, tolerance: float, out=None) -> i
     for n in range(2, max_dim + 1):
         checked = 0
         for d in range(1, max_points + 1):
-            rep = sympower.bruteforce_check(n, d, tolerance)
+            rep = oracle.bruteforce_check(n, d, tolerance)
             checked += len(rep.rows)
             for row in rep.failures():
                 failures.append(f"oracle n={n} d={d} class {row.cycle_type}: {row.detail}")

@@ -97,11 +97,6 @@ def element_order(t: CycleType) -> int:
     return lcm(*t.parts)
 
 
-def perm_sign(t: CycleType) -> int:
-    """Sign of any permutation with cycle type ``t``: (-1)^(d - #parts)."""
-    return -1 if (t.d - t.num_parts) % 2 else 1
-
-
 def conjugacy_classes(d: int) -> list[ClassInfo]:
     """All classes of S_d in canonical partition order."""
     return [ClassInfo(t, class_size(t), element_order(t)) for t in partitions(d)]

@@ -40,7 +40,7 @@ class GroupTooLargeError(DomainError):
 
 
 class PointsCapError(GroupTooLargeError):
-    """Number of points d over a symmetric-power cap (verdict or class table)."""
+    """Number of points d, or a plurigenus row, over a symmetric-power cap."""
 
     code = "too-many-points"
 

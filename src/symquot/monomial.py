@@ -18,8 +18,8 @@ otherwise. Hence
 and g is a quasi-reflection iff that count is 1. The determinant is
 exp(2 pi i age(g)) and a character, so the index is the lcm of the age
 denominators of the generators. The eigenvalue-multiset route
-(``element_eigen_exponents``, ``det_turn``) is kept as the reference
-that tests and the selftest compare against.
+(``element_eigen_exponents``, ``det_turn``) lives in ``oracle`` as the
+reference that tests and the selftest compare against.
 
 Closure construction is single-writer; every produced value is
 immutable, and the analysis scan is read-only, so verdicts and closed
@@ -30,13 +30,11 @@ from __future__ import annotations
 
 import json
 import os
-from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
-from .ages import EigenExponents
 from .errors import GroupTooLargeError, MatrixTooLargeError, QuasiReflectionError
 
 DEFAULT_CLOSURE_CAP = 20000
@@ -113,19 +111,22 @@ class MonomialRep:
 class SingularityVerdict:
     """Outcome of the age-criterion scan over one finite group."""
 
-    canonical: bool
-    terminal: bool
-    gorenstein: bool
     index: int
     group_order: int
     min_age: Fraction | None  # None for the trivial group (no witnesses)
     witness: str | None
 
-    def __post_init__(self):
-        if self.terminal and not self.canonical:
-            raise ValueError("terminal verdict requires canonical")
-        if self.gorenstein and self.index != 1:
-            raise ValueError("Gorenstein verdict requires index 1")
+    @property
+    def canonical(self) -> bool:
+        return self.min_age is None or self.min_age >= 1
+
+    @property
+    def terminal(self) -> bool:
+        return self.min_age is None or self.min_age > 1
+
+    @property
+    def gorenstein(self) -> bool:
+        return self.index == 1
 
 
 def configured_cap(cap: int | None = None) -> int:
@@ -155,9 +156,7 @@ def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
     ident = rep.identity()
     seen = {ident}
     ordered = [ident]
-    frontier = deque([ident])
-    while frontier:
-        current = frontier.popleft()
+    for current in ordered:  # grows while it is walked: the list is the BFS queue
         for gen in rep.generators:
             product = rep.multiply(current, gen)
             if product in seen:
@@ -168,7 +167,6 @@ def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
                 )
             seen.add(product)
             ordered.append(product)
-            frontier.append(product)
     return replace(rep, elements=tuple(ordered))
 
 
@@ -198,37 +196,6 @@ def element_age(g: MonomialElement, root_order: int) -> tuple[Fraction, int]:
         k_total += k_sum
         moved += len(cycle) - (k_sum == 0)
     return Fraction(2 * k_total + m * (len(g.perm) - len(cycles)), 2 * m), moved
-
-
-def element_eigen_exponents(g: MonomialElement, root_order: int) -> EigenExponents:
-    """Exact eigenvalue exponents of ``g`` at its own order (reference route).
-
-    Each length-l cycle with entry-exponent sum K contributes the l-th
-    roots of zeta_m^K: turn fractions (K + m*j) / (m*l) for j < l. The
-    element order is the lcm of the reduced denominators, and every
-    fraction rescales to an integer exponent at that order.
-    """
-    m = root_order
-    turns: list[Fraction] = []
-    for cycle in _cycles(g.perm):
-        length = len(cycle)
-        k_sum = sum(g.exponents[i] for i in cycle) % m
-        for j in range(length):
-            turns.append(Fraction(k_sum + m * j, m * length))
-    order = lcm(*(f.denominator for f in turns))
-    exps = tuple(int(f * order) for f in turns)
-    return EigenExponents(order, exps)
-
-
-def det_turn(g: MonomialElement, root_order: int) -> Fraction:
-    """det(g) as an exact fraction of a full turn: det = exp(2 pi i turn).
-
-    Reference route: sign(perm) * zeta_m^{sum(exponents)}.
-    """
-    turn = Fraction(sum(g.exponents), root_order)
-    if (len(g.perm) - len(_cycles(g.perm))) % 2:
-        turn += Fraction(1, 2)
-    return turn % 1
 
 
 def analyze(rep: MonomialRep) -> SingularityVerdict:
@@ -264,9 +231,6 @@ def analyze(rep: MonomialRep) -> SingularityVerdict:
 
     index = lcm(1, *(element_age(g, m)[0].denominator for g in rep.generators))
     return SingularityVerdict(
-        canonical=min_age is None or min_age >= 1,
-        terminal=min_age is None or min_age > 1,
-        gorenstein=index == 1,
         index=index,
         group_order=len(rep.elements),
         min_age=min_age,

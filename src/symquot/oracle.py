@@ -1,24 +1,140 @@
-"""Numeric cross-check: recover exponents from explicit matrices.
+"""Every reference route that the engines are checked against.
 
-This path is deliberately independent of the exact constructions in
-``ages``: it builds 0/1 permutation matrices, runs numpy's
-eigendecomposition, and reads exponents off the eigenvalue arguments.
-An eigenvalue exp(i * theta) is accepted as eps^a only when
-theta * r / (2 pi) sits within the tolerance of the integer a. numpy is
-imported inside the functions that use it, so ``import symquot`` does
-not load it.
+The engines decide age, determinant and quasi-reflections from one
+integer cycle-sum rule (``monomial.element_age``, ``sympower.age_record``).
+This module holds the routes the tests and ``selftest`` compare them with:
+
+- exact eigenvalue-exponent multisets: ``cycle_eigen_exponents`` and
+  ``nfold`` for the symmetric-power model, ``element_eigen_exponents``
+  for one monomial element, with ``age`` and ``is_quasi_reflection``
+  read off a multiset. The multiset is invariant under a -> k*a mod r for
+  k coprime to r, so the age does not depend on which primitive root the
+  exponents are written against;
+- determinants from the permutation sign: ``det_sign`` for a class of the
+  model, ``det_turn`` for a monomial element;
+- numpy eigendecompositions of explicit 0/1 permutation matrices, and
+  ``bruteforce_check``, which holds the model's closed form against the
+  multiset and numpy routes class by class. An eigenvalue exp(i * theta)
+  is accepted as eps^a only when theta * r / (2 pi) sits within the
+  tolerance of the integer a.
+
+numpy is imported inside the functions that use it, so ``import symquot``
+does not load it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING
 
-from .combinatorics import CycleType
+from .combinatorics import CycleType, element_order, partitions
+from .errors import MatrixTooLargeError
+from .monomial import MonomialElement, _cycles
+from .sympower import TABLE_POINTS_CAP, _check_model, age_closed_form
 
 if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_TOLERANCE = 1e-6
+MATRIX_SIZE_CAP = 64
+
+
+@dataclass(frozen=True)
+class EigenExponents:
+    """Multiset of eigenvalue exponents at a fixed order.
+
+    Exponents are normalized to sorted order and must lie in [0, order).
+    """
+
+    order: int
+    exponents: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.order < 1:
+            raise ValueError(f"order must be positive, got {self.order}")
+        object.__setattr__(self, "exponents", tuple(sorted(self.exponents)))
+        if self.exponents and not (
+            0 <= self.exponents[0] and self.exponents[-1] < self.order
+        ):
+            raise ValueError(
+                f"exponents must lie in [0, {self.order}): {self.exponents}"
+            )
+
+    @property
+    def dimension(self) -> int:
+        return len(self.exponents)
+
+
+def cycle_eigen_exponents(t: CycleType) -> EigenExponents:
+    """Exponent multiset of one copy of the permutation action on C^d.
+
+    Each cycle of length ri contributes one exponent 0 and the nonzero
+    multiples of r/ri below r, i.e. the ri-th roots of unity rewritten to
+    the common order r = lcm(parts).
+    """
+    r = element_order(t)
+    exps = []
+    for part in t.parts:
+        step = r // part
+        exps.extend(j * step for j in range(part))
+    return EigenExponents(r, tuple(exps))
+
+
+def nfold(e: EigenExponents, n: int) -> EigenExponents:
+    """Exponents of the direct sum of n copies: multiplicities scale by n."""
+    if n < 1:
+        raise ValueError(f"number of copies must be positive, got {n}")
+    return EigenExponents(e.order, e.exponents * n)
+
+
+def age(e: EigenExponents) -> tuple[int, Fraction]:
+    """Exponent sum S and the age S/order, as (int, exact Fraction)."""
+    s = sum(e.exponents)
+    return s, Fraction(s, e.order)
+
+
+def is_quasi_reflection(e: EigenExponents) -> bool:
+    """True iff exactly one eigenvalue differs from 1 (fixes a hyperplane)."""
+    return sum(1 for a in e.exponents if a) == 1
+
+
+def element_eigen_exponents(g: MonomialElement, root_order: int) -> EigenExponents:
+    """Exact eigenvalue exponents of ``g`` at its own order.
+
+    Each length-l cycle with entry-exponent sum K contributes the l-th
+    roots of zeta_m^K: turn fractions (K + m*j) / (m*l) for j < l. The
+    element order is the lcm of the reduced denominators, and every
+    fraction rescales to an integer exponent at that order.
+    """
+    m = root_order
+    turns: list[Fraction] = []
+    for cycle in _cycles(g.perm):
+        length = len(cycle)
+        k_sum = sum(g.exponents[i] for i in cycle) % m
+        for j in range(length):
+            turns.append(Fraction(k_sum + m * j, m * length))
+    order = lcm(*(f.denominator for f in turns))
+    exps = tuple(int(f * order) for f in turns)
+    return EigenExponents(order, exps)
+
+
+def det_sign(t: CycleType, n: int) -> int:
+    """Determinant of the n-fold permutation matrix: sign^n, so +1 or -1."""
+    sign = -1 if (t.d - t.num_parts) % 2 else 1
+    return sign**n
+
+
+def det_turn(g: MonomialElement, root_order: int) -> Fraction:
+    """det(g) as an exact fraction of a full turn: det = exp(2 pi i turn).
+
+    sign(perm) * zeta_m^{sum(exponents)}.
+    """
+    turn = Fraction(sum(g.exponents), root_order)
+    if (len(g.perm) - len(_cycles(g.perm))) % 2:
+        turn += Fraction(1, 2)
+    return turn % 1
 
 
 class RecoveryError(ValueError):
@@ -76,3 +192,78 @@ def numeric_exponents(
             )
         exponents.append(nearest % order)
     return tuple(sorted(exponents))
+
+
+@dataclass(frozen=True)
+class OracleRow:
+    """Outcome of the numeric cross-check for one conjugacy class."""
+
+    cycle_type: CycleType
+    passed: bool
+    detail: str = ""
+
+
+@dataclass(frozen=True)
+class OracleReport:
+    n: int
+    d: int
+    tolerance: float
+    rows: tuple[OracleRow, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(row.passed for row in self.rows)
+
+    def failures(self) -> list[OracleRow]:
+        return [row for row in self.rows if not row.passed]
+
+
+def bruteforce_check(
+    n: int, d: int, tolerance: float = DEFAULT_TOLERANCE
+) -> OracleReport:
+    """Verify every class against the numeric eigenvalue oracle.
+
+    For each partition the explicit (n*d) x (n*d) permutation matrix is
+    eigendecomposed numerically; the recovered exponent multiset must
+    equal the per-cycle construction, and the exponent sum must equal the
+    closed form exactly. Discrepancies are reported per class, never
+    silently dropped.
+    """
+    _check_model(n, d, TABLE_POINTS_CAP, "class-table")
+    if n * d > MATRIX_SIZE_CAP:
+        raise MatrixTooLargeError(
+            f"brute-force matrix would be {n * d} x {n * d}, over the cap "
+            f"of {MATRIX_SIZE_CAP}"
+        )
+    rows = []
+    for t in partitions(d):
+        r = element_order(t)
+        constructed = nfold(cycle_eigen_exponents(t), n)
+        s_multiset, age_multiset = age(constructed)
+        s_closed, age_closed = age_closed_form(t, n)
+        try:
+            numeric = numeric_exponents(nfold_matrix(t, n), r, tolerance)
+        except RecoveryError as exc:
+            rows.append(OracleRow(t, False, f"exponent recovery failed: {exc}"))
+            continue
+        if numeric != constructed.exponents:
+            rows.append(
+                OracleRow(
+                    t,
+                    False,
+                    f"exponent multisets differ: numeric {numeric} vs "
+                    f"constructed {constructed.exponents}",
+                )
+            )
+        elif (s_multiset, age_multiset) != (s_closed, age_closed):
+            rows.append(
+                OracleRow(
+                    t,
+                    False,
+                    f"closed form disagrees: multiset S={s_multiset} vs "
+                    f"closed S={s_closed}",
+                )
+            )
+        else:
+            rows.append(OracleRow(t, True))
+    return OracleReport(n=n, d=d, tolerance=tolerance, rows=tuple(rows))

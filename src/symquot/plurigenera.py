@@ -19,10 +19,11 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .combinatorics import conjugacy_classes
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, PointsCapError
 
 REGIME_NONNEGATIVE = "nonnegative-kodaira"
 REGIME_GENERAL_TYPE = "general-type"
+PLURIGENUS_BITS_CAP = 14000  # 2^14000 < 10^4215: prints within the 4300-digit limit
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,9 @@ def plurigenus_table(
 
     Each (m, P_m) row gets C(d + P_m - 1, d) and a validity flag for the
     parity condition m * n even. Invalid-parity rows are computed anyway
-    so the two parities can be compared side by side.
+    so the two parities can be compared side by side. The binomial is
+    below (P_m + d - 1)^min(d, P_m - 1); a row whose bound passes
+    2^PLURIGENUS_BITS_CAP raises PointsCapError before it is computed.
     """
     if n < 2:
         raise ValueError(f"base dimension must be >= 2, got {n}")
@@ -125,6 +128,13 @@ def plurigenus_table(
     for m, p_m in rows:
         if m < 1:
             raise ValueError(f"plurigenus level must be >= 1, got {m}")
+        bits = min(d, p_m - 1) * (p_m + d - 1).bit_length()
+        if bits > PLURIGENUS_BITS_CAP:
+            raise PointsCapError(
+                f"--points {d} with --pm {m}={p_m} bounds P_m(sym^d) by {bits} bits, "
+                f"over the cap of {PLURIGENUS_BITS_CAP}",
+                cap=PLURIGENUS_BITS_CAP,
+            )
         out.append(
             PlurigenusRow(
                 m=m,

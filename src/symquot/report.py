@@ -14,9 +14,9 @@ import json
 from fractions import Fraction
 
 from ._version import __version__
-from .ages import AgeRecord
 from .monomial import MonomialRep, SingularityVerdict
 from .plurigenera import KodairaDim, PlurigenusTable
+from .sympower import AgeRecord
 
 
 def fraction_str(value: Fraction | None) -> str:

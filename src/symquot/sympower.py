@@ -7,10 +7,18 @@ zero, an element of cycle type t has age n * (d - #parts(t)) / 2. The
 least non-identity age is therefore n/2, reached only at the
 transpositions (2,1^{d-2}); they generate S_d, so the index is the
 denominator of n/2. ``verdict`` returns this without a scan.
-``class_table`` lists one row per cycle type, ``materialize_rep`` builds
-the same group explicitly for cross-checking against the generic
-monomial engine, and ``bruteforce_check`` verifies the constructions
-against numpy eigendecompositions class by class.
+``class_table`` lists one row per cycle type, and ``materialize_rep``
+builds the same group explicitly for cross-checking against the generic
+monomial engine.
+
+A permutation of cycle type t has order r = lcm(parts), and its
+eigenvalues on C^d are r-th roots of unity eps^a with 0 <= a < r. A
+cycle of length ri contributes the exponents {j * (r/ri) : 0 <= j < ri},
+which total r * (ri-1) / 2; this gives the closed form
+S = n * (d - #parts) * r / 2 of ``age_closed_form``, and the age S/r.
+The determinant is exp(2 pi i age), so it is +1 exactly when the age is
+an integer. ``oracle`` holds the exponent-multiset route and
+``bruteforce_check``, which verify this class by class.
 
 Two caps on d are checked before any work: ``VERDICT_POINTS_CAP`` keeps
 d! printable, and ``TABLE_POINTS_CAP`` bounds the p(d) rows of a class
@@ -27,22 +35,53 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from . import oracle
-from .ages import (
-    AgeRecord,
-    age,
-    age_closed_form,
-    age_record,
-    cycle_eigen_exponents,
-    nfold,
-)
-from .combinatorics import CycleType, element_order, partitions
-from .errors import MatrixTooLargeError, PointsCapError, UnsupportedDimensionError
+from .combinatorics import CycleType, class_size, element_order, partitions
+from .errors import PointsCapError, UnsupportedDimensionError
 from .monomial import MonomialElement, MonomialRep, SingularityVerdict
 
-MATRIX_SIZE_CAP = 64
 VERDICT_POINTS_CAP = 1000  # d! stays far below Python's 4300-digit int->str limit
 TABLE_POINTS_CAP = 50  # p(50) = 204226 classes
+
+
+@dataclass(frozen=True)
+class AgeRecord:
+    """Per-class age data for n copies of the permutation action."""
+
+    cycle_type: CycleType
+    n: int
+    class_size: int
+    order: int
+    s_sum: int
+    age: Fraction
+    det_is_plus_one: bool
+
+
+def age_closed_form(t: CycleType, n: int) -> tuple[int, Fraction]:
+    """Closed form for the age of n copies, bypassing the multiset.
+
+    A cycle of length ri adds (r/ri) * ri * (ri - 1) / 2 = r * (ri - 1) / 2
+    to S, so S = n * (d - #parts) * r / 2. It is an integer: odd r makes
+    every part odd and d - #parts = sum(ri - 1) even.
+    """
+    if n < 1:
+        raise ValueError(f"number of copies must be positive, got {n}")
+    r = element_order(t)
+    s = n * (t.d - t.num_parts) * r // 2
+    return s, Fraction(s, r)
+
+
+def age_record(t: CycleType, n: int) -> AgeRecord:
+    """The per-class record from the closed form; det = exp(2 pi i age)."""
+    s, a = age_closed_form(t, n)
+    return AgeRecord(
+        cycle_type=t,
+        n=n,
+        class_size=class_size(t),
+        order=element_order(t),
+        s_sum=s,
+        age=a,
+        det_is_plus_one=a.denominator == 1,
+    )
 
 
 def _check_model(n: int, d: int, cap: int, what: str) -> None:
@@ -67,20 +106,9 @@ def verdict(n: int, d: int) -> SingularityVerdict:
     _check_model(n, d, VERDICT_POINTS_CAP, "verdict")
     if d == 1:
         # trivial group: a smooth point
-        return SingularityVerdict(
-            canonical=True,
-            terminal=True,
-            gorenstein=True,
-            index=1,
-            group_order=1,
-            min_age=None,
-            witness=None,
-        )
+        return SingularityVerdict(index=1, group_order=1, min_age=None, witness=None)
     min_age = Fraction(n, 2)
     return SingularityVerdict(
-        canonical=min_age >= 1,
-        terminal=min_age > 1,
-        gorenstein=min_age.denominator == 1,
         index=min_age.denominator,
         group_order=factorial(d),
         min_age=min_age,
@@ -113,77 +141,3 @@ def materialize_rep(n: int, d: int) -> MonomialRep:
         gens.append(MonomialElement(tuple(perm), (0,) * size))
     return MonomialRep(dimension=size, root_order=1, generators=tuple(gens))
 
-
-@dataclass(frozen=True)
-class OracleRow:
-    """Outcome of the numeric cross-check for one conjugacy class."""
-
-    cycle_type: CycleType
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    n: int
-    d: int
-    tolerance: float
-    rows: tuple[OracleRow, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(row.passed for row in self.rows)
-
-    def failures(self) -> list[OracleRow]:
-        return [row for row in self.rows if not row.passed]
-
-
-def bruteforce_check(
-    n: int, d: int, tolerance: float = oracle.DEFAULT_TOLERANCE
-) -> OracleReport:
-    """Verify every class against the numeric eigenvalue oracle.
-
-    For each partition the explicit (n*d) x (n*d) permutation matrix is
-    eigendecomposed numerically; the recovered exponent multiset must
-    equal the per-cycle construction, and the exponent sum must equal the
-    closed form exactly. Discrepancies are reported per class, never
-    silently dropped.
-    """
-    _check_model(n, d, TABLE_POINTS_CAP, "class-table")
-    if n * d > MATRIX_SIZE_CAP:
-        raise MatrixTooLargeError(
-            f"brute-force matrix would be {n * d} x {n * d}, over the cap "
-            f"of {MATRIX_SIZE_CAP}"
-        )
-    rows = []
-    for t in partitions(d):
-        r = element_order(t)
-        constructed = nfold(cycle_eigen_exponents(t), n)
-        s_multiset, age_multiset = age(constructed)
-        s_closed, age_closed = age_closed_form(t, n)
-        try:
-            numeric = oracle.numeric_exponents(oracle.nfold_matrix(t, n), r, tolerance)
-        except oracle.RecoveryError as exc:
-            rows.append(OracleRow(t, False, f"exponent recovery failed: {exc}"))
-            continue
-        if numeric != constructed.exponents:
-            rows.append(
-                OracleRow(
-                    t,
-                    False,
-                    f"exponent multisets differ: numeric {numeric} vs "
-                    f"constructed {constructed.exponents}",
-                )
-            )
-        elif (s_multiset, age_multiset) != (s_closed, age_closed):
-            rows.append(
-                OracleRow(
-                    t,
-                    False,
-                    f"closed form disagrees: multiset S={s_multiset} vs "
-                    f"closed S={s_closed}",
-                )
-            )
-        else:
-            rows.append(OracleRow(t, True))
-    return OracleReport(n=n, d=d, tolerance=tolerance, rows=tuple(rows))

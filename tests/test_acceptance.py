@@ -9,18 +9,17 @@ import time
 from fractions import Fraction
 
 from symquot import (
-    CycleType,
-    MonomialElement,
-    MonomialRep,
     analyze,
-    bruteforce_check,
     close_group,
     growth_exponent_check,
     invariant_dim_burnside,
-    materialize_rep,
     sym_dim,
     verdict,
 )
+from symquot.combinatorics import CycleType
+from symquot.monomial import MonomialElement, MonomialRep
+from symquot.oracle import bruteforce_check
+from symquot.sympower import materialize_rep
 from symquot import cli
 
 DIM_RANGE = range(2, 7)

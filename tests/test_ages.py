@@ -5,19 +5,17 @@ from math import gcd
 
 import pytest
 
-from symquot import (
-    CycleType,
+from symquot import oracle
+from symquot.combinatorics import CycleType, partitions
+from symquot.oracle import (
     EigenExponents,
     age,
-    age_closed_form,
     cycle_eigen_exponents,
     det_sign,
     is_quasi_reflection,
     nfold,
-    oracle,
-    partitions,
 )
-from symquot.ages import age_record
+from symquot.sympower import age_closed_form, age_record
 
 
 def test_identity_exponents():

@@ -1,8 +1,10 @@
 """CLI behavior: subcommands, formats, exit codes, and determinism."""
 
 import json
+import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -223,6 +225,25 @@ def test_plurigenera_kappa_above_dim_is_usage_error(run_cli):
         "plurigenera", "--dim", "2", "--points", "2", "--pm", "1=1", "--kappa", "5"
     )
     assert code == 2
+
+
+def test_plurigenera_at_the_bit_cap_prints_the_value(run_cli):
+    code, out, _ = run_cli(
+        "plurigenera", "--dim", "2", "--points", "1000", "--pm", "2=8000", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["rows"][0]["p_m_sigma"] == math.comb(8999, 1000)
+
+
+@pytest.mark.parametrize("points,pm", [("1001", "2=8000"), ("10000", "2=10000")])
+def test_plurigenera_past_the_bit_cap_is_one_domain_line(run_cli, points, pm):
+    started = time.perf_counter()
+    code, out, err = run_cli("plurigenera", "--dim", "2", "--points", points, "--pm", pm)
+    assert time.perf_counter() - started < 0.5
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: too-many-points:") and err.count("\n") == 1
+    assert "--points" in err and "--pm" in err
 
 
 def test_plurigenera_bad_pm_is_usage_error(run_cli):

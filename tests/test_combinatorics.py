@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from symquot import CycleType, class_size, conjugacy_classes, element_order, partitions
+from symquot.combinatorics import CycleType, class_size, conjugacy_classes, element_order, partitions
 
 
 def euler_partition_count(n, _cache={0: 1}):

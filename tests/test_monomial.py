@@ -9,23 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symquot import (
-    CycleType,
     GroupTooLargeError,
     MatrixTooLargeError,
-    age,
-    MonomialElement,
-    MonomialRep,
     QuasiReflectionError,
     analyze,
     close_group,
-    cycle_eigen_exponents,
-    element_eigen_exponents,
-    is_quasi_reflection,
-    materialize_rep,
-    partitions,
     rep_from_dict,
 )
-from symquot.monomial import DIMENSION_CAP, det_turn, element_age
+from symquot.combinatorics import CycleType, partitions
+from symquot.monomial import DIMENSION_CAP, MonomialElement, MonomialRep, element_age
+from symquot.oracle import (
+    age,
+    cycle_eigen_exponents,
+    det_turn,
+    element_eigen_exponents,
+    is_quasi_reflection,
+)
+from symquot.sympower import materialize_rep
 
 
 def diag_rep(root_order, exps):
@@ -65,6 +65,21 @@ def test_closure_order_is_deterministic():
     first = close_group(rep).elements
     second = close_group(rep).elements
     assert first == second
+
+
+def test_closure_order_is_breadth_first_by_generator():
+    # the witness reported by analyze is the first least-age element in this order
+    closed = close_group(wreath_rep(2))
+    assert [g.describe() for g in closed.elements] == [
+        "perm[1,2,3,4] exp[0,0,0,0]",
+        "perm[3,4,1,2] exp[0,0,0,0]",
+        "perm[1,2,3,4] exp[1,1,0,0]",
+        "perm[3,4,1,2] exp[1,1,0,0]",
+        "perm[3,4,1,2] exp[0,0,1,1]",
+        "perm[1,2,3,4] exp[0,0,1,1]",
+        "perm[3,4,1,2] exp[1,1,1,1]",
+        "perm[1,2,3,4] exp[1,1,1,1]",
+    ]
 
 
 def test_closure_cap_raises():

@@ -1,6 +1,7 @@
 """Dimension formulas, Kodaira scaling, genus bounds, and growth fits."""
 
 import math
+import time
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from symquot import (
     InsufficientDataError,
     KodairaDim,
+    PointsCapError,
     genus_bound,
     growth_exponent_check,
     invariant_dim_burnside,
@@ -18,7 +20,7 @@ from symquot import (
     plurigenus_table,
     sym_dim,
 )
-from symquot.plurigenera import REGIME_GENERAL_TYPE, REGIME_NONNEGATIVE
+from symquot.plurigenera import PLURIGENUS_BITS_CAP, REGIME_GENERAL_TYPE, REGIME_NONNEGATIVE
 
 
 def monomial_count(p, d):
@@ -95,6 +97,26 @@ def test_plurigenus_table_validation():
         plurigenus_table(2, 2, [(0, 1)])
     with pytest.raises(ValueError):
         plurigenus_table(2, 2, [(1, -1)])
+
+
+def test_plurigenus_table_at_the_bit_cap_prints():
+    # min(1000, 8000 - 1) * (8000 + 1000 - 1).bit_length() = 1000 * 14
+    assert 1000 * (8999).bit_length() == PLURIGENUS_BITS_CAP
+    row = plurigenus_table(2, 1000, [(2, 8000)]).rows[0]
+    assert row.p_m_sigma == math.comb(8999, 1000)
+    assert len(str(row.p_m_sigma)) < 4300
+
+
+@pytest.mark.parametrize(
+    "d,p_m", [(1001, 8000), (1000, 15385), (10000, 10000), (200000, 2000000)]
+)
+def test_plurigenus_table_past_the_bit_cap_is_rejected_at_once(d, p_m):
+    started = time.perf_counter()
+    with pytest.raises(PointsCapError) as err:
+        plurigenus_table(2, d, [(1, 2), (2, p_m)])
+    assert time.perf_counter() - started < 0.5
+    assert err.value.cap == PLURIGENUS_BITS_CAP
+    assert f"--points {d}" in str(err.value) and f"--pm 2={p_m}" in str(err.value)
 
 
 def test_kodaira_scale():

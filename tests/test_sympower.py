@@ -6,18 +6,16 @@ from math import factorial
 import pytest
 
 from symquot import (
-    CycleType,
     MatrixTooLargeError,
     PointsCapError,
     UnsupportedDimensionError,
-    bruteforce_check,
-    class_table,
     close_group,
-    materialize_rep,
     verdict,
 )
 from symquot import oracle, sympower
-from symquot.sympower import TABLE_POINTS_CAP, VERDICT_POINTS_CAP
+from symquot.combinatorics import CycleType
+from symquot.oracle import bruteforce_check
+from symquot.sympower import TABLE_POINTS_CAP, VERDICT_POINTS_CAP, class_table, materialize_rep
 
 
 def test_verdict_even_dim_is_gorenstein():
@@ -121,6 +119,14 @@ def test_class_table_two_two_class():
 def test_class_table_sizes_sum_to_group_order(d):
     records = class_table(2, d)
     assert sum(r.class_size for r in records) == factorial(d)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_class_table_det_column_matches_the_sign_reference(n):
+    # the engine reads det from the age; the reference is sign(perm)^n
+    for d in range(1, 10):
+        for rec in class_table(n, d):
+            assert (1 if rec.det_is_plus_one else -1) == oracle.det_sign(rec.cycle_type, n)
 
 
 def test_materialized_group_has_full_order():
