@@ -137,6 +137,7 @@ def cmd_genus_bound(args) -> int:
 
 CROSS_ENGINE_PAIRS = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2))
 GROWTH_CASES = tuple((kappa, d) for kappa in (0, 1, 2) for d in (2, 3))
+TERMINAL_LEMMA_R_BELOW = 20
 
 
 def run_selftest(max_dim: int, max_points: int, tolerance: float, out=None) -> int:
@@ -192,6 +193,14 @@ def run_selftest(max_dim: int, max_points: int, tolerance: float, out=None) -> i
         if not same:
             failures.append(f"cross-engine n={n} d={d}: verdicts differ")
     out.write("selftest: cross-engine agreement on materialized groups\n")
+
+    # the monomial engine against the Terminal Lemma for cyclic 3-folds
+    cases, mismatches = oracle.terminal_lemma_sweep(TERMINAL_LEMMA_R_BELOW)
+    failures.extend(f"terminal lemma {line}" for line in mismatches)
+    out.write(
+        f"selftest: Terminal Lemma 1/r(a,b,c), r=2..{TERMINAL_LEMMA_R_BELOW - 1}: "
+        f"{cases} cases\n"
+    )
 
     # symmetric-power dimension identity, two independent routes
     for p in range(0, 11):

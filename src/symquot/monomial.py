@@ -18,8 +18,18 @@ otherwise. Hence
 and g is a quasi-reflection iff that count is 1. The determinant is
 exp(2 pi i age(g)) and a character, so the index is the lcm of the age
 denominators of the generators. The eigenvalue-multiset route
-(``element_eigen_exponents``, ``det_turn``) lives in ``oracle`` as the
-reference that tests and the selftest compare against.
+(``element_eigen_exponents``, ``det_turn``) and the ``MonomialElement``
+closure (``close_group_reference``) live in ``oracle`` as the
+references that tests and the selftest compare against.
+
+The closure and the scan work on one flat tuple per element,
+``perm + exponents`` of length 2N. Right multiplication by a generator
+is one C-level gather of that tuple (``operator.itemgetter``) followed,
+when the generator has nonzero exponents, by adding them mod m on the
+exponent half. ``MonomialElement`` appears only at the edges: the
+generators, the reported witness and quasi-reflections, and
+``MonomialRep.elements``, which is built from the flat tuples the first
+time it is read.
 
 Closure construction is single-writer; every produced value is
 immutable, and the analysis scan is read-only, so verdicts and closed
@@ -32,7 +42,10 @@ import json
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from itertools import repeat
 from math import lcm
+from operator import add, itemgetter, mod
 from pathlib import Path
 
 from .errors import GroupTooLargeError, MatrixTooLargeError, QuasiReflectionError
@@ -58,12 +71,17 @@ class MonomialElement:
 
 @dataclass(frozen=True)
 class MonomialRep:
-    """A monomial group given by generators, with an optional closure cache."""
+    """A monomial group given by generators, with an optional closure cache.
+
+    ``flat_elements`` holds the closure as flat ``perm + exponents``
+    tuples, in closure order; ``elements`` is the same sequence as
+    ``MonomialElement`` values, built on first access.
+    """
 
     dimension: int
     root_order: int
     generators: tuple[MonomialElement, ...]
-    elements: tuple[MonomialElement, ...] | None = None
+    flat_elements: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -100,11 +118,18 @@ class MonomialRep:
         )
         return MonomialElement(perm, exps)
 
+    @cached_property
+    def elements(self) -> tuple[MonomialElement, ...] | None:
+        if self.flat_elements is None:
+            return None
+        n = self.dimension
+        return tuple(MonomialElement(g[:n], g[n:]) for g in self.flat_elements)
+
     @property
     def order(self) -> int:
-        if self.elements is None:
+        if self.flat_elements is None:
             raise ValueError("group is not closed yet; call close_group first")
-        return len(self.elements)
+        return len(self.flat_elements)
 
 
 @dataclass(frozen=True)
@@ -153,12 +178,27 @@ def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
     soon as the closure would exceed the cap.
     """
     cap = configured_cap(cap)
-    ident = rep.identity()
+    n, m = rep.dimension, rep.root_order
+    # (a @ b) has perm a.perm[b.perm[i]] and exponents
+    # (b.exponents[i] + a.exponents[b.perm[i]]) % m: a gather of a's flat
+    # tuple by b.perm on both halves, then b's exponents added mod m.
+    steps = [
+        (
+            itemgetter(*g.perm, *(n + j for j in g.perm)),
+            g.exponents if any(g.exponents) else None,
+        )
+        for g in rep.generators
+    ]
+    ident = tuple(range(n)) + (0,) * n
     seen = {ident}
     ordered = [ident]
     for current in ordered:  # grows while it is walked: the list is the BFS queue
-        for gen in rep.generators:
-            product = rep.multiply(current, gen)
+        for gather, exps in steps:
+            product = gather(current)
+            if exps is not None:
+                product = product[:n] + tuple(
+                    map(mod, map(add, product[n:], exps), repeat(m))
+                )
             if product in seen:
                 continue
             if len(seen) >= cap:
@@ -167,35 +207,41 @@ def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
                 )
             seen.add(product)
             ordered.append(product)
-    return replace(rep, elements=tuple(ordered))
+    return replace(rep, flat_elements=tuple(ordered))
 
 
-def _cycles(perm: tuple[int, ...]) -> list[list[int]]:
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
+def _cycle_sums(flat: tuple[int, ...], n: int, m: int) -> tuple[int, int]:
+    """2m * age and the number of eigenvalues != 1 of a flat element.
+
+    One walk over the cycles of ``flat[:n]`` sums the exponents
+    ``flat[n:]`` along each cycle: 2m * age = 2 * sum K_c + m * (N - #cycles).
+    """
+    seen = [False] * n
+    k_total = cycles = fixed = 0
+    for start in range(n):
         if seen[start]:
             continue
-        cycle = []
+        cycles += 1
+        k_sum = 0
         i = start
         while not seen[i]:
             seen[i] = True
-            cycle.append(i)
-            i = perm[i]
-        cycles.append(cycle)
-    return cycles
+            k_sum += flat[n + i]
+            i = flat[i]
+        k_sum %= m
+        k_total += k_sum
+        fixed += k_sum == 0  # a cycle with K_c = 0 has exactly one eigenvalue 1
+    return 2 * k_total + m * (n - cycles), n - fixed
 
 
 def element_age(g: MonomialElement, root_order: int) -> tuple[Fraction, int]:
     """Age of ``g`` and its number of eigenvalues != 1, from cycle sums."""
-    m = root_order
-    cycles = _cycles(g.perm)
-    k_total = moved = 0
-    for cycle in cycles:
-        k_sum = sum(g.exponents[i] for i in cycle) % m
-        k_total += k_sum
-        moved += len(cycle) - (k_sum == 0)
-    return Fraction(2 * k_total + m * (len(g.perm) - len(cycles)), 2 * m), moved
+    key, moved = _cycle_sums(g.perm + g.exponents, len(g.perm), root_order)
+    return Fraction(key, 2 * root_order), moved
+
+
+def _describe(flat: tuple[int, ...], n: int) -> str:
+    return MonomialElement(flat[:n], flat[n:]).describe()
 
 
 def analyze(rep: MonomialRep) -> SingularityVerdict:
@@ -208,21 +254,20 @@ def analyze(rep: MonomialRep) -> SingularityVerdict:
     closure order. Quasi-reflections abort the analysis: the quotient is
     not taken in that regime.
     """
-    if rep.elements is None:
+    if rep.flat_elements is None:
         raise ValueError("group is not closed yet; call close_group first")
-    m = rep.root_order
+    n, m = rep.dimension, rep.root_order
     quasi = []
-    min_age: Fraction | None = None
-    witness: str | None = None
-    for g in rep.elements:
-        a, moved = element_age(g, m)
+    min_key: int | None = None  # 2m * age, so keys compare as ages do
+    witness = None
+    for g in rep.flat_elements:
+        key, moved = _cycle_sums(g, n, m)
         if moved == 0:  # only the identity has every eigenvalue 1
             continue
         if moved == 1:
-            quasi.append(g.describe())
-        if min_age is None or a < min_age:
-            min_age = a
-            witness = g.describe()
+            quasi.append(_describe(g, n))
+        if min_key is None or key < min_key:
+            min_key, witness = key, g
     if quasi:
         raise QuasiReflectionError(
             f"group contains {len(quasi)} quasi-reflection(s): " + "; ".join(quasi),
@@ -232,9 +277,9 @@ def analyze(rep: MonomialRep) -> SingularityVerdict:
     index = lcm(1, *(element_age(g, m)[0].denominator for g in rep.generators))
     return SingularityVerdict(
         index=index,
-        group_order=len(rep.elements),
-        min_age=min_age,
-        witness=witness,
+        group_order=len(rep.flat_elements),
+        min_age=None if min_key is None else Fraction(min_key, 2 * m),
+        witness=None if witness is None else _describe(witness, n),
     )
 
 
@@ -292,9 +337,15 @@ def rep_from_dict(data: dict) -> MonomialRep:
 
 
 def load_rep_file(path: str | Path) -> MonomialRep:
-    """Read a representation from a JSON file (see ``rep_from_dict``)."""
+    """Read a representation from a JSON file (see ``rep_from_dict``).
+
+    Invalid JSON, and JSON nested too deeply for the decoder, raise
+    ValueError.
+    """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"representation file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"representation file {path} is nested too deeply: {exc}") from exc
     return rep_from_dict(data)

@@ -16,7 +16,12 @@ This module holds the routes the tests and ``selftest`` compare them with:
   ``bruteforce_check``, which holds the model's closed form against the
   multiset and numpy routes class by class. An eigenvalue exp(i * theta)
   is accepted as eps^a only when theta * r / (2 pi) sits within the
-  tolerance of the integer a.
+  tolerance of the integer a;
+- ``close_group_reference``, the breadth-first closure over
+  ``MonomialElement`` values and ``MonomialRep.multiply``, against which
+  the flat-tuple ``monomial.close_group`` is held element by element;
+- the Terminal Lemma for cyclic 3-fold quotients, ``terminal_lemma``,
+  and ``terminal_lemma_sweep``, which holds ``monomial.analyze`` to it.
 
 numpy is imported inside the functions that use it, so ``import symquot``
 does not load it.
@@ -26,12 +31,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import TYPE_CHECKING
 
 from .combinatorics import CycleType, element_order, partitions
-from .errors import MatrixTooLargeError
-from .monomial import MonomialElement, _cycles
+from .errors import GroupTooLargeError, MatrixTooLargeError
+from .monomial import (
+    MonomialElement,
+    MonomialRep,
+    analyze,
+    close_group,
+    configured_cap,
+)
 from .sympower import TABLE_POINTS_CAP, _check_model, age_closed_form
 
 if TYPE_CHECKING:
@@ -100,6 +111,22 @@ def is_quasi_reflection(e: EigenExponents) -> bool:
     return sum(1 for a in e.exponents if a) == 1
 
 
+def _cycles(perm: tuple[int, ...]) -> list[list[int]]:
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cycle = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cycle.append(i)
+            i = perm[i]
+        cycles.append(cycle)
+    return cycles
+
+
 def element_eigen_exponents(g: MonomialElement, root_order: int) -> EigenExponents:
     """Exact eigenvalue exponents of ``g`` at its own order.
 
@@ -135,6 +162,68 @@ def det_turn(g: MonomialElement, root_order: int) -> Fraction:
     if (len(g.perm) - len(_cycles(g.perm))) % 2:
         turn += Fraction(1, 2)
     return turn % 1
+
+
+def close_group_reference(
+    rep: MonomialRep, cap: int | None = None
+) -> tuple[MonomialElement, ...]:
+    """Breadth-first closure over ``MonomialElement`` values.
+
+    Same order and cap rule as ``monomial.close_group``: the identity
+    first, each element multiplied on the right by the generators in
+    their given order, and GroupTooLargeError before element cap + 1.
+    """
+    cap = configured_cap(cap)
+    ident = rep.identity()
+    seen = {ident}
+    ordered = [ident]
+    for current in ordered:
+        for gen in rep.generators:
+            product = rep.multiply(current, gen)
+            if product in seen:
+                continue
+            if len(seen) >= cap:
+                raise GroupTooLargeError(
+                    f"group closure exceeded the cap of {cap} elements", cap=cap
+                )
+            seen.add(product)
+            ordered.append(product)
+    return tuple(ordered)
+
+
+def terminal_lemma(r: int, weights: tuple[int, int, int]) -> tuple[bool, bool]:
+    """(terminal, Gorenstein) for 1/r(a, b, c) with every weight prime to r.
+
+    Terminal Lemma (White 1964; Morrison-Stevens 1984): such a quotient
+    is terminal iff two of the weights sum to 0 mod r. It is Gorenstein
+    iff a + b + c = 0 mod r.
+    """
+    a, b, c = weights
+    terminal = (a + b) % r == 0 or (a + c) % r == 0 or (b + c) % r == 0
+    return terminal, (a + b + c) % r == 0
+
+
+def terminal_lemma_sweep(r_below: int) -> tuple[int, list[str]]:
+    """Hold ``analyze`` to ``terminal_lemma`` on every 1/r(a, b, c), r < r_below.
+
+    Weights run over [1, r) prime to r, ordered triples included.
+    Returns the number of cases and one line per disagreement.
+    """
+    cases = 0
+    mismatches = []
+    for r in range(2, r_below):
+        units = [k for k in range(1, r) if gcd(k, r) == 1]
+        for weights in ((a, b, c) for a in units for b in units for c in units):
+            gen = MonomialElement((0, 1, 2), weights)
+            v = analyze(close_group(MonomialRep(3, r, (gen,))))
+            want = terminal_lemma(r, weights)
+            if (v.terminal, v.gorenstein) != want:
+                mismatches.append(
+                    f"1/{r}{weights}: terminal, gorenstein = "
+                    f"{v.terminal}, {v.gorenstein}; the lemma gives {want[0]}, {want[1]}"
+                )
+            cases += 1
+    return cases, mismatches
 
 
 class RecoveryError(ValueError):

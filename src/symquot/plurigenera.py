@@ -146,26 +146,43 @@ def plurigenus_table(
     return PlurigenusTable(n=n, d=d, rows=tuple(out))
 
 
+def _within_bits_cap(value: int, what: str) -> int:
+    """``value`` itself, or PointsCapError when it passes 2^PLURIGENUS_BITS_CAP."""
+    bits = value.bit_length()
+    if bits > PLURIGENUS_BITS_CAP:
+        raise PointsCapError(
+            f"{what} has {bits} bits, over the cap of {PLURIGENUS_BITS_CAP}",
+            cap=PLURIGENUS_BITS_CAP,
+        )
+    return value
+
+
 def kodaira_scale(kappa: KodairaDim, d: int) -> KodairaDim:
-    """Kodaira dimension of the d-th symmetric power: d * kappa."""
+    """Kodaira dimension of the d-th symmetric power: d * kappa.
+
+    A result of more than PLURIGENUS_BITS_CAP bits raises PointsCapError.
+    """
     if d < 1:
         raise ValueError(f"number of points must be >= 1, got {d}")
     if kappa.is_minus_infinity:
         return KodairaDim.minus_infinity()
-    return KodairaDim(d * kappa.value)
+    return KodairaDim(
+        _within_bits_cap(d * kappa.value, "the scaled Kodaira dimension --points * --kappa")
+    )
 
 
 def genus_bound(regime: str, d: int) -> int:
     """Minimal genus of a curve through d general points.
 
-    d in the nonnegative-Kodaira regime; d + 1 in general type.
+    d in the nonnegative-Kodaira regime; d + 1 in general type. A result
+    of more than PLURIGENUS_BITS_CAP bits raises PointsCapError.
     """
     if d < 1:
         raise ValueError(f"number of points must be >= 1, got {d}")
     if regime == REGIME_NONNEGATIVE:
-        return d
+        return _within_bits_cap(d, "the genus bound for --points")
     if regime == REGIME_GENERAL_TYPE:
-        return d + 1
+        return _within_bits_cap(d + 1, "the genus bound for --points")
     raise ValueError(
         f"regime must be {REGIME_NONNEGATIVE!r} or {REGIME_GENERAL_TYPE!r}, got {regime!r}"
     )

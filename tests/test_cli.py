@@ -186,6 +186,15 @@ def test_analyze_ill_typed_file_is_one_usage_line(run_cli, tmp_path, text):
     assert err.count("\n") == 1
 
 
+def test_analyze_deeply_nested_file_is_one_usage_line(run_cli, tmp_path):
+    rep = tmp_path / "deep.json"
+    rep.write_text("[" * 200000)
+    code, out, err = run_cli("analyze", "--rep", str(rep))
+    assert code == 2 and out == ""
+    assert err.startswith("error: usage:") and "nested too deeply" in err
+    assert err.count("\n") == 1
+
+
 def test_analyze_missing_file_is_usage_error(run_cli, tmp_path):
     code, _, _ = run_cli("analyze", "--rep", str(tmp_path / "nope.json"))
     assert code == 2
@@ -244,6 +253,23 @@ def test_plurigenera_past_the_bit_cap_is_one_domain_line(run_cli, points, pm):
     assert out == ""
     assert err.startswith("error: too-many-points:") and err.count("\n") == 1
     assert "--points" in err and "--pm" in err
+
+
+def test_genus_bound_past_the_bit_cap_is_one_domain_line(run_cli):
+    code, out, err = run_cli("genus-bound", "--regime", "general", "--points", "9" * 4300)
+    assert code == 3 and out == ""
+    assert err.startswith("error: too-many-points:") and err.count("\n") == 1
+    assert "--points" in err
+
+
+def test_plurigenera_scaled_kappa_past_the_bit_cap_is_one_domain_line(run_cli):
+    huge = "9" * 4300
+    code, out, err = run_cli(
+        "plurigenera", "--dim", huge, "--points", huge, "--pm", "2=1", "--kappa", "9" * 4299
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("error: too-many-points:") and err.count("\n") == 1
+    assert "--points" in err and "--kappa" in err
 
 
 def test_plurigenera_bad_pm_is_usage_error(run_cli):

@@ -20,10 +20,13 @@ from symquot.combinatorics import CycleType, partitions
 from symquot.monomial import DIMENSION_CAP, MonomialElement, MonomialRep, element_age
 from symquot.oracle import (
     age,
+    close_group_reference,
     cycle_eigen_exponents,
     det_turn,
     element_eigen_exponents,
     is_quasi_reflection,
+    terminal_lemma,
+    terminal_lemma_sweep,
 )
 from symquot.sympower import materialize_rep
 
@@ -493,3 +496,109 @@ def test_generator_age_denominators_give_the_det_order(data):
     assert lcm(1, *(element_age(g, m)[0].denominator for g in gens)) == lcm(
         1, *(det_turn(g, m).denominator for g in closed.elements)
     )
+
+
+# The flat-tuple closure against the MonomialElement reference closure:
+# same elements, in the same order, under the same cap.
+
+
+def describe_all(elements):
+    return [g.describe() for g in elements]
+
+
+def assert_same_closure(rep, cap=None):
+    try:
+        reference = close_group_reference(rep, cap)
+    except GroupTooLargeError:
+        with pytest.raises(GroupTooLargeError):
+            close_group(rep, cap)
+        return
+    closed = close_group(rep, cap)
+    assert describe_all(closed.elements) == describe_all(reference)
+    assert closed.order == len(reference)
+
+
+@pytest.mark.parametrize("make_rep", ORACLE_GROUPS.values(), ids=ORACLE_GROUPS.keys())
+def test_flat_closure_matches_reference_order(make_rep):
+    assert_same_closure(make_rep())
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_flat_closure_matches_reference_on_random_groups(data):
+    size, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 12))
+    gens = [draw_element(data.draw, size, m) for _ in range(data.draw(st.integers(1, 3)))]
+    rep = MonomialRep(dimension=size, root_order=m, generators=tuple(gens))
+    assert_same_closure(rep, cap=3000)
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [
+        diag_rep(5, (2,)),  # dimension 1
+        MonomialRep(dimension=2, root_order=3, generators=()),  # no generators
+        MonomialRep(dimension=3, root_order=1, generators=(MonomialElement((1, 2, 0), (0, 0, 0)),)),
+        MonomialRep(
+            dimension=4,
+            root_order=1,
+            generators=(
+                MonomialElement((2, 3, 0, 1), (0, 0, 0, 0)),
+                MonomialElement((1, 0, 2, 3), (0, 0, 0, 0)),
+            ),
+        ),
+    ],
+    ids=["dimension-1", "no-generators", "m-1-cycle", "m-1-dihedral"],
+)
+def test_flat_closure_matches_reference_on_edge_cases(rep):
+    assert_same_closure(rep)
+
+
+def test_flat_closure_of_dimension_one():
+    closed = close_group(diag_rep(5, (2,)))
+    assert describe_all(closed.elements) == [f"perm[1] exp[{k}]" for k in (0, 2, 4, 1, 3)]
+
+
+def test_flat_closure_cap_boundary():
+    assert close_group(wreath_rep(2), cap=8).order == 8
+    with pytest.raises(GroupTooLargeError) as err:
+        close_group(wreath_rep(2), cap=7)
+    assert err.value.cap == 7
+    with pytest.raises(GroupTooLargeError):
+        close_group_reference(wreath_rep(2), cap=7)
+
+
+def test_elements_are_built_on_first_access():
+    closed = close_group(sl_rep(4))
+    analyze(closed)
+    assert "elements" not in vars(closed)  # analyze reads the flat tuples only
+    n = closed.dimension
+    assert closed.elements == tuple(
+        MonomialElement(g[:n], g[n:]) for g in closed.flat_elements
+    )
+    assert closed.elements is closed.elements
+    assert diag_rep(2, (1, 1)).elements is None
+
+
+# The Terminal Lemma (White 1964; Morrison-Stevens 1984) as an oracle
+# for the scan: 1/r(a,b,c) with every weight prime to r is terminal iff
+# two weights sum to 0 mod r, and Gorenstein iff a + b + c = 0 mod r.
+
+
+@pytest.mark.parametrize(
+    "r,weights,want",
+    [
+        (2, (1, 1, 1), (True, False)),
+        (3, (1, 1, 1), (False, True)),
+        (5, (1, 4, 2), (True, False)),
+        (7, (1, 2, 4), (False, True)),
+        (5, (1, 1, 3), (False, True)),
+    ],
+)
+def test_terminal_lemma_on_known_quotients(r, weights, want):
+    assert terminal_lemma(r, weights) == want
+
+
+def test_analyze_agrees_with_terminal_lemma_below_12():
+    cases, mismatches = terminal_lemma_sweep(12)
+    assert cases == 1649  # sum of phi(r)^3 over r = 2..11
+    assert mismatches == []

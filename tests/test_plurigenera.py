@@ -200,3 +200,25 @@ def test_growth_slope_matches_numpy_polyfit(table):
 def test_growth_requires_distinct_m():
     with pytest.raises(InsufficientDataError):
         growth_exponent_check([(4, 5), (4, 5), (4, 5)], 2)
+
+
+def test_genus_bound_at_and_past_the_bit_cap():
+    at_cap = 2**PLURIGENUS_BITS_CAP - 1
+    assert genus_bound(REGIME_NONNEGATIVE, at_cap) == at_cap
+    assert genus_bound(REGIME_GENERAL_TYPE, at_cap - 1) == at_cap
+    for regime, d in ((REGIME_NONNEGATIVE, at_cap + 1), (REGIME_GENERAL_TYPE, at_cap)):
+        with pytest.raises(PointsCapError) as err:
+            genus_bound(regime, d)
+        assert err.value.cap == PLURIGENUS_BITS_CAP
+        assert "--points" in str(err.value)
+
+
+def test_kodaira_scale_at_and_past_the_bit_cap():
+    at_cap = 2**PLURIGENUS_BITS_CAP - 1  # 3 * 5 * 17 * ... is odd, so 3 divides it
+    assert at_cap % 3 == 0
+    assert kodaira_scale(KodairaDim(3), at_cap // 3) == KodairaDim(at_cap)
+    with pytest.raises(PointsCapError) as err:
+        kodaira_scale(KodairaDim(2), 2 ** (PLURIGENUS_BITS_CAP - 1))
+    assert err.value.cap == PLURIGENUS_BITS_CAP
+    assert "--points" in str(err.value) and "--kappa" in str(err.value)
+    assert kodaira_scale(KodairaDim.minus_infinity(), 2**PLURIGENUS_BITS_CAP).is_minus_infinity
