@@ -8,8 +8,10 @@ Subcommands:
   selftest     oracle / closed-form / Burnside cross-check suite
 
 Exit codes: 0 success, 1 selftest discrepancy, 2 usage error, 3 domain
-error (quasi-reflections; closure, matrix or points caps). Every error prints a
-single machine-parsable line on stderr: ``error: <code>: <message>``.
+error (quasi-reflections; closure, matrix or points caps), 4 internal error
+(any other exception, reported as ``error: internal: <type>: <message>``).
+Every error prints a single machine-parsable line on stderr:
+``error: <code>: <message>``.
 Reports contain no timestamps; identical inputs give identical bytes.
 """
 
@@ -248,6 +250,10 @@ def run(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of symquot itself, never a traceback
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

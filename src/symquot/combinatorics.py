@@ -9,9 +9,8 @@ functions pure, so concurrent use needs no coordination.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from math import factorial, lcm, prod
+from math import factorial, lcm
 from typing import Iterator
 
 
@@ -82,14 +81,22 @@ def partitions(d: int) -> Iterator[CycleType]:
             freed -= nxt
 
 
-def class_size(t: CycleType) -> int:
+def class_size(t: CycleType, d_factorial: int | None = None) -> int:
     """Number of permutations in S_d with cycle type ``t``.
 
-    Centralizer formula: d! / prod(i^{m_i} m_i!) over part multiplicities.
+    Centralizer formula: d! / z_t with z_t = prod(i^{m_i} m_i!) over part
+    multiplicities. A part that is the j-th of its run of equal parts i
+    contributes the factor i * j, so one walk over the sorted parts gives
+    z_t. A caller sizing many classes of one S_d passes ``d_factorial``
+    so that d! is computed once.
     """
-    counts = Counter(t.parts)
-    centralizer = prod(i**m * factorial(m) for i, m in counts.items())
-    return factorial(t.d) // centralizer
+    z = 1
+    run = prev = 0
+    for part in t.parts:
+        run = run + 1 if part == prev else 1
+        prev = part
+        z *= part * run
+    return (factorial(t.d) if d_factorial is None else d_factorial) // z
 
 
 def element_order(t: CycleType) -> int:
@@ -99,4 +106,5 @@ def element_order(t: CycleType) -> int:
 
 def conjugacy_classes(d: int) -> list[ClassInfo]:
     """All classes of S_d in canonical partition order."""
-    return [ClassInfo(t, class_size(t), element_order(t)) for t in partitions(d)]
+    d_factorial = factorial(d) if d >= 1 else None  # partitions(d) rejects d < 1
+    return [ClassInfo(t, class_size(t, d_factorial), element_order(t)) for t in partitions(d)]

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -339,13 +340,20 @@ def rep_from_dict(data: dict) -> MonomialRep:
 def load_rep_file(path: str | Path) -> MonomialRep:
     """Read a representation from a JSON file (see ``rep_from_dict``).
 
-    Invalid JSON, and JSON nested too deeply for the decoder, raise
+    Invalid JSON, JSON nested too deeply for the decoder, and integer
+    literals longer than Python's limit for integer strings raise
     ValueError.
     """
+    text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"representation file {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ValueError(f"representation file {path} is nested too deeply: {exc}") from exc
+    except ValueError as exc:  # the decoder's only other error: int() past the digit limit
+        raise ValueError(
+            f"representation file {path} has an integer longer than the "
+            f"{sys.get_int_max_str_digits()}-digit limit for integer strings"
+        ) from exc
     return rep_from_dict(data)

@@ -1,17 +1,22 @@
 """Deterministic reports: one payload per command, rendered as JSON or markdown.
 
 The ``*_payload`` functions alone decide a report's fields and values;
-``render`` writes a payload as canonical JSON (sorted keys, two-space
-indent, a trailing newline, so re-serializing a parsed report is
-byte-identical) or as markdown. Exact rationals are "p/q" strings ("inf"
-for the no-witness sentinel); the only floats ever emitted are growth-fit
-slopes. Payloads hold the package version and nothing time-dependent.
+``render`` writes a payload as canonical JSON or as markdown. Canonical
+JSON is byte-for-byte ``json.dumps(payload, sort_keys=True, indent=2)``
+plus a newline, so re-serializing a parsed report is byte-identical.
+``canonical_json`` writes the rows of a ``classes`` list from one fixed
+template, ``CLASS_ROW_TEMPLATE``, which the tests pin to that definition
+byte for byte; ``json.dumps`` encodes the rest. Exact rationals are
+"p/q" strings ("inf" for the no-witness sentinel); the only floats ever
+emitted are growth-fit slopes. Payloads hold the package version and
+nothing time-dependent.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from ._version import __version__
 from .monomial import MonomialRep, SingularityVerdict
@@ -24,10 +29,6 @@ def fraction_str(value: Fraction | None) -> str:
     if value is None:
         return "inf"
     return f"{value.numerator}/{value.denominator}"
-
-
-def canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def meta_block() -> dict:
@@ -44,6 +45,50 @@ def verdict_dict(v: SingularityVerdict) -> dict:
         "min_age": fraction_str(v.min_age),
         "witness": v.witness,
     }
+
+
+# One ``class_row_dict`` row as ``canonical_json`` indents it inside the
+# payload's ``classes`` list: keys sorted, two spaces per level.
+CLASS_ROW_TEMPLATE = """\
+    {
+      "age": %s,
+      "class_size": %s,
+      "cycle_type": [
+        %s
+      ],
+      "det": %s,
+      "order": %s,
+      "s_sum": %s
+    }"""
+
+
+def canonical_json(payload) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    That call is the definition of the format, and the tests hold this
+    function to it. ``indent`` sends ``json`` to its pure-Python encoder,
+    so the rows of a payload's ``classes`` list are written from
+    ``CLASS_ROW_TEMPLATE`` (strings through the C escaper of ``json``,
+    integers through ``str``) and spliced into the encoding of the rest.
+    """
+    classes = payload.get("classes")
+    if classes is None:
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    rows = ",\n".join(
+        CLASS_ROW_TEMPLATE % (
+            encode_basestring_ascii(c["age"]),
+            c["class_size"],
+            ",\n        ".join(map(str, c["cycle_type"])),
+            c["det"],
+            c["order"],
+            c["s_sum"],
+        )
+        for c in classes
+    )
+    listing = f"[\n{rows}\n  ]" if rows else "[]"
+    rest = json.dumps({**payload, "classes": None}, sort_keys=True, indent=2)
+    # only a top-level key sits at a two-space indent
+    return rest.replace('\n  "classes": null', f'\n  "classes": {listing}', 1) + "\n"
 
 
 def class_row_dict(rec: AgeRecord) -> dict:

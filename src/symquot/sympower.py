@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Iterable
 
 from .combinatorics import CycleType, class_size, element_order, partitions
 from .errors import PointsCapError, UnsupportedDimensionError
@@ -57,31 +58,40 @@ class AgeRecord:
 
 
 def age_closed_form(t: CycleType, n: int) -> tuple[int, Fraction]:
-    """Closed form for the age of n copies, bypassing the multiset.
-
-    A cycle of length ri adds (r/ri) * ri * (ri - 1) / 2 = r * (ri - 1) / 2
-    to S, so S = n * (d - #parts) * r / 2. It is an integer: odd r makes
-    every part odd and d - #parts = sum(ri - 1) even.
-    """
-    if n < 1:
-        raise ValueError(f"number of copies must be positive, got {n}")
-    r = element_order(t)
-    s = n * (t.d - t.num_parts) * r // 2
-    return s, Fraction(s, r)
+    """Closed form for the age of n copies, bypassing the multiset: (S, S/r)."""
+    rec = age_record(t, n)
+    return rec.s_sum, rec.age
 
 
 def age_record(t: CycleType, n: int) -> AgeRecord:
     """The per-class record from the closed form; det = exp(2 pi i age)."""
-    s, a = age_closed_form(t, n)
-    return AgeRecord(
-        cycle_type=t,
-        n=n,
-        class_size=class_size(t),
-        order=element_order(t),
-        s_sum=s,
-        age=a,
-        det_is_plus_one=a.denominator == 1,
-    )
+    if n < 1:
+        raise ValueError(f"number of copies must be positive, got {n}")
+    return _age_records(n, t.d, (t,))[0]
+
+
+def _age_records(n: int, d: int, types: Iterable[CycleType]) -> list[AgeRecord]:
+    """AgeRecords for cycle types of S_d, one pass over each.
+
+    A cycle of length ri adds (r/ri) * ri * (ri - 1) / 2 = r * (ri - 1) / 2
+    to S, so S = n * (d - #parts) * r / 2. It is an integer: odd r makes
+    every part odd and d - #parts = sum(ri - 1) even. The age S/r is
+    n * (d - #parts) / 2, so one Fraction per distinct part count serves
+    every class with that count; d! is computed once.
+    """
+    d_factorial = factorial(d)
+    ages: dict[int, Fraction] = {}
+    out = []
+    for t in types:
+        r = element_order(t)
+        moved = d - t.num_parts
+        age = ages.get(moved)
+        if age is None:
+            age = ages[moved] = Fraction(n * moved, 2)
+        out.append(AgeRecord(
+            t, n, class_size(t, d_factorial), r, n * moved * r // 2, age, age.denominator == 1
+        ))
+    return out
 
 
 def _check_model(n: int, d: int, cap: int, what: str) -> None:
@@ -119,7 +129,7 @@ def verdict(n: int, d: int) -> SingularityVerdict:
 def class_table(n: int, d: int) -> list[AgeRecord]:
     """One AgeRecord per conjugacy class, in canonical partition order."""
     _check_model(n, d, TABLE_POINTS_CAP, "class-table")
-    return [age_record(t, n) for t in partitions(d)]
+    return _age_records(n, d, partitions(d))
 
 
 def materialize_rep(n: int, d: int) -> MonomialRep:

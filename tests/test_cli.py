@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from symquot import cli
 from symquot.report import canonical_json
 
 
@@ -192,6 +193,31 @@ def test_analyze_deeply_nested_file_is_one_usage_line(run_cli, tmp_path):
     code, out, err = run_cli("analyze", "--rep", str(rep))
     assert code == 2 and out == ""
     assert err.startswith("error: usage:") and "nested too deeply" in err
+    assert err.count("\n") == 1
+
+
+def test_analyze_overlong_integer_is_one_usage_line(run_cli, tmp_path):
+    rep = tmp_path / "long.json"
+    rep.write_text(
+        '{"dimension": 1, "root_order": 2, "generators": '
+        '[{"perm": [1], "exponents": [%s]}]}' % ("9" * 5001)
+    )
+    code, out, err = run_cli("analyze", "--rep", str(rep))
+    assert code == 2 and out == ""
+    assert err.startswith("error: usage:")
+    assert str(rep) in err and "4300-digit limit" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom\nsecond line"), KeyError("missing")])
+def test_unexpected_exception_is_one_internal_line(run_cli, monkeypatch, exc):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_sympower", fail)
+    code, out, err = run_cli("sympower", "--dim", "2", "--points", "3")
+    assert code == 4 and out == ""
+    assert err.startswith(f"error: internal: {type(exc).__name__}: ")
     assert err.count("\n") == 1
 
 

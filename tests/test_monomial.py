@@ -5,7 +5,7 @@ from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from symquot import (
@@ -602,3 +602,75 @@ def test_analyze_agrees_with_terminal_lemma_below_12():
     cases, mismatches = terminal_lemma_sweep(12)
     assert cases == 1649  # sum of phi(r)^3 over r = 2..11
     assert mismatches == []
+
+
+# Invariance of the verdict: relabelling the coordinates, adding a
+# redundant generator or reordering the generators leaves the group (up
+# to conjugation) unchanged, so every verdict field but the witness must
+# stay. Quasi-reflections and the closure cap depend on the group alone,
+# so they are outcomes that must stay too.
+
+INVARIANCE_CAP = 2000
+
+
+@st.composite
+def small_reps(draw):
+    """A monomial group on C^1..C^4 with root order m <= 12 and 1..3 generators."""
+    size = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 12))
+    gens = draw(st.lists(
+        st.builds(
+            lambda perm, exps: MonomialElement(tuple(perm), tuple(exps)),
+            st.permutations(range(size)),
+            st.lists(st.integers(0, m - 1), min_size=size, max_size=size),
+        ),
+        min_size=1,
+        max_size=3,
+    ))
+    return MonomialRep(dimension=size, root_order=m, generators=tuple(gens))
+
+
+def verdict_outcome(rep):
+    try:
+        v = analyze(close_group(rep, cap=INVARIANCE_CAP))
+    except (GroupTooLargeError, QuasiReflectionError) as exc:
+        return type(exc).__name__
+    return (v.min_age, v.index, v.canonical, v.terminal, v.group_order)
+
+
+def with_generators(rep, gens):
+    return MonomialRep(dimension=rep.dimension, root_order=rep.root_order,
+                       generators=tuple(gens))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rep=small_reps(), data=st.data())
+def test_outcome_invariant_under_coordinate_relabelling(rep, data):
+    relabel = tuple(data.draw(st.permutations(range(rep.dimension))))
+    conjugated = with_generators(rep, (conjugate_element(g, relabel) for g in rep.generators))
+    assert verdict_outcome(conjugated) == verdict_outcome(rep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rep=small_reps(), data=st.data())
+def test_outcome_invariant_under_a_redundant_generator(rep, data):
+    gens = list(rep.generators)
+    a, b = (data.draw(st.sampled_from(gens)) for _ in range(2))
+    gens.insert(data.draw(st.integers(0, len(gens))), rep.multiply(a, b))
+    assert verdict_outcome(with_generators(rep, gens)) == verdict_outcome(rep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rep=small_reps(), data=st.data())
+def test_outcome_invariant_under_generator_order(rep, data):
+    shuffled = data.draw(st.permutations(rep.generators))
+    assert verdict_outcome(with_generators(rep, shuffled)) == verdict_outcome(rep)
+
+
+def test_invariance_draws_reach_nontrivial_verdicts():
+    # the properties above would hold vacuously if every draw raised
+    def nontrivial(rep):
+        outcome = verdict_outcome(rep)
+        return isinstance(outcome, tuple) and outcome[-1] > 1
+
+    assert nontrivial(find(small_reps(), nontrivial))
