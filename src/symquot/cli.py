@@ -7,11 +7,11 @@ Subcommands:
   genus-bound  minimal genus of a curve through d general points
   selftest     oracle / closed-form / Burnside cross-check suite
 
-Exit codes: 0 success, 1 selftest discrepancy, 2 usage error, 3 domain
-error (quasi-reflections; closure, matrix or points caps), 4 internal error
-(any other exception, reported as ``error: internal: <type>: <message>``).
-Every error prints a single machine-parsable line on stderr:
-``error: <code>: <message>``.
+Exit codes: 0 success, 1 selftest discrepancy, 2 usage error (argparse
+errors included), 3 domain error (quasi-reflections; closure, matrix or
+points caps), 4 internal error (any other exception, reported as
+``error: internal: <type>: <message>``). Every error prints a single
+machine-parsable line on stderr: ``error: <code>: <message>``.
 Reports contain no timestamps; identical inputs give identical bytes.
 """
 
@@ -26,8 +26,23 @@ from ._version import __version__
 from .errors import DomainError
 
 
+def _error_line(code: str, message: object) -> str:
+    """``error: <code>: <message>`` with the message folded onto one line."""
+    return f"error: {code}: {' '.join(str(message).splitlines())}\n"
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse that reports a bad command line as one ``error: usage:`` line.
+
+    Subparsers are built from the same class, so this covers them too.
+    """
+
+    def error(self, message):
+        self.exit(2, _error_line("usage", message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symquot",
         description="Exact age-criterion classification of quotient "
         "singularities and symmetric-power plurigenus tables.",
@@ -94,6 +109,18 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _flag_int(text: str, flag: str) -> int:
+    """``int(text)``, or a ValueError that names ``flag``."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+        raise ValueError(
+            f"{flag} takes integers of at most {sys.get_int_max_str_digits()} digits, "
+            f"got {shown}"
+        ) from None
+
+
 def _parse_pm(text: str) -> list[tuple[int, int]]:
     rows = []
     for chunk in text.split(","):
@@ -103,7 +130,7 @@ def _parse_pm(text: str) -> list[tuple[int, int]]:
         left, sep, right = chunk.partition("=")
         if not sep:
             raise ValueError(f"--pm entries must look like m=P, got {chunk!r}")
-        rows.append((int(left), int(right)))
+        rows.append((_flag_int(left, "--pm"), _flag_int(right, "--pm")))
     if not rows:
         raise ValueError("--pm must contain at least one m=P pair")
     return rows
@@ -112,7 +139,7 @@ def _parse_pm(text: str) -> list[tuple[int, int]]:
 def _parse_kappa(text: str, ambient_dim: int) -> plurigenera.KodairaDim:
     if text == "-inf":
         return plurigenera.KodairaDim.minus_infinity()
-    return plurigenera.KodairaDim.finite(int(text), ambient_dim=ambient_dim)
+    return plurigenera.KodairaDim.finite(_flag_int(text, "--kappa"), ambient_dim=ambient_dim)
 
 
 def cmd_plurigenera(args) -> int:
@@ -240,19 +267,18 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed the reason
+    except SystemExit as exc:  # --help, --version or _Parser.error already printed
         return int(exc.code or 0)
     try:
         return args.func(args)
     except DomainError as exc:
-        print(f"error: {exc.code}: {exc}", file=sys.stderr)
+        sys.stderr.write(_error_line(exc.code, exc))
         return 3
     except (ValueError, OSError) as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
+        sys.stderr.write(_error_line("usage", exc))
         return 2
     except Exception as exc:  # a fault of symquot itself, never a traceback
-        message = " ".join(str(exc).splitlines())
-        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        sys.stderr.write(_error_line("internal", f"{type(exc).__name__}: {exc}"))
         return 4
 
 

@@ -44,15 +44,6 @@ class CycleType:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class ClassInfo:
-    """A conjugacy class: its cycle type, exact size, and element order."""
-
-    cycle_type: CycleType
-    size: int
-    order: int
-
-
 def partitions(d: int) -> Iterator[CycleType]:
     """Yield every partition of d exactly once, reverse-lexicographically.
 
@@ -102,9 +93,3 @@ def class_size(t: CycleType, d_factorial: int | None = None) -> int:
 def element_order(t: CycleType) -> int:
     """Order of any permutation with cycle type ``t``: lcm of the parts."""
     return lcm(*t.parts)
-
-
-def conjugacy_classes(d: int) -> list[ClassInfo]:
-    """All classes of S_d in canonical partition order."""
-    d_factorial = factorial(d) if d >= 1 else None  # partitions(d) rejects d < 1
-    return [ClassInfo(t, class_size(t, d_factorial), element_order(t)) for t in partitions(d)]

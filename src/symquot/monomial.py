@@ -19,8 +19,8 @@ and g is a quasi-reflection iff that count is 1. The determinant is
 exp(2 pi i age(g)) and a character, so the index is the lcm of the age
 denominators of the generators. The eigenvalue-multiset route
 (``element_eigen_exponents``, ``det_turn``) and the ``MonomialElement``
-closure (``close_group_reference``) live in ``oracle`` as the
-references that tests and the selftest compare against.
+product and closure (``multiply``, ``close_group_reference``) live in
+``oracle`` as the references that tests and the selftest compare against.
 
 The closure and the scan work on one flat tuple per element,
 ``perm + exponents`` of length 2N. Right multiplication by a generator
@@ -103,21 +103,6 @@ class MonomialRep:
             raise ValueError(
                 f"exponents must lie in [0, {self.root_order}): {g.exponents}"
             )
-
-    def identity(self) -> MonomialElement:
-        return MonomialElement(
-            tuple(range(self.dimension)), (0,) * self.dimension
-        )
-
-    def multiply(self, a: MonomialElement, b: MonomialElement) -> MonomialElement:
-        """Matrix product a @ b: e_i -> zeta^{b_i} e_{pb(i)} -> ... under a."""
-        m = self.root_order
-        perm = tuple(a.perm[b.perm[i]] for i in range(self.dimension))
-        exps = tuple(
-            (b.exponents[i] + a.exponents[b.perm[i]]) % m
-            for i in range(self.dimension)
-        )
-        return MonomialElement(perm, exps)
 
     @cached_property
     def elements(self) -> tuple[MonomialElement, ...] | None:

@@ -1,7 +1,7 @@
 """Every reference route that the engines are checked against.
 
 The engines decide age, determinant and quasi-reflections from one
-integer cycle-sum rule (``monomial.element_age``, ``sympower.age_record``).
+integer cycle-sum rule (``monomial.element_age``, ``sympower.class_table``).
 This module holds the routes the tests and ``selftest`` compare them with:
 
 - exact eigenvalue-exponent multisets: ``cycle_eigen_exponents`` and
@@ -13,13 +13,14 @@ This module holds the routes the tests and ``selftest`` compare them with:
 - determinants from the permutation sign: ``det_sign`` for a class of the
   model, ``det_turn`` for a monomial element;
 - numpy eigendecompositions of explicit 0/1 permutation matrices, and
-  ``bruteforce_check``, which holds the model's closed form against the
-  multiset and numpy routes class by class. An eigenvalue exp(i * theta)
+  ``bruteforce_check``, which holds every row of ``sympower.class_table``
+  against the multiset and numpy routes. An eigenvalue exp(i * theta)
   is accepted as eps^a only when theta * r / (2 pi) sits within the
   tolerance of the integer a;
-- ``close_group_reference``, the breadth-first closure over
-  ``MonomialElement`` values and ``MonomialRep.multiply``, against which
-  the flat-tuple ``monomial.close_group`` is held element by element;
+- ``multiply``, the matrix product of two ``MonomialElement`` values,
+  and ``close_group_reference``, the breadth-first closure built on it,
+  against which the flat-tuple ``monomial.close_group`` is held element
+  by element;
 - the Terminal Lemma for cyclic 3-fold quotients, ``terminal_lemma``,
   and ``terminal_lemma_sweep``, which holds ``monomial.analyze`` to it.
 
@@ -34,7 +35,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import TYPE_CHECKING
 
-from .combinatorics import CycleType, element_order, partitions
+from .combinatorics import CycleType, element_order
 from .errors import GroupTooLargeError, MatrixTooLargeError
 from .monomial import (
     MonomialElement,
@@ -43,7 +44,7 @@ from .monomial import (
     close_group,
     configured_cap,
 )
-from .sympower import TABLE_POINTS_CAP, _check_model, age_closed_form
+from .sympower import TABLE_POINTS_CAP, _check_model, class_table
 
 if TYPE_CHECKING:
     import numpy as np
@@ -164,6 +165,21 @@ def det_turn(g: MonomialElement, root_order: int) -> Fraction:
     return turn % 1
 
 
+def identity(dimension: int) -> MonomialElement:
+    """The identity matrix on C^dimension."""
+    return MonomialElement(tuple(range(dimension)), (0,) * dimension)
+
+
+def multiply(a: MonomialElement, b: MonomialElement, root_order: int) -> MonomialElement:
+    """Matrix product a @ b: e_i -> zeta^{b_i} e_{pb(i)} -> ... under a."""
+    size = len(b.perm)
+    perm = tuple(a.perm[b.perm[i]] for i in range(size))
+    exps = tuple(
+        (b.exponents[i] + a.exponents[b.perm[i]]) % root_order for i in range(size)
+    )
+    return MonomialElement(perm, exps)
+
+
 def close_group_reference(
     rep: MonomialRep, cap: int | None = None
 ) -> tuple[MonomialElement, ...]:
@@ -174,12 +190,12 @@ def close_group_reference(
     their given order, and GroupTooLargeError before element cap + 1.
     """
     cap = configured_cap(cap)
-    ident = rep.identity()
+    ident = identity(rep.dimension)
     seen = {ident}
     ordered = [ident]
     for current in ordered:
         for gen in rep.generators:
-            product = rep.multiply(current, gen)
+            product = multiply(current, gen, rep.root_order)
             if product in seen:
                 continue
             if len(seen) >= cap:
@@ -294,9 +310,6 @@ class OracleRow:
 
 @dataclass(frozen=True)
 class OracleReport:
-    n: int
-    d: int
-    tolerance: float
     rows: tuple[OracleRow, ...]
 
     @property
@@ -310,14 +323,20 @@ class OracleReport:
 def bruteforce_check(
     n: int, d: int, tolerance: float = DEFAULT_TOLERANCE
 ) -> OracleReport:
-    """Verify every class against the numeric eigenvalue oracle.
+    """Verify every row of ``class_table(n, d)`` against the numeric oracle.
 
-    For each partition the explicit (n*d) x (n*d) permutation matrix is
+    For each row the explicit (n*d) x (n*d) permutation matrix is
     eigendecomposed numerically; the recovered exponent multiset must
-    equal the per-cycle construction, and the exponent sum must equal the
-    closed form exactly. Discrepancies are reported per class, never
-    silently dropped.
+    equal the per-cycle construction, and the row's order, exponent sum,
+    age and determinant must equal the multiset's and ``det_sign``
+    exactly. Discrepancies are reported per class, never silently dropped.
+
+    A recovered exponent never drifts by more than 0.5 from its nearest
+    integer, so a tolerance outside (0, 0.5), nan included, would switch
+    the recovery check off; it raises ValueError before any work.
     """
+    if not 0 < tolerance < 0.5:
+        raise ValueError(f"tolerance must lie strictly between 0 and 0.5, got {tolerance!r}")
     _check_model(n, d, TABLE_POINTS_CAP, "class-table")
     if n * d > MATRIX_SIZE_CAP:
         raise MatrixTooLargeError(
@@ -325,16 +344,16 @@ def bruteforce_check(
             f"of {MATRIX_SIZE_CAP}"
         )
     rows = []
-    for t in partitions(d):
-        r = element_order(t)
+    for row in class_table(n, d):
+        t = row.cycle_type
         constructed = nfold(cycle_eigen_exponents(t), n)
-        s_multiset, age_multiset = age(constructed)
-        s_closed, age_closed = age_closed_form(t, n)
         try:
-            numeric = numeric_exponents(nfold_matrix(t, n), r, tolerance)
+            numeric = numeric_exponents(nfold_matrix(t, n), constructed.order, tolerance)
         except RecoveryError as exc:
             rows.append(OracleRow(t, False, f"exponent recovery failed: {exc}"))
             continue
+        want = (constructed.order, *age(constructed), det_sign(t, n) == 1)
+        got = (row.order, row.s_sum, row.age, row.det_is_plus_one)
         if numeric != constructed.exponents:
             rows.append(
                 OracleRow(
@@ -344,15 +363,15 @@ def bruteforce_check(
                     f"constructed {constructed.exponents}",
                 )
             )
-        elif (s_multiset, age_multiset) != (s_closed, age_closed):
+        elif got != want:
             rows.append(
                 OracleRow(
                     t,
                     False,
-                    f"closed form disagrees: multiset S={s_multiset} vs "
-                    f"closed S={s_closed}",
+                    f"closed form disagrees: (order, S, age, det +1) is {got} in the "
+                    f"class table vs {want} from the multiset",
                 )
             )
         else:
             rows.append(OracleRow(t, True))
-    return OracleReport(n=n, d=d, tolerance=tolerance, rows=tuple(rows))
+    return OracleReport(rows=tuple(rows))

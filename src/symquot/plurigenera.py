@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .combinatorics import conjugacy_classes
+from .combinatorics import class_size, partitions
 from .errors import InsufficientDataError, PointsCapError
+from .sympower import TABLE_POINTS_CAP
 
 REGIME_NONNEGATIVE = "nonnegative-kodaira"
 REGIME_GENERAL_TYPE = "general-type"
@@ -90,18 +91,22 @@ def invariant_dim_burnside(p: int, d: int) -> int:
 
     (1/d!) * sum over classes of class_size * p^(number of cycles). The
     average is provably integral; a non-integral value would mean a bug,
-    so it raises rather than rounding.
+    so it raises rather than rounding. The sum runs over the p(d)
+    partitions of d, so d is capped at TABLE_POINTS_CAP, as for the class
+    table, and PointsCapError is raised before any work.
     """
     if p < 0:
         raise ValueError(f"space dimension must be >= 0, got {p}")
     if d < 1:
         raise ValueError(f"tensor power degree must be >= 1, got {d}")
-    total = Fraction(0)
-    group_order = 0
-    for info in conjugacy_classes(d):
-        total += info.size * Fraction(p) ** info.cycle_type.num_parts
-        group_order += info.size
-    average = total / group_order
+    if d > TABLE_POINTS_CAP:
+        raise PointsCapError(
+            f"tensor power degree {d} exceeds the Burnside-average cap of {TABLE_POINTS_CAP}",
+            cap=TABLE_POINTS_CAP,
+        )
+    d_factorial = math.factorial(d)
+    total = sum(class_size(t, d_factorial) * p**t.num_parts for t in partitions(d))
+    average = Fraction(total, d_factorial)
     if average.denominator != 1:
         raise ArithmeticError(
             f"Burnside average is not an integer for p={p}, d={d}: {average}"
@@ -188,24 +193,19 @@ def genus_bound(regime: str, d: int) -> int:
     )
 
 
-def growth_exponent_check(
-    rows: Sequence[tuple[int, int]], d: int, n: int | None = None
-) -> float:
+def growth_exponent_check(rows: Sequence[tuple[int, int]], d: int) -> float:
     """Fitted growth exponent of the symmetric-power plurigenera.
 
     Maps each (m, P_m) row to P_m(symmetric power) and fits a log-log
     least-squares line. The exponent being estimated is asymptotic, so
     the fit uses the large-m half of the usable rows; the small-m head
-    still bends the log-log line through lower-order terms. When ``n``
-    is given, rows with m * n odd are excluded first. Returns the slope,
+    still bends the log-log line through lower-order terms. Returns the slope,
     the only floating-point quantity this package produces.
     """
     if d < 1:
         raise ValueError(f"number of points must be >= 1, got {d}")
     usable = []
     for m, p_m in rows:
-        if n is not None and (m * n) % 2 != 0:
-            continue
         p_sigma = sym_dim(p_m, d)
         if m >= 1 and p_sigma >= 1:
             usable.append((m, p_sigma))

@@ -15,10 +15,11 @@ A permutation of cycle type t has order r = lcm(parts), and its
 eigenvalues on C^d are r-th roots of unity eps^a with 0 <= a < r. A
 cycle of length ri contributes the exponents {j * (r/ri) : 0 <= j < ri},
 which total r * (ri-1) / 2; this gives the closed form
-S = n * (d - #parts) * r / 2 of ``age_closed_form``, and the age S/r.
-The determinant is exp(2 pi i age), so it is +1 exactly when the age is
-an integer. ``oracle`` holds the exponent-multiset route and
-``bruteforce_check``, which verify this class by class.
+S = n * (d - #parts) * r / 2 of the ``s_sum`` column of ``class_table``,
+and the age S/r. The determinant is exp(2 pi i age), so it is +1 exactly
+when the age is an integer. ``class_table`` is the one producer of
+per-class data for S_d. ``oracle`` holds the exponent-multiset route and
+``bruteforce_check``, which verify its rows class by class.
 
 Two caps on d are checked before any work: ``VERDICT_POINTS_CAP`` keeps
 d! printable, and ``TABLE_POINTS_CAP`` bounds the p(d) rows of a class
@@ -34,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable
 
 from .combinatorics import CycleType, class_size, element_order, partitions
 from .errors import PointsCapError, UnsupportedDimensionError
@@ -46,52 +46,14 @@ TABLE_POINTS_CAP = 50  # p(50) = 204226 classes
 
 @dataclass(frozen=True)
 class AgeRecord:
-    """Per-class age data for n copies of the permutation action."""
+    """One class-table row: a conjugacy class of S_d acting on n blocks."""
 
     cycle_type: CycleType
-    n: int
     class_size: int
     order: int
     s_sum: int
     age: Fraction
     det_is_plus_one: bool
-
-
-def age_closed_form(t: CycleType, n: int) -> tuple[int, Fraction]:
-    """Closed form for the age of n copies, bypassing the multiset: (S, S/r)."""
-    rec = age_record(t, n)
-    return rec.s_sum, rec.age
-
-
-def age_record(t: CycleType, n: int) -> AgeRecord:
-    """The per-class record from the closed form; det = exp(2 pi i age)."""
-    if n < 1:
-        raise ValueError(f"number of copies must be positive, got {n}")
-    return _age_records(n, t.d, (t,))[0]
-
-
-def _age_records(n: int, d: int, types: Iterable[CycleType]) -> list[AgeRecord]:
-    """AgeRecords for cycle types of S_d, one pass over each.
-
-    A cycle of length ri adds (r/ri) * ri * (ri - 1) / 2 = r * (ri - 1) / 2
-    to S, so S = n * (d - #parts) * r / 2. It is an integer: odd r makes
-    every part odd and d - #parts = sum(ri - 1) even. The age S/r is
-    n * (d - #parts) / 2, so one Fraction per distinct part count serves
-    every class with that count; d! is computed once.
-    """
-    d_factorial = factorial(d)
-    ages: dict[int, Fraction] = {}
-    out = []
-    for t in types:
-        r = element_order(t)
-        moved = d - t.num_parts
-        age = ages.get(moved)
-        if age is None:
-            age = ages[moved] = Fraction(n * moved, 2)
-        out.append(AgeRecord(
-            t, n, class_size(t, d_factorial), r, n * moved * r // 2, age, age.denominator == 1
-        ))
-    return out
 
 
 def _check_model(n: int, d: int, cap: int, what: str) -> None:
@@ -127,9 +89,28 @@ def verdict(n: int, d: int) -> SingularityVerdict:
 
 
 def class_table(n: int, d: int) -> list[AgeRecord]:
-    """One AgeRecord per conjugacy class, in canonical partition order."""
+    """One AgeRecord per conjugacy class, in canonical partition order.
+
+    A cycle of length ri adds (r/ri) * ri * (ri - 1) / 2 = r * (ri - 1) / 2
+    to S, so S = n * (d - #parts) * r / 2. It is an integer: odd r makes
+    every part odd and d - #parts = sum(ri - 1) even. The age S/r is
+    n * (d - #parts) / 2, so one Fraction per distinct part count serves
+    every class with that count; d! is computed once.
+    """
     _check_model(n, d, TABLE_POINTS_CAP, "class-table")
-    return _age_records(n, d, partitions(d))
+    d_factorial = factorial(d)
+    ages: dict[int, Fraction] = {}
+    out = []
+    for t in partitions(d):
+        r = element_order(t)
+        moved = d - t.num_parts
+        age = ages.get(moved)
+        if age is None:
+            age = ages[moved] = Fraction(n * moved, 2)
+        out.append(AgeRecord(
+            t, class_size(t, d_factorial), r, n * moved * r // 2, age, age.denominator == 1
+        ))
+    return out
 
 
 def materialize_rep(n: int, d: int) -> MonomialRep:

@@ -15,7 +15,12 @@ from symquot.oracle import (
     is_quasi_reflection,
     nfold,
 )
-from symquot.sympower import age_closed_form, age_record
+from symquot.sympower import class_table
+
+
+def class_rows(n, d):
+    """The class-table rows of the model, keyed by cycle-type parts."""
+    return {r.cycle_type.parts: r for r in class_table(n, d)}
 
 
 def test_identity_exponents():
@@ -86,29 +91,33 @@ def test_age_three_two_three_copies():
 def test_closed_form_single_cycle():
     for r in range(2, 9):
         for n in range(2, 5):
-            s, a = age_closed_form(CycleType((r,)), n)
+            s = class_rows(n, r)[(r,)].s_sum
             assert s == n * r * (r - 1) // 2
             assert s >= r  # canonical with room to spare for a full cycle
 
 
 def test_closed_form_three_two_example():
-    assert age_closed_form(CycleType((3, 2)), 3) == (27, Fraction(9, 2))
+    row = class_rows(3, 5)[(3, 2)]
+    assert (row.s_sum, row.age) == (27, Fraction(9, 2))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 @pytest.mark.parametrize("d", range(1, 10))
 def test_closed_form_equals_multiset_route(n, d):
-    for t in partitions(d):
-        assert age_closed_form(t, n) == age(nfold(cycle_eigen_exponents(t), n))
+    for row in class_table(n, d):
+        multiset = nfold(cycle_eigen_exponents(row.cycle_type), n)
+        assert (row.s_sum, row.age) == age(multiset)
+        assert row.order == multiset.order
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 @pytest.mark.parametrize("d", range(1, 10))
 def test_age_equals_simplified_law(n, d):
     # age = n * (d - #parts) / 2, from r_i' * r_i = r
-    for t in partitions(d):
+    for row in class_table(n, d):
+        t = row.cycle_type
         expected = Fraction(n * (d - t.num_parts), 2)
-        assert age_closed_form(t, n)[1] == expected
+        assert row.age == expected
         assert age(nfold(cycle_eigen_exponents(t), n))[1] == expected
 
 
@@ -128,9 +137,7 @@ def test_galois_stability_of_exponent_multisets(d):
 def test_minimal_age_is_half_n_at_transposition(n, d):
     transposition = CycleType((2,) + (1,) * (d - 2))
     ages = {
-        t.parts: age_closed_form(t, n)[1]
-        for t in partitions(d)
-        if not t.is_identity()
+        parts: row.age for parts, row in class_rows(n, d).items() if not row.cycle_type.is_identity()
     }
     assert min(ages.values()) == Fraction(n, 2)
     assert ages[transposition.parts] == Fraction(n, 2)
@@ -176,8 +183,7 @@ def test_eigen_exponents_normalizes_order():
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_age_record_consistency(d):
-    for t in partitions(d):
-        rec = age_record(t, 3)
+    for rec in class_table(3, d):
         assert rec.age == Fraction(rec.s_sum, rec.order)
-        assert (rec.age == 0) == t.is_identity()
+        assert (rec.age == 0) == rec.cycle_type.is_identity()
         assert rec.class_size >= 1

@@ -86,6 +86,56 @@ def test_missing_required_flag_is_usage_error(run_cli):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (("sympower", "--dim", "x", "--points", "3"), "argument --dim: invalid int value: 'x'"),
+        (("sympower", "--dim", "2"), "the following arguments are required: --points"),
+        (("sympower", "--dim", "2", "--points", "3", "--format", "pdf"), "argument --format"),
+        (("sympower", "--dim", "2", "--points", "3", "--extra"), "unrecognized arguments"),
+        (("bogus",), "invalid choice: 'bogus'"),
+        ((), "the following arguments are required: command"),
+        (("genus-bound", "--regime", "nonneg", "--points", "9" * 5000), "invalid int value"),
+    ],
+)
+def test_argparse_errors_are_one_usage_line(run_cli, argv, reason):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: usage: ") and reason in err
+    assert err.count("\n") == 1
+
+
+def test_help_flag_prints_usage_and_exits_zero(run_cli):
+    code, out, err = run_cli("sympower", "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: symquot sympower")
+
+
+@pytest.mark.parametrize(
+    "flags,flag",
+    [
+        (("--pm", "1=" + "9" * 5000), "--pm"),
+        (("--pm", "a=2"), "--pm"),
+        (("--pm", "1=1", "--kappa", "9" * 5000), "--kappa"),
+        (("--pm", "1=1", "--kappa", "two"), "--kappa"),
+    ],
+)
+def test_plurigenera_non_integer_flag_is_one_usage_line_naming_the_flag(run_cli, flags, flag):
+    code, out, err = run_cli("plurigenera", "--dim", "2", "--points", "2", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: usage: {flag} takes integers")
+    assert "invalid literal" not in err and "Exceeds the limit" not in err
+    assert err.count("\n") == 1 and len(err) < 200
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "0", "0.5"])
+def test_selftest_rejects_a_tolerance_that_disables_the_check(run_cli, tolerance):
+    code, out, err = run_cli("selftest", "--tolerance", tolerance)
+    assert code == 2 and out == ""
+    assert err.startswith("error: usage: tolerance must lie strictly between 0 and 0.5")
+    assert err.count("\n") == 1
+
+
 def test_analyze_reads_rep_file(run_cli, tmp_path):
     rep = tmp_path / "rep.json"
     rep.write_text(

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from symquot.combinatorics import CycleType, class_size, conjugacy_classes, element_order, partitions
+from symquot.combinatorics import CycleType, class_size, element_order, partitions
 
 
 def euler_partition_count(n, _cache={0: 1}):
@@ -130,15 +130,6 @@ def test_element_order_divisibility(d):
         assert factorial(d) % order == 0
         assert all(order % p == 0 for p in t.parts)
         assert (order == 1) == t.is_identity()
-
-
-def test_conjugacy_classes_assembles_class_info():
-    classes = conjugacy_classes(4)
-    assert [c.cycle_type.parts for c in classes] == [
-        (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)
-    ]
-    assert sum(c.size for c in classes) == 24
-    assert [c.order for c in classes] == [4, 3, 2, 2, 1]
 
 
 def test_cycle_type_rejects_bad_parts():

@@ -20,7 +20,9 @@ from symquot import (
     plurigenus_table,
     sym_dim,
 )
+from symquot import plurigenera
 from symquot.plurigenera import PLURIGENUS_BITS_CAP, REGIME_GENERAL_TYPE, REGIME_NONNEGATIVE
+from symquot.sympower import TABLE_POINTS_CAP
 
 
 def monomial_count(p, d):
@@ -170,17 +172,6 @@ def test_growth_requires_three_rows():
         growth_exponent_check([(2, 4), (4, 16)], 2)
 
 
-def test_growth_parity_filter():
-    # with odd n, odd-m rows are not asserted by the parity condition
-    rows = [(m, m) for m in range(1, 8, 2)]  # only odd m
-    with pytest.raises(InsufficientDataError):
-        growth_exponent_check(rows, 2, n=3)
-    even_rows = [(m, m) for m in range(2, 61, 2)]
-    assert growth_exponent_check(even_rows, 2, n=3) == growth_exponent_check(
-        even_rows, 2
-    )
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     st.dictionaries(
@@ -222,3 +213,18 @@ def test_kodaira_scale_at_and_past_the_bit_cap():
     assert err.value.cap == PLURIGENUS_BITS_CAP
     assert "--points" in str(err.value) and "--kappa" in str(err.value)
     assert kodaira_scale(KodairaDim.minus_infinity(), 2**PLURIGENUS_BITS_CAP).is_minus_infinity
+
+
+def test_burnside_admits_the_class_table_cap(monkeypatch):
+    # p(50) = 204226 classes take seconds, so count the request, not the classes
+    seen = []
+    monkeypatch.setattr(plurigenera, "partitions", lambda d: seen.append(d) or iter(()))
+    assert invariant_dim_burnside(3, TABLE_POINTS_CAP) == 0
+    assert seen == [TABLE_POINTS_CAP]
+
+
+def test_burnside_past_the_class_table_cap_is_domain_error(monkeypatch):
+    monkeypatch.setattr(plurigenera, "partitions", lambda d: pytest.fail("scanned"))
+    with pytest.raises(PointsCapError) as err:
+        invariant_dim_burnside(3, TABLE_POINTS_CAP + 1)
+    assert err.value.cap == TABLE_POINTS_CAP

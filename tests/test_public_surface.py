@@ -1,5 +1,7 @@
-"""The top-level names are exactly the ones the README's library surface documents."""
+"""The top-level names are exactly the ones the README's library surface documents,
+and every name and example the README gives still works."""
 
+import importlib
 import inspect
 import pkgutil
 import re
@@ -11,10 +13,14 @@ from symquot import errors
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def library_surface_section():
+    text = README.read_text(encoding="utf-8")
+    return text.split("## Library surface", 1)[1].split("\n## ", 1)[0]
+
+
 def library_surface_names():
     """Names written as ``symquot.<name>`` in the Library-surface section, modules left out."""
-    text = README.read_text(encoding="utf-8")
-    section = text.split("## Library surface", 1)[1].split("\n## ", 1)[0]
+    section = library_surface_section()
     modules = {m.name for m in pkgutil.iter_modules(symquot.__path__)}
     # a name followed by ".x" is a module path such as symquot.oracle.bruteforce_check
     names = set(re.findall(r"\bsymquot\.([A-Za-z_]\w*)(?!\.?\w)", section))
@@ -43,3 +49,20 @@ def test_every_export_is_documented_or_an_error_class():
 
 def test_every_export_resolves():
     assert all(hasattr(symquot, name) for name in symquot.__all__)
+
+
+def test_library_surface_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", library_surface_section(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_every_module_name_in_the_readme_resolves():
+    named = set(re.findall(r"\bsymquot\.([a-z_]+)\.([A-Za-z_]\w*)", README.read_text(encoding="utf-8")))
+    assert ("sympower", "class_table") in named
+    missing = [
+        f"symquot.{module}.{name}"
+        for module, name in sorted(named)
+        if not hasattr(importlib.import_module(f"symquot.{module}"), name)
+    ]
+    assert missing == []

@@ -1,5 +1,6 @@
 """The closed-form engine for the symmetric-power model."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -94,6 +95,15 @@ def test_index_parity_law(n, d):
     assert v.min_age == Fraction(n, 2)
 
 
+def test_class_table_assembles_class_data():
+    records = class_table(2, 4)
+    assert [r.cycle_type.parts for r in records] == [
+        (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)
+    ]
+    assert sum(r.class_size for r in records) == 24
+    assert [r.order for r in records] == [4, 3, 2, 2, 1]
+
+
 def test_class_table_two_points():
     records = class_table(2, 2)
     assert [r.cycle_type.parts for r in records] == [(2,), (1, 1)]
@@ -142,6 +152,14 @@ def test_bruteforce_check_small_cases_pass():
     assert report.passed and len(report.rows) == 1
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0, 0.0, 0.5])
+def test_bruteforce_check_rejects_a_tolerance_that_disables_recovery(monkeypatch, tolerance):
+    # a drift from the nearest integer is at most 0.5, and never above nan
+    monkeypatch.setattr(oracle, "class_table", lambda n, d: pytest.fail("scanned"))
+    with pytest.raises(ValueError, match="tolerance"):
+        bruteforce_check(2, 3, tolerance)
+
+
 def test_bruteforce_check_rejects_oversized_matrix():
     with pytest.raises(MatrixTooLargeError):
         bruteforce_check(8, 9)
@@ -157,6 +175,17 @@ def test_bruteforce_check_reports_multiset_discrepancy(monkeypatch):
     failed = {row.cycle_type.parts for row in report.failures()}
     assert failed == {(3,), (2, 1)}  # identity class still agrees
     assert any("multisets differ" in row.detail for row in report.failures())
+
+
+def test_bruteforce_check_reports_a_wrong_class_table_row(monkeypatch):
+    def wrong_age(n, d):
+        rows = class_table(n, d)
+        return [replace(rows[0], age=rows[0].age + 1), *rows[1:]]
+
+    monkeypatch.setattr(oracle, "class_table", wrong_age)
+    report = bruteforce_check(2, 3)
+    assert [row.cycle_type.parts for row in report.failures()] == [(3,)]
+    assert "closed form disagrees" in report.failures()[0].detail
 
 
 def test_bruteforce_check_reports_recovery_failure(monkeypatch):
