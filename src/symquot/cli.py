@@ -10,20 +10,24 @@ Subcommands:
 Exit codes: 0 success, 1 selftest discrepancy, 2 usage error (argparse
 errors included), 3 domain error (quasi-reflections; closure, matrix or
 points caps), 4 internal error (any other exception, reported as
-``error: internal: <type>: <message>``). Every error prints a single
-machine-parsable line on stderr: ``error: <code>: <message>``.
-Reports contain no timestamps; identical inputs give identical bytes.
+``error: internal: <type>: <message>``), 5 io error (stdout closed before
+the report was written, reported as ``error: io: stdout closed``). Every
+error prints a single machine-parsable line on stderr:
+``error: <code>: <message>``. Reports contain no timestamps; identical
+inputs give identical bytes. ``symquot.oracle`` is imported by
+``selftest`` only, so the other commands do not load it.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
-from . import monomial, oracle, plurigenera, report, sympower
+from . import monomial, plurigenera, report, sympower
 from ._version import __version__
-from .errors import DomainError
+from .errors import DomainError, MatrixTooLargeError
 
 
 def _error_line(code: str, message: object) -> str:
@@ -170,7 +174,25 @@ TERMINAL_LEMMA_R_BELOW = 20
 
 
 def run_selftest(max_dim: int, max_points: int, tolerance: float, out=None) -> int:
-    """Cross-check suite; returns 0 when clean, 1 on any discrepancy."""
+    """Cross-check suite; returns 0 when clean, 1 on any discrepancy.
+
+    The range and the tolerance are checked before any output: a range
+    with nothing to check or a tolerance outside (0, 0.5) raises
+    ValueError, and a range past the brute-force matrix cap raises
+    MatrixTooLargeError.
+    """
+    from . import oracle  # the reference routes load for this command only
+
+    oracle.check_tolerance(tolerance)
+    if max_dim < 2 or max_points < 1:
+        raise ValueError(
+            f"selftest needs --max-dim >= 2 and --max-points >= 1, got {max_dim} and {max_points}"
+        )
+    if max_dim * max_points > oracle.MATRIX_SIZE_CAP:
+        raise MatrixTooLargeError(
+            f"selftest range needs brute-force matrices of size --max-dim * --max-points "
+            f"= {max_dim} * {max_points}, over the cap of {oracle.MATRIX_SIZE_CAP}"
+        )
     out = out or sys.stdout
     failures: list[str] = []
     started = time.monotonic()
@@ -266,11 +288,22 @@ def cmd_selftest(args) -> int:
 def run(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # --help, --version or _Parser.error already printed
-        return int(exc.code or 0)
-    try:
-        return args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help, --version or _Parser.error already printed
+            code = int(exc.code or 0)
+        else:
+            code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Whatever is still buffered goes to devnull, so the interpreter's
+        # final flush does not print "Exception ignored".
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        sys.stderr.write(_error_line("io", "stdout closed"))
+        return 5
     except DomainError as exc:
         sys.stderr.write(_error_line(exc.code, exc))
         return 3

@@ -9,25 +9,29 @@ functions pure, so concurrent use needs no coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from math import factorial, lcm
-from typing import Iterator
 
 
-@dataclass(frozen=True)
-class CycleType:
-    """Cycle type of a permutation: parts in non-increasing order.
+class CycleType(namedtuple("CycleType", "parts")):
+    """Cycle type of a permutation: ``parts``, a tuple in non-increasing order.
 
     Fixed points are kept as explicit parts of size 1, so ``sum(parts)``
     is always the full degree d and the acting space keeps dimension d.
     """
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        parts = self.parts  # once sorted, a positive last part makes every part positive
+    def __new__(cls, parts):
+        # once sorted, a positive last part makes every part positive
         if not parts or parts[-1] < 1 or list(parts) != sorted(parts, reverse=True):
             raise ValueError(f"parts must be positive and non-increasing, got {parts}")
+        return super().__new__(cls, parts)
+
+    @classmethod
+    def _make(cls, iterable):  # so that ``_replace`` validates too
+        return cls(*iterable)
 
     @property
     def d(self) -> int:

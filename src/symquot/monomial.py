@@ -41,13 +41,12 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from math import lcm
 from operator import add, itemgetter, mod
-from pathlib import Path
 
 from .errors import GroupTooLargeError, MatrixTooLargeError, QuasiReflectionError
 
@@ -56,12 +55,10 @@ CLOSURE_CAP_ENV = "QC_CLOSURE_CAP"
 DIMENSION_CAP = 256  # for files read by rep_from_dict; every element is an N-tuple
 
 
-@dataclass(frozen=True)
-class MonomialElement:
+class MonomialElement(namedtuple("MonomialElement", "perm exponents")):
     """One monomial matrix: 0-based permutation images plus entry exponents."""
 
-    perm: tuple[int, ...]
-    exponents: tuple[int, ...]
+    __slots__ = ()
 
     def describe(self) -> str:
         """Stable 1-based descriptor used in reports and error messages."""
@@ -70,39 +67,38 @@ class MonomialElement:
         return f"perm[{images}] exp[{exps}]"
 
 
-@dataclass(frozen=True)
-class MonomialRep:
+class MonomialRep(
+    namedtuple("MonomialRep", "dimension root_order generators flat_elements", defaults=(None,))
+):
     """A monomial group given by generators, with an optional closure cache.
 
-    ``flat_elements`` holds the closure as flat ``perm + exponents``
-    tuples, in closure order; ``elements`` is the same sequence as
-    ``MonomialElement`` values, built on first access.
+    ``generators`` is a tuple of ``MonomialElement``. ``flat_elements``
+    holds the closure as flat ``perm + exponents`` tuples, in closure
+    order; ``elements`` is the same sequence as ``MonomialElement``
+    values, built on first access. The instance dictionary holds only
+    that cache; ``__setattr__`` refuses every assignment.
     """
 
-    dimension: int
-    root_order: int
-    generators: tuple[MonomialElement, ...]
-    flat_elements: tuple[tuple[int, ...], ...] | None = None
+    def __new__(cls, dimension, root_order, generators, flat_elements=None):
+        if dimension < 1:
+            raise ValueError(f"dimension must be >= 1, got {dimension}")
+        if root_order < 1:
+            raise ValueError(f"root order must be >= 1, got {root_order}")
+        for g in generators:
+            if sorted(g.perm) != list(range(dimension)):
+                raise ValueError(f"not a permutation of 0..{dimension - 1}: {g.perm}")
+            if len(g.exponents) != dimension:
+                raise ValueError(f"need {dimension} exponents, got {len(g.exponents)}")
+            if any(not 0 <= k < root_order for k in g.exponents):
+                raise ValueError(f"exponents must lie in [0, {root_order}): {g.exponents}")
+        return super().__new__(cls, dimension, root_order, generators, flat_elements)
 
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if self.root_order < 1:
-            raise ValueError(f"root order must be >= 1, got {self.root_order}")
-        for gen in self.generators:
-            self._check_element(gen)
+    @classmethod
+    def _make(cls, iterable):  # so that ``_replace`` validates too
+        return cls(*iterable)
 
-    def _check_element(self, g: MonomialElement) -> None:
-        if sorted(g.perm) != list(range(self.dimension)):
-            raise ValueError(f"not a permutation of 0..{self.dimension - 1}: {g.perm}")
-        if len(g.exponents) != self.dimension:
-            raise ValueError(
-                f"need {self.dimension} exponents, got {len(g.exponents)}"
-            )
-        if any(not 0 <= k < self.root_order for k in g.exponents):
-            raise ValueError(
-                f"exponents must lie in [0, {self.root_order}): {g.exponents}"
-            )
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: MonomialRep is immutable")
 
     @cached_property
     def elements(self) -> tuple[MonomialElement, ...] | None:
@@ -118,14 +114,16 @@ class MonomialRep:
         return len(self.flat_elements)
 
 
-@dataclass(frozen=True)
-class SingularityVerdict:
-    """Outcome of the age-criterion scan over one finite group."""
+class SingularityVerdict(
+    namedtuple("SingularityVerdict", "index group_order min_age witness")
+):
+    """Outcome of the age-criterion scan over one finite group.
 
-    index: int
-    group_order: int
-    min_age: Fraction | None  # None for the trivial group (no witnesses)
-    witness: str | None
+    ``min_age`` (a Fraction) and ``witness`` (a descriptor) are None for
+    the trivial group, which has no witnesses.
+    """
+
+    __slots__ = ()
 
     @property
     def canonical(self) -> bool:
@@ -193,7 +191,7 @@ def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
                 )
             seen.add(product)
             ordered.append(product)
-    return replace(rep, flat_elements=tuple(ordered))
+    return rep._replace(flat_elements=tuple(ordered))
 
 
 def _cycle_sums(flat: tuple[int, ...], n: int, m: int) -> tuple[int, int]:
@@ -322,14 +320,15 @@ def rep_from_dict(data: dict) -> MonomialRep:
     )
 
 
-def load_rep_file(path: str | Path) -> MonomialRep:
+def load_rep_file(path: str | os.PathLike) -> MonomialRep:
     """Read a representation from a JSON file (see ``rep_from_dict``).
 
     Invalid JSON, JSON nested too deeply for the decoder, and integer
     literals longer than Python's limit for integer strings raise
     ValueError.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

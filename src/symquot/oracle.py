@@ -30,7 +30,7 @@ does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from typing import TYPE_CHECKING
@@ -53,26 +53,25 @@ DEFAULT_TOLERANCE = 1e-6
 MATRIX_SIZE_CAP = 64
 
 
-@dataclass(frozen=True)
-class EigenExponents:
+class EigenExponents(namedtuple("EigenExponents", "order exponents")):
     """Multiset of eigenvalue exponents at a fixed order.
 
-    Exponents are normalized to sorted order and must lie in [0, order).
+    Exponents are normalized to a sorted tuple and must lie in [0, order).
     """
 
-    order: int
-    exponents: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"order must be positive, got {self.order}")
-        object.__setattr__(self, "exponents", tuple(sorted(self.exponents)))
-        if self.exponents and not (
-            0 <= self.exponents[0] and self.exponents[-1] < self.order
-        ):
-            raise ValueError(
-                f"exponents must lie in [0, {self.order}): {self.exponents}"
-            )
+    def __new__(cls, order, exponents):
+        if order < 1:
+            raise ValueError(f"order must be positive, got {order}")
+        exponents = tuple(sorted(exponents))
+        if exponents and not (0 <= exponents[0] and exponents[-1] < order):
+            raise ValueError(f"exponents must lie in [0, {order}): {exponents}")
+        return super().__new__(cls, order, exponents)
+
+    @classmethod
+    def _make(cls, iterable):  # so that ``_replace`` validates too
+        return cls(*iterable)
 
     @property
     def dimension(self) -> int:
@@ -299,18 +298,14 @@ def numeric_exponents(
     return tuple(sorted(exponents))
 
 
-@dataclass(frozen=True)
-class OracleRow:
-    """Outcome of the numeric cross-check for one conjugacy class."""
-
-    cycle_type: CycleType
-    passed: bool
-    detail: str = ""
+# Outcome of the numeric cross-check for one conjugacy class.
+OracleRow = namedtuple("OracleRow", "cycle_type passed detail", defaults=("",))
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    rows: tuple[OracleRow, ...]
+class OracleReport(namedtuple("OracleReport", "rows")):
+    """The ``OracleRow`` of every class that ``bruteforce_check`` checked."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -318,6 +313,12 @@ class OracleReport:
 
     def failures(self) -> list[OracleRow]:
         return [row for row in self.rows if not row.passed]
+
+
+def check_tolerance(tolerance: float) -> None:
+    """ValueError unless 0 < tolerance < 0.5 (nan fails both comparisons)."""
+    if not 0 < tolerance < 0.5:
+        raise ValueError(f"tolerance must lie strictly between 0 and 0.5, got {tolerance!r}")
 
 
 def bruteforce_check(
@@ -335,8 +336,7 @@ def bruteforce_check(
     integer, so a tolerance outside (0, 0.5), nan included, would switch
     the recovery check off; it raises ValueError before any work.
     """
-    if not 0 < tolerance < 0.5:
-        raise ValueError(f"tolerance must lie strictly between 0 and 0.5, got {tolerance!r}")
+    check_tolerance(tolerance)
     _check_model(n, d, TABLE_POINTS_CAP, "class-table")
     if n * d > MATRIX_SIZE_CAP:
         raise MatrixTooLargeError(

@@ -14,9 +14,9 @@ validity flag, since nothing is claimed about them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .combinatorics import class_size, partitions
 from .errors import InsufficientDataError, PointsCapError
@@ -27,17 +27,19 @@ REGIME_GENERAL_TYPE = "general-type"
 PLURIGENUS_BITS_CAP = 14000  # 2^14000 < 10^4215: prints within the 4300-digit limit
 
 
-@dataclass(frozen=True)
-class KodairaDim:
+class KodairaDim(namedtuple("KodairaDim", "value")):
     """Kodaira dimension: minus infinity (value None) or an integer >= 0."""
 
-    value: int | None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value is not None and self.value < 0:
-            raise ValueError(
-                f"finite Kodaira dimension cannot be negative: {self.value}"
-            )
+    def __new__(cls, value):
+        if value is not None and value < 0:
+            raise ValueError(f"finite Kodaira dimension cannot be negative: {value}")
+        return super().__new__(cls, value)
+
+    @classmethod
+    def _make(cls, iterable):  # so that ``_replace`` validates too
+        return cls(*iterable)
 
     @classmethod
     def minus_infinity(cls) -> "KodairaDim":
@@ -59,19 +61,8 @@ class KodairaDim:
         return "-inf" if self.value is None else str(self.value)
 
 
-@dataclass(frozen=True)
-class PlurigenusRow:
-    m: int
-    p_m_x: int
-    p_m_sigma: int
-    valid: bool
-
-
-@dataclass(frozen=True)
-class PlurigenusTable:
-    n: int
-    d: int
-    rows: tuple[PlurigenusRow, ...]
+PlurigenusRow = namedtuple("PlurigenusRow", "m p_m_x p_m_sigma valid")
+PlurigenusTable = namedtuple("PlurigenusTable", "n d rows")  # rows: tuple of PlurigenusRow
 
 
 def sym_dim(p: int, d: int) -> int:

@@ -32,7 +32,7 @@ one and need no separate scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -44,16 +44,8 @@ VERDICT_POINTS_CAP = 1000  # d! stays far below Python's 4300-digit int->str lim
 TABLE_POINTS_CAP = 50  # p(50) = 204226 classes
 
 
-@dataclass(frozen=True)
-class AgeRecord:
-    """One class-table row: a conjugacy class of S_d acting on n blocks."""
-
-    cycle_type: CycleType
-    class_size: int
-    order: int
-    s_sum: int
-    age: Fraction
-    det_is_plus_one: bool
+# One class-table row: a conjugacy class of S_d acting on n blocks.
+AgeRecord = namedtuple("AgeRecord", "cycle_type class_size order s_sum age det_is_plus_one")
 
 
 def _check_model(n: int, d: int, cap: int, what: str) -> None:

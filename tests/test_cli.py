@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -134,6 +135,65 @@ def test_selftest_rejects_a_tolerance_that_disables_the_check(run_cli, tolerance
     assert code == 2 and out == ""
     assert err.startswith("error: usage: tolerance must lie strictly between 0 and 0.5")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--max-dim", "1", "--max-points", "0", "--tolerance", "0.7"),
+        ("--max-dim", "1", "--max-points", "0"),
+        ("--max-dim", "1"),
+        ("--max-points", "0"),
+        ("--max-dim", "-3", "--max-points", "-3"),
+    ],
+)
+def test_selftest_rejects_a_range_with_nothing_to_check(run_cli, flags):
+    code, out, err = run_cli("selftest", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: usage: ")
+    assert err.count("\n") == 1
+    if "--tolerance" in flags:  # the tolerance is checked even where the range is empty
+        assert "tolerance must lie strictly between 0 and 0.5" in err
+
+
+@pytest.mark.parametrize(
+    "max_dim, max_points", [("8", "9"), ("2", "33"), ("65", "1"), ("9" * 3000, "9" * 3000)]
+)
+def test_selftest_past_the_matrix_cap_fails_before_any_output(run_cli, max_dim, max_points):
+    code, out, err = run_cli("selftest", "--max-dim", max_dim, "--max-points", max_points)
+    assert code == 3 and out == ""
+    assert err.startswith("error: matrix-too-large: selftest range needs brute-force matrices")
+    assert f"= {max_dim} * {max_points}, over the cap of 64" in err
+    assert err.count("\n") == 1
+
+
+def test_selftest_at_the_matrix_cap_runs(run_cli):
+    code, out, err = run_cli("selftest", "--max-dim", "64", "--max-points", "1")
+    assert code == 0 and err == ""
+    assert "selftest: oracle n=64, d=1..1: 1 classes" in out
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_closed_stdout_is_one_io_line_and_exit_5(buffered):
+    # the read end is closed before the child starts, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "symquot", "sympower", "--dim", "2", "--points", "5"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 5
+    assert result.stderr == "error: io: stdout closed\n"
 
 
 def test_analyze_reads_rep_file(run_cli, tmp_path):
@@ -449,6 +509,24 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout == "minimal genus: 5\n"
+
+
+def test_cli_import_leaves_dataclasses_inspect_and_oracle_unloaded():
+    # the oracle, and numpy behind it, load for selftest and nothing else
+    script = (
+        "import sys\n"
+        "import symquot.cli\n"
+        "heavy = ('dataclasses', 'inspect', 'symquot.oracle', 'numpy')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "symquot.cli.run(['selftest', '--max-dim', '2', '--max-points', '1'])\n"
+        "print('symquot.oracle' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert "selftest: OK" in lines[-2]
+    assert lines[-1] == "True"
 
 
 def test_import_leaves_numpy_unloaded():

@@ -1,6 +1,5 @@
 """The closed-form engine for the symmetric-power model."""
 
-from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -180,7 +179,7 @@ def test_bruteforce_check_reports_multiset_discrepancy(monkeypatch):
 def test_bruteforce_check_reports_a_wrong_class_table_row(monkeypatch):
     def wrong_age(n, d):
         rows = class_table(n, d)
-        return [replace(rows[0], age=rows[0].age + 1), *rows[1:]]
+        return [rows[0]._replace(age=rows[0].age + 1), *rows[1:]]
 
     monkeypatch.setattr(oracle, "class_table", wrong_age)
     report = bruteforce_check(2, 3)
