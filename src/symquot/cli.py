@@ -27,7 +27,7 @@ import time
 
 from . import monomial, plurigenera, report, sympower
 from ._version import __version__
-from .errors import DomainError, MatrixTooLargeError
+from .errors import DomainError, MatrixTooLargeError, shown
 
 
 def _error_line(code: str, message: object) -> str:
@@ -118,10 +118,9 @@ def _flag_int(text: str, flag: str) -> int:
     try:
         return int(text)
     except ValueError:
-        shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
         raise ValueError(
             f"{flag} takes integers of at most {sys.get_int_max_str_digits()} digits, "
-            f"got {shown}"
+            f"got {shown(text)}"
         ) from None
 
 

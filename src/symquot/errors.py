@@ -7,6 +7,11 @@ input (bad flags, unparseable files) stays on ValueError and exits 2.
 """
 
 
+def shown(text: str) -> str:
+    """``repr(text)``, cut to its first 20 characters and its length past 40."""
+    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
 class DomainError(Exception):
     """Valid input, unsupported regime."""
 

@@ -22,14 +22,14 @@ denominators of the generators. The eigenvalue-multiset route
 product and closure (``multiply``, ``close_group_reference``) live in
 ``oracle`` as the references that tests and the selftest compare against.
 
-The closure and the scan work on one flat tuple per element,
-``perm + exponents`` of length 2N. Right multiplication by a generator
-is one C-level gather of that tuple (``operator.itemgetter``) followed,
-when the generator has nonzero exponents, by adding them mod m on the
-exponent half. ``MonomialElement`` appears only at the edges: the
-generators, the reported witness and quasi-reflections, and
-``MonomialRep.elements``, which is built from the flat tuples the first
-time it is read.
+The closure and the scan work on one N-tuple of integer codes per
+element, ``code[i] = N * exponents[i] + perm[i]``: the image of e_i and
+its exponent in one int. Right multiplication by a generator is one
+C-level gather of the codes (``operator.itemgetter``) followed, when the
+generator has nonzero exponents, by adding N * exponents mod N * m.
+``MonomialElement`` appears only at the edges: the generators, the
+reported witness and quasi-reflections, and ``MonomialRep.elements``,
+which decodes the codes (``c % N``, ``c // N``) the first time it is read.
 
 Closure construction is single-writer; every produced value is
 immutable, and the analysis scan is read-only, so verdicts and closed
@@ -48,7 +48,7 @@ from itertools import repeat
 from math import lcm
 from operator import add, itemgetter, mod
 
-from .errors import GroupTooLargeError, MatrixTooLargeError, QuasiReflectionError
+from .errors import GroupTooLargeError, MatrixTooLargeError, QuasiReflectionError, shown
 
 DEFAULT_CLOSURE_CAP = 20000
 CLOSURE_CAP_ENV = "QC_CLOSURE_CAP"
@@ -67,16 +67,21 @@ class MonomialElement(namedtuple("MonomialElement", "perm exponents")):
         return f"perm[{images}] exp[{exps}]"
 
 
+def _decode(code: tuple[int, ...], n: int) -> MonomialElement:
+    return MonomialElement(tuple(c % n for c in code), tuple(c // n for c in code))
+
+
 class MonomialRep(
     namedtuple("MonomialRep", "dimension root_order generators flat_elements", defaults=(None,))
 ):
     """A monomial group given by generators, with an optional closure cache.
 
     ``generators`` is a tuple of ``MonomialElement``. ``flat_elements``
-    holds the closure as flat ``perm + exponents`` tuples, in closure
-    order; ``elements`` is the same sequence as ``MonomialElement``
-    values, built on first access. The instance dictionary holds only
-    that cache; ``__setattr__`` refuses every assignment.
+    holds the closure in closure order, each element as the N-tuple of
+    codes ``N * exponents[i] + perm[i]``; ``elements`` is the same
+    sequence as ``MonomialElement`` values, decoded on first access. The
+    instance dictionary holds only that cache; ``__setattr__`` refuses
+    every assignment.
     """
 
     def __new__(cls, dimension, root_order, generators, flat_elements=None):
@@ -104,8 +109,7 @@ class MonomialRep(
     def elements(self) -> tuple[MonomialElement, ...] | None:
         if self.flat_elements is None:
             return None
-        n = self.dimension
-        return tuple(MonomialElement(g[:n], g[n:]) for g in self.flat_elements)
+        return tuple(_decode(c, self.dimension) for c in self.flat_elements)
 
     @property
     def order(self) -> int:
@@ -141,16 +145,22 @@ class SingularityVerdict(
 def configured_cap(cap: int | None = None) -> int:
     """Resolve the closure cap: explicit argument, else env, else default.
 
-    An environment value that is not an integer >= 1 raises ValueError.
+    An environment value that is not an integer >= 1 in the ASCII digits
+    0-9, within Python's limit for integer strings, raises ValueError.
     """
     if cap is not None:
         return cap
     env = os.environ.get(CLOSURE_CAP_ENV)
     if not env:
         return DEFAULT_CLOSURE_CAP
-    if not env.strip().isdecimal() or int(env) < 1:
-        raise ValueError(f"{CLOSURE_CAP_ENV} must be an integer >= 1, got {env!r}")
-    return int(env)
+    digits = env.strip()
+    try:  # int() would also read other scripts' digits; it refuses past the limit
+        value = int(digits) if digits.isascii() and digits.isdigit() else 0
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{CLOSURE_CAP_ENV} must be an integer >= 1, got {shown(env)}")
+    return value
 
 
 def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
@@ -162,27 +172,24 @@ def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
     soon as the closure would exceed the cap.
     """
     cap = configured_cap(cap)
-    n, m = rep.dimension, rep.root_order
-    # (a @ b) has perm a.perm[b.perm[i]] and exponents
-    # (b.exponents[i] + a.exponents[b.perm[i]]) % m: a gather of a's flat
-    # tuple by b.perm on both halves, then b's exponents added mod m.
+    n, nm = rep.dimension, rep.dimension * rep.root_order
+    ident = tuple(range(n))
+    # a @ g: a's codes gathered by g.perm, then N * g.exponents added mod N * m.
+    # tuple(t) is t, where an itemgetter of one index would return a scalar.
     steps = [
         (
-            itemgetter(*g.perm, *(n + j for j in g.perm)),
-            g.exponents if any(g.exponents) else None,
+            tuple if g.perm == ident else itemgetter(*g.perm),
+            tuple(n * k for k in g.exponents) if any(g.exponents) else None,
         )
         for g in rep.generators
     ]
-    ident = tuple(range(n)) + (0,) * n
     seen = {ident}
     ordered = [ident]
     for current in ordered:  # grows while it is walked: the list is the BFS queue
-        for gather, exps in steps:
+        for gather, shifts in steps:
             product = gather(current)
-            if exps is not None:
-                product = product[:n] + tuple(
-                    map(mod, map(add, product[n:], exps), repeat(m))
-                )
+            if shifts is not None:
+                product = tuple(map(mod, map(add, product, shifts), repeat(nm)))
             if product in seen:
                 continue
             if len(seen) >= cap:
@@ -194,11 +201,11 @@ def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
     return rep._replace(flat_elements=tuple(ordered))
 
 
-def _cycle_sums(flat: tuple[int, ...], n: int, m: int) -> tuple[int, int]:
-    """2m * age and the number of eigenvalues != 1 of a flat element.
+def _cycle_sums(code: tuple[int, ...], n: int, nm: int) -> tuple[int, int]:
+    """2Nm * age and the number of eigenvalues != 1 of a coded element.
 
-    One walk over the cycles of ``flat[:n]`` sums the exponents
-    ``flat[n:]`` along each cycle: 2m * age = 2 * sum K_c + m * (N - #cycles).
+    Summing ``c - i`` along a cycle of ``i -> c % N``, mod N * m, leaves
+    N * K_c: 2Nm * age = 2N * sum K_c + Nm * (N - #cycles).
     """
     seen = [False] * n
     k_total = cycles = fixed = 0
@@ -210,22 +217,21 @@ def _cycle_sums(flat: tuple[int, ...], n: int, m: int) -> tuple[int, int]:
         i = start
         while not seen[i]:
             seen[i] = True
-            k_sum += flat[n + i]
-            i = flat[i]
-        k_sum %= m
+            c = code[i]
+            k_sum += c - i
+            i = c % n
+        k_sum %= nm
         k_total += k_sum
         fixed += k_sum == 0  # a cycle with K_c = 0 has exactly one eigenvalue 1
-    return 2 * k_total + m * (n - cycles), n - fixed
+    return 2 * k_total + nm * (n - cycles), n - fixed
 
 
 def element_age(g: MonomialElement, root_order: int) -> tuple[Fraction, int]:
     """Age of ``g`` and its number of eigenvalues != 1, from cycle sums."""
-    key, moved = _cycle_sums(g.perm + g.exponents, len(g.perm), root_order)
-    return Fraction(key, 2 * root_order), moved
-
-
-def _describe(flat: tuple[int, ...], n: int) -> str:
-    return MonomialElement(flat[:n], flat[n:]).describe()
+    n = len(g.perm)
+    code = tuple(n * k + i for i, k in zip(g.perm, g.exponents))
+    key, moved = _cycle_sums(code, n, n * root_order)
+    return Fraction(key, 2 * n * root_order), moved
 
 
 def analyze(rep: MonomialRep) -> SingularityVerdict:
@@ -240,16 +246,16 @@ def analyze(rep: MonomialRep) -> SingularityVerdict:
     """
     if rep.flat_elements is None:
         raise ValueError("group is not closed yet; call close_group first")
-    n, m = rep.dimension, rep.root_order
+    n, m, nm = rep.dimension, rep.root_order, rep.dimension * rep.root_order
     quasi = []
-    min_key: int | None = None  # 2m * age, so keys compare as ages do
+    min_key: int | None = None  # 2Nm * age, so keys compare as ages do
     witness = None
     for g in rep.flat_elements:
-        key, moved = _cycle_sums(g, n, m)
+        key, moved = _cycle_sums(g, n, nm)
         if moved == 0:  # only the identity has every eigenvalue 1
             continue
         if moved == 1:
-            quasi.append(_describe(g, n))
+            quasi.append(_decode(g, n).describe())
         if min_key is None or key < min_key:
             min_key, witness = key, g
     if quasi:
@@ -262,8 +268,8 @@ def analyze(rep: MonomialRep) -> SingularityVerdict:
     return SingularityVerdict(
         index=index,
         group_order=len(rep.flat_elements),
-        min_age=None if min_key is None else Fraction(min_key, 2 * m),
-        witness=None if witness is None else _describe(witness, n),
+        min_age=None if min_key is None else Fraction(min_key, 2 * nm),
+        witness=None if witness is None else _decode(witness, n).describe(),
     )
 
 

@@ -19,7 +19,7 @@ This module holds the routes the tests and ``selftest`` compare them with:
   tolerance of the integer a;
 - ``multiply``, the matrix product of two ``MonomialElement`` values,
   and ``close_group_reference``, the breadth-first closure built on it,
-  against which the flat-tuple ``monomial.close_group`` is held element
+  against which the code-tuple ``monomial.close_group`` is held element
   by element;
 - the Terminal Lemma for cyclic 3-fold quotients, ``terminal_lemma``,
   and ``terminal_lemma_sweep``, which holds ``monomial.analyze`` to it.

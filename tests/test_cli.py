@@ -251,7 +251,17 @@ def test_analyze_closure_cap_is_domain_error(run_cli, tmp_path, monkeypatch):
     assert "10" in err
 
 
-@pytest.mark.parametrize("value", ["0", "-5", "abc", "1.5"])
+@pytest.mark.parametrize(
+    "value",
+    [
+        "0",
+        "-5",
+        "abc",
+        "1.5",
+        pytest.param("9" * 5000, id="5000-digits"),  # past int()'s digit limit
+        pytest.param("\u0663", id="arabic-indic-3"),  # a decimal digit outside ASCII
+    ],
+)
 def test_analyze_bad_closure_cap_is_usage_error(run_cli, tmp_path, monkeypatch, value):
     monkeypatch.setenv("QC_CLOSURE_CAP", value)
     rep = tmp_path / "rep.json"

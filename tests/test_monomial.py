@@ -500,7 +500,7 @@ def test_generator_age_denominators_give_the_det_order(data):
     )
 
 
-# The flat-tuple closure against the MonomialElement reference closure:
+# The code-tuple closure against the MonomialElement reference closure:
 # same elements, in the same order, under the same cap.
 
 
@@ -548,8 +548,34 @@ def test_flat_closure_matches_reference_on_random_groups(data):
                 MonomialElement((1, 0, 2, 3), (0, 0, 0, 0)),
             ),
         ),
+        MonomialRep(  # mu_3 wr S_3 on (C^2)^3, 162 elements
+            dimension=6,
+            root_order=3,
+            generators=(
+                MonomialElement((2, 3, 0, 1, 4, 5), (0, 0, 0, 0, 0, 0)),
+                MonomialElement((2, 3, 4, 5, 0, 1), (0, 0, 0, 0, 0, 0)),
+                MonomialElement((0, 1, 2, 3, 4, 5), (1, 2, 0, 0, 0, 0)),
+            ),
+        ),
+        sl_rep(16),  # 768 elements
+        MonomialRep(  # codes past 2^64: -1 and a coordinate swap over m = 2^70
+            dimension=2,
+            root_order=2**70,
+            generators=(
+                MonomialElement((0, 1), (2**69, 2**69)),
+                MonomialElement((1, 0), (2**69, 0)),
+            ),
+        ),
     ],
-    ids=["dimension-1", "no-generators", "m-1-cycle", "m-1-dihedral"],
+    ids=[
+        "dimension-1",
+        "no-generators",
+        "m-1-cycle",
+        "m-1-dihedral",
+        "wreath-mu3-S3",
+        "sl-m-16",
+        "m-2-pow-70",
+    ],
 )
 def test_flat_closure_matches_reference_on_edge_cases(rep):
     assert_same_closure(rep)
@@ -572,10 +598,11 @@ def test_flat_closure_cap_boundary():
 def test_elements_are_built_on_first_access():
     closed = close_group(sl_rep(4))
     analyze(closed)
-    assert "elements" not in vars(closed)  # analyze reads the flat tuples only
-    n = closed.dimension
+    assert "elements" not in vars(closed)  # analyze reads the codes only
+    n = closed.dimension  # code[i] = N * exponents[i] + perm[i]
     assert closed.elements == tuple(
-        MonomialElement(g[:n], g[n:]) for g in closed.flat_elements
+        MonomialElement(tuple(c % n for c in g), tuple(c // n for c in g))
+        for g in closed.flat_elements
     )
     assert closed.elements is closed.elements
     assert diag_rep(2, (1, 1)).elements is None
