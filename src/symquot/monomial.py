@@ -27,9 +27,8 @@ element, ``code[i] = N * exponents[i] + perm[i]``: the image of e_i and
 its exponent in one int. Right multiplication by a generator is one
 C-level gather of the codes (``operator.itemgetter``) followed, when the
 generator has nonzero exponents, by adding N * exponents mod N * m.
-``MonomialElement`` appears only at the edges: the generators, the
-reported witness and quasi-reflections, and ``MonomialRep.elements``,
-which decodes the codes (``c % N``, ``c // N``) the first time it is read.
+``MonomialElement`` appears only at the edges: the generators and the
+reported witness and quasi-reflections, decoded as ``c % N``, ``c // N``.
 
 Closure construction is single-writer; every produced value is
 immutable, and the analysis scan is read-only, so verdicts and closed
@@ -43,7 +42,6 @@ import os
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 from math import lcm
 from operator import add, itemgetter, mod
@@ -74,15 +72,15 @@ def _decode(code: tuple[int, ...], n: int) -> MonomialElement:
 class MonomialRep(
     namedtuple("MonomialRep", "dimension root_order generators flat_elements", defaults=(None,))
 ):
-    """A monomial group given by generators, with an optional closure cache.
+    """A monomial group given by generators, closed or not.
 
     ``generators`` is a tuple of ``MonomialElement``. ``flat_elements``
-    holds the closure in closure order, each element as the N-tuple of
-    codes ``N * exponents[i] + perm[i]``; ``elements`` is the same
-    sequence as ``MonomialElement`` values, decoded on first access. The
-    instance dictionary holds only that cache; ``__setattr__`` refuses
-    every assignment.
+    is None until ``close_group`` fills it with the closure in closure
+    order, each element as the N-tuple of codes ``N * exponents[i] +
+    perm[i]``; its length is the group order.
     """
+
+    __slots__ = ()
 
     def __new__(cls, dimension, root_order, generators, flat_elements=None):
         if dimension < 1:
@@ -101,21 +99,6 @@ class MonomialRep(
     @classmethod
     def _make(cls, iterable):  # so that ``_replace`` validates too
         return cls(*iterable)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: MonomialRep is immutable")
-
-    @cached_property
-    def elements(self) -> tuple[MonomialElement, ...] | None:
-        if self.flat_elements is None:
-            return None
-        return tuple(_decode(c, self.dimension) for c in self.flat_elements)
-
-    @property
-    def order(self) -> int:
-        if self.flat_elements is None:
-            raise ValueError("group is not closed yet; call close_group first")
-        return len(self.flat_elements)
 
 
 class SingularityVerdict(
@@ -297,11 +280,13 @@ def rep_from_dict(data: dict) -> MonomialRep:
     Numbers must be JSON integers; anything else raises ValueError. A
     dimension above ``DIMENSION_CAP`` raises MatrixTooLargeError.
     """
+    if not isinstance(data, dict):
+        raise ValueError(f"representation file must hold a JSON object, got {type(data).__name__}")
     try:
         dimension = _int_field(data["dimension"], "dimension")
         root_order = _int_field(data["root_order"], "root_order")
         raw_gens = data["generators"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"representation file is missing field: {exc}") from exc
     if root_order < 1:
         raise ValueError(f"root order must be >= 1, got {root_order}")

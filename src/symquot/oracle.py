@@ -20,7 +20,7 @@ This module holds the routes the tests and ``selftest`` compare them with:
 - ``multiply``, the matrix product of two ``MonomialElement`` values,
   and ``close_group_reference``, the breadth-first closure built on it,
   against which the code-tuple ``monomial.close_group`` is held element
-  by element;
+  by element through ``decode_closure``;
 - the Terminal Lemma for cyclic 3-fold quotients, ``terminal_lemma``,
   and ``terminal_lemma_sweep``, which holds ``monomial.analyze`` to it.
 
@@ -40,6 +40,7 @@ from .errors import GroupTooLargeError, MatrixTooLargeError
 from .monomial import (
     MonomialElement,
     MonomialRep,
+    _decode,
     analyze,
     close_group,
     configured_cap,
@@ -204,6 +205,13 @@ def close_group_reference(
             seen.add(product)
             ordered.append(product)
     return tuple(ordered)
+
+
+def decode_closure(rep: MonomialRep) -> tuple[MonomialElement, ...]:
+    """The closed group's elements as ``MonomialElement`` values, in closure order."""
+    if rep.flat_elements is None:
+        raise ValueError("group is not closed yet; call close_group first")
+    return tuple(_decode(code, rep.dimension) for code in rep.flat_elements)
 
 
 def terminal_lemma(r: int, weights: tuple[int, int, int]) -> tuple[bool, bool]:

@@ -23,7 +23,7 @@ per-class data for S_d. ``oracle`` holds the exponent-multiset route and
 
 Two caps on d are checked before any work: ``VERDICT_POINTS_CAP`` keeps
 d! printable, and ``TABLE_POINTS_CAP`` bounds the p(d) rows of a class
-table.
+table. ``DIM_BITS_CAP`` on n keeps n * d and every ``s_sum`` printable.
 
 Stabilizers at non-maximal points are products of smaller symmetric
 groups, so their local models are products of smaller instances of this
@@ -37,11 +37,16 @@ from fractions import Fraction
 from math import factorial
 
 from .combinatorics import CycleType, class_size, element_order, partitions
-from .errors import PointsCapError, UnsupportedDimensionError
+from .errors import MatrixTooLargeError, PointsCapError, UnsupportedDimensionError
 from .monomial import MonomialElement, MonomialRep, SingularityVerdict
 
 VERDICT_POINTS_CAP = 1000  # d! stays far below Python's 4300-digit int->str limit
 TABLE_POINTS_CAP = 50  # p(50) = 204226 classes
+# n < 2^13900 keeps every integer an accepted model prints below 10^4300,
+# Python's int->str limit (10^4300 > 2^14284): the matrix size n * d with
+# d <= 1000 < 2^10, and s_sum <= n * 49 * 180180 / 2 < n * 2^23, where
+# 180180 = g(50) is the largest element order in S_50 (Landau's function).
+DIM_BITS_CAP = 13900
 
 
 # One class-table row: a conjugacy class of S_d acting on n blocks.
@@ -49,7 +54,7 @@ AgeRecord = namedtuple("AgeRecord", "cycle_type class_size order s_sum age det_i
 
 
 def _check_model(n: int, d: int, cap: int, what: str) -> None:
-    """Validate (n, d) for the model before any work, with d capped at ``cap``."""
+    """Validate (n, d) before any work: d at most ``cap``, n at most ``DIM_BITS_CAP`` bits."""
     if n < 2:
         raise UnsupportedDimensionError(
             f"dim {n} is unsupported: with dim < 2 the transpositions act as "
@@ -59,6 +64,10 @@ def _check_model(n: int, d: int, cap: int, what: str) -> None:
         raise ValueError(f"number of points must be >= 1, got {d}")
     if d > cap:
         raise PointsCapError(f"{d} points exceed the {what} cap of {cap}", cap=cap)
+    if n.bit_length() > DIM_BITS_CAP:
+        raise MatrixTooLargeError(
+            f"--dim has {n.bit_length()} bits, over the cap of {DIM_BITS_CAP}"
+        )
 
 
 def verdict(n: int, d: int) -> SingularityVerdict:

@@ -11,6 +11,7 @@ import pytest
 
 from symquot import cli
 from symquot.report import canonical_json
+from symquot.sympower import DIM_BITS_CAP
 
 
 def test_sympower_markdown_verdict(run_cli):
@@ -80,6 +81,32 @@ def test_sympower_at_the_verdict_cap_prints_the_group_order(run_cli):
     code, out, err = run_cli("sympower", "--dim", "2", "--points", "1000", "--format", "json")
     assert code == 0 and err == ""
     assert len(str(json.loads(out)["verdict"]["group_order"])) == 2568  # digits of 1000!
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--points", "1000", "--format", "json"),
+        ("--points", "50", "--table"),
+    ],
+)
+def test_sympower_dim_past_its_bit_cap_is_one_domain_line(run_cli, argv):
+    code, out, err = run_cli("sympower", "--dim", "9" * 4299, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: matrix-too-large:") and err.count("\n") == 1
+    assert "--dim has 14281 bits" in err and "Exceeds the limit" not in err
+
+
+def test_sympower_at_the_dim_cap_prints_every_integer(run_cli):
+    n = 2**DIM_BITS_CAP - 1
+    code, out, err = run_cli("sympower", "--dim", str(n), "--points", "1000", "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["model"]["matrix_size"] == n * 1000
+    code, out, err = run_cli("sympower", "--dim", str(n), "--points", "4", "--table")
+    assert code == 0 and err == ""
+    assert f"| (2,2) | 3 | 2 | {n * 2} |" in out
+    # the largest s_sum at the table cap: d - #parts <= 49, order <= g(50) = 180180
+    assert len(str(n * 49 * 180180 // 2)) < sys.get_int_max_str_digits()
 
 
 def test_missing_required_flag_is_usage_error(run_cli):
@@ -296,6 +323,10 @@ def test_analyze_malformed_file_is_usage_error(run_cli, tmp_path):
         '{"dimension": 2, "root_order": 2, "generators": [{"perm": ["a", 2], "exponents": [1, 1]}]}',
         '{"dimension": 2, "root_order": 2, "generators": [{"perm": [1.0, 2], "exponents": [1, 1]}]}',
         '{"dimension": 2, "root_order": 2, "generators": 5}',
+        "[]",
+        "5",
+        '"x"',
+        "null",
     ],
 )
 def test_analyze_ill_typed_file_is_one_usage_line(run_cli, tmp_path, text):
@@ -305,6 +336,8 @@ def test_analyze_ill_typed_file_is_one_usage_line(run_cli, tmp_path, text):
     assert code == 2 and out == ""
     assert err.startswith("error: usage:")
     assert err.count("\n") == 1
+    if not text.startswith("{"):
+        assert "must hold a JSON object" in err and "missing field" not in err
 
 
 def test_analyze_deeply_nested_file_is_one_usage_line(run_cli, tmp_path):
@@ -497,6 +530,18 @@ def test_selftest_small_range_passes(run_cli):
     code, out, _ = run_cli("selftest", "--max-dim", "2", "--max-points", "4")
     assert code == 0
     assert "selftest: OK" in out
+
+
+def test_selftest_reports_both_verdicts_when_the_engines_disagree(run_cli, monkeypatch):
+    from symquot import monomial
+
+    analyze = monomial.analyze
+    monkeypatch.setattr(monomial, "analyze", lambda rep: analyze(rep)._replace(index=7))
+    code, out, _ = run_cli("selftest", "--max-dim", "2", "--max-points", "2")
+    assert code == 1
+    (line,) = [line for line in out.splitlines() if "cross-engine n=2 d=2" in line]
+    assert "index=7" in line and "index=1" in line
+    assert "FAILED with 1 discrepancies" in out
 
 
 def test_identical_invocations_produce_identical_output(run_cli):

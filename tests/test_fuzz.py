@@ -1,7 +1,9 @@
 """Fuzzed command lines and representation files: no input gives a traceback.
 
 Every run must exit 0, 2, 3 or 4, print nothing on stderr when it exits
-0, and otherwise print exactly one ``error: <code>: <message>`` line.
+0, and otherwise print exactly one ``error: <code>: <message>`` line,
+never Python's own "Exceeds the limit" text for integers past 4300
+digits. Integer flags draw values at that limit too.
 Draws are bounded so that each run stays fast: points stay off the
 range 13..50 that would build a large class table, and the group
 closure cap is small.
@@ -12,7 +14,7 @@ import io
 import json
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from symquot import cli
@@ -33,6 +35,7 @@ def assert_clean_outcome(argv):
     event(f"exit {code}")  # --hypothesis-show-statistics shows how the draws split
     assert code in (0, 2, 3, 4), (argv, code, err)
     assert "Traceback" not in out + err
+    assert "Exceeds the limit" not in err, (argv, err)  # Python's int->str text names no flag
     if code == 0:
         assert err == "", (argv, err)
     else:
@@ -57,6 +60,7 @@ def mostly(good, bad):
 integer_text = st.one_of(
     st.integers(-3, 12),
     st.sampled_from([51, 52, 999, 1000, 1001, 10**6]),
+    st.sampled_from([10**4299 - 1, 10**4299]),  # 4299 nines and 4300 digits: at the str limit
     st.integers(-(10**30), 10**30),
 ).map(str)
 junk_text = st.one_of(
@@ -90,6 +94,9 @@ extra_tokens = mostly(
     fmt=st.sampled_from(["json", "md", "pdf"]),
     extra=extra_tokens,
 )
+# n * d and the class table's s_sum pass 4300 digits here unless --dim is capped
+@example(dim="9" * 4299, points="1000", table=False, fmt="json", extra=[])
+@example(dim="9" * 4299, points="12", table=True, fmt="md", extra=[])
 def test_sympower_argv(dim, points, table, fmt, extra):
     argv = ["sympower", "--dim", dim, "--points", points, "--format", fmt, *extra]
     if table:

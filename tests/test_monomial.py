@@ -22,6 +22,7 @@ from symquot.oracle import (
     age,
     close_group_reference,
     cycle_eigen_exponents,
+    decode_closure,
     det_turn,
     element_eigen_exponents,
     identity,
@@ -46,13 +47,12 @@ def zeta4_swap_rep():
 
 def test_closure_of_no_generators_is_trivial():
     closed = close_group(MonomialRep(dimension=3, root_order=1, generators=()))
-    assert closed.order == 1
-    assert closed.elements[0] == identity(closed.dimension)
+    assert decode_closure(closed) == (identity(closed.dimension),)
 
 
 def test_closure_of_diagonal_involution():
     closed = close_group(diag_rep(2, (1, 1, 1)))
-    assert closed.order == 2
+    assert len(closed.flat_elements) == 2
 
 
 def test_closure_of_two_transpositions_is_s3():
@@ -61,21 +61,19 @@ def test_closure_of_two_transpositions_is_s3():
         MonomialElement((0, 2, 1), (0, 0, 0)),
     )
     closed = close_group(MonomialRep(dimension=3, root_order=1, generators=gens))
-    assert closed.order == 6
-    assert closed.elements[0] == identity(closed.dimension)
+    assert len(closed.flat_elements) == 6
+    assert decode_closure(closed)[0] == identity(closed.dimension)
 
 
 def test_closure_order_is_deterministic():
     rep = materialize_rep(2, 3)
-    first = close_group(rep).elements
-    second = close_group(rep).elements
-    assert first == second
+    assert close_group(rep).flat_elements == close_group(rep).flat_elements
 
 
 def test_closure_order_is_breadth_first_by_generator():
     # the witness reported by analyze is the first least-age element in this order
     closed = close_group(wreath_rep(2))
-    assert [g.describe() for g in closed.elements] == [
+    assert describe_all(decode_closure(closed)) == [
         "perm[1,2,3,4] exp[0,0,0,0]",
         "perm[3,4,1,2] exp[0,0,0,0]",
         "perm[1,2,3,4] exp[1,1,0,0]",
@@ -97,7 +95,7 @@ def test_closure_cap_raises():
 
 def test_closure_exactly_at_cap_is_fine():
     closed = close_group(materialize_rep(1, 3), cap=6)
-    assert closed.order == 6
+    assert len(closed.flat_elements) == 6
 
 
 def test_closure_cap_env_override(monkeypatch):
@@ -231,7 +229,7 @@ def test_index_divides_group_exponent(make_rep):
     closed = close_group(make_rep())
     v = analyze(closed)
     exponent = lcm(
-        *(element_eigen_exponents(g, closed.root_order).order for g in closed.elements)
+        *(element_eigen_exponents(g, closed.root_order).order for g in decode_closure(closed))
     )
     assert exponent % v.index == 0
     assert v.gorenstein == (v.index == 1)
@@ -251,15 +249,15 @@ def test_element_orders_divide_group_order_bound(make_rep):
     closed = close_group(make_rep())
     m, size = closed.root_order, closed.dimension
     bound = lcm(m, factorial(size) * m)
-    for g in closed.elements:
+    for g in decode_closure(closed):
         assert bound % element_eigen_exponents(g, m).order == 0
 
 
 def test_index_is_determinant_character_order():
     # det = zeta_6^(1+5) = 1 for the generator: Gorenstein despite root order 6
     closed = close_group(diag_rep(6, (1, 5)))
-    assert closed.order == 6
-    assert all(det_turn(g, 6) == 0 for g in closed.elements)
+    assert len(closed.flat_elements) == 6
+    assert all(det_turn(g, 6) == 0 for g in decode_closure(closed))
     v = analyze(closed)
     assert v.gorenstein and v.index == 1
     assert v.canonical and not v.terminal and v.min_age == 1
@@ -286,7 +284,7 @@ def test_class_representative_scan_matches_full_scan(d):
     n = 2
     closed = close_group(materialize_rep(n, d))
     full_min = min(
-        age_of(g, closed) for g in closed.elements if g != identity(closed.dimension)
+        age_of(g, closed) for g in decode_closure(closed) if g != identity(closed.dimension)
     )
     rep_min = None
     for t in partitions(d):
@@ -371,7 +369,7 @@ def test_rep_from_dict_defaults_exponents_to_zero():
 
 def test_rep_from_dict_caps_the_dimension():
     at_cap = rep_from_dict({"dimension": DIMENSION_CAP, "root_order": 1, "generators": []})
-    assert close_group(at_cap).order == 1
+    assert len(close_group(at_cap).flat_elements) == 1
     with pytest.raises(MatrixTooLargeError):
         rep_from_dict({"dimension": DIMENSION_CAP + 1, "root_order": 1, "generators": []})
 
@@ -463,7 +461,7 @@ def check_element_age(g, m):
 @pytest.mark.parametrize("make_rep", ORACLE_GROUPS.values(), ids=ORACLE_GROUPS.keys())
 def test_element_age_matches_numpy_and_multiset_on_every_element(make_rep):
     closed = close_group(make_rep())
-    for g in closed.elements:
+    for g in decode_closure(closed):
         check_element_age(g, closed.root_order)
 
 
@@ -472,7 +470,7 @@ def test_generator_index_equals_det_order_over_all_elements(make_rep):
     closed = close_group(make_rep())
     m = closed.root_order
     assert analyze(closed).index == lcm(
-        1, *(det_turn(g, m).denominator for g in closed.elements)
+        1, *(det_turn(g, m).denominator for g in decode_closure(closed))
     )
 
 
@@ -496,7 +494,7 @@ def test_generator_age_denominators_give_the_det_order(data):
     gens = [draw_element(data.draw, size, m) for _ in range(data.draw(st.integers(1, 2)))]
     closed = close_group(MonomialRep(dimension=size, root_order=m, generators=tuple(gens)))
     assert lcm(1, *(element_age(g, m)[0].denominator for g in gens)) == lcm(
-        1, *(det_turn(g, m).denominator for g in closed.elements)
+        1, *(det_turn(g, m).denominator for g in decode_closure(closed))
     )
 
 
@@ -516,8 +514,7 @@ def assert_same_closure(rep, cap=None):
             close_group(rep, cap)
         return
     closed = close_group(rep, cap)
-    assert describe_all(closed.elements) == describe_all(reference)
-    assert closed.order == len(reference)
+    assert decode_closure(closed) == reference
 
 
 @pytest.mark.parametrize("make_rep", ORACLE_GROUPS.values(), ids=ORACLE_GROUPS.keys())
@@ -583,11 +580,11 @@ def test_flat_closure_matches_reference_on_edge_cases(rep):
 
 def test_flat_closure_of_dimension_one():
     closed = close_group(diag_rep(5, (2,)))
-    assert describe_all(closed.elements) == [f"perm[1] exp[{k}]" for k in (0, 2, 4, 1, 3)]
+    assert describe_all(decode_closure(closed)) == [f"perm[1] exp[{k}]" for k in (0, 2, 4, 1, 3)]
 
 
 def test_flat_closure_cap_boundary():
-    assert close_group(wreath_rep(2), cap=8).order == 8
+    assert len(close_group(wreath_rep(2), cap=8).flat_elements) == 8
     with pytest.raises(GroupTooLargeError) as err:
         close_group(wreath_rep(2), cap=7)
     assert err.value.cap == 7
@@ -595,17 +592,16 @@ def test_flat_closure_cap_boundary():
         close_group_reference(wreath_rep(2), cap=7)
 
 
-def test_elements_are_built_on_first_access():
-    closed = close_group(sl_rep(4))
-    analyze(closed)
-    assert "elements" not in vars(closed)  # analyze reads the codes only
-    n = closed.dimension  # code[i] = N * exponents[i] + perm[i]
-    assert closed.elements == tuple(
-        MonomialElement(tuple(c % n for c in g), tuple(c // n for c in g))
-        for g in closed.flat_elements
+def test_decode_closure_reads_the_codes():
+    # code[i] = N * exponents[i] + perm[i]: (1 2) with exponents (1, 0) over N = 2
+    closed = close_group(zeta4_swap_rep())
+    assert closed.flat_elements[:2] == ((0, 1), (3, 0))
+    assert decode_closure(closed)[:2] == (
+        identity(2),
+        MonomialElement((1, 0), (1, 0)),
     )
-    assert closed.elements is closed.elements
-    assert diag_rep(2, (1, 1)).elements is None
+    with pytest.raises(ValueError, match="not closed"):
+        decode_closure(zeta4_swap_rep())
 
 
 # The Terminal Lemma (White 1964; Morrison-Stevens 1984) as an oracle

@@ -66,3 +66,22 @@ def test_every_module_name_in_the_readme_resolves():
         if not hasattr(importlib.import_module(f"symquot.{module}"), name)
     ]
     assert missing == []
+
+
+def test_every_cap_appears_in_the_readme_caps_table():
+    from symquot import monomial, oracle, plurigenera, sympower
+
+    text = README.read_text(encoding="utf-8")
+    table = text.split("The caps and their codes:", 1)[1].strip().split("\n\n", 1)[0]
+    limits = " ".join(line.split("|")[1] for line in table.splitlines())  # the "cap" column
+    caps = {
+        "VERDICT_POINTS_CAP": sympower.VERDICT_POINTS_CAP,
+        "TABLE_POINTS_CAP": sympower.TABLE_POINTS_CAP,
+        "DIM_BITS_CAP": sympower.DIM_BITS_CAP,
+        "DEFAULT_CLOSURE_CAP": monomial.DEFAULT_CLOSURE_CAP,
+        "DIMENSION_CAP": monomial.DIMENSION_CAP,
+        "MATRIX_SIZE_CAP": oracle.MATRIX_SIZE_CAP,
+        "PLURIGENUS_BITS_CAP": plurigenera.PLURIGENUS_BITS_CAP,
+    }
+    missing = [name for name, value in caps.items() if not re.search(rf"\b{value}\b", limits)]
+    assert missing == []

@@ -117,12 +117,10 @@ def test_eigen_exponents_are_sorted():
     assert EigenExponents(5, (0, 2))._replace(exponents=(3, 1)).exponents == (1, 3)
 
 
-def test_monomial_rep_caches_elements_and_replace_starts_without_the_cache():
+def test_closed_monomial_rep_is_a_plain_immutable_record():
     closed = close_group(MonomialRep(2, 2, (SWAP,)))
-    elements = closed.elements
-    assert elements is closed.elements  # built once, then cached
-    assert len(elements) == closed.order == 4
-    reclosed = closed._replace(flat_elements=closed.flat_elements[:1])
-    assert reclosed.elements == (MonomialElement((0, 1), (0, 0)),)
+    assert not hasattr(closed, "__dict__")
     with pytest.raises(AttributeError):
-        closed.order = 5
+        closed.flat_elements = ()
+    with pytest.raises(AttributeError):
+        closed.order = 4
