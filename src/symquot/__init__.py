@@ -4,13 +4,13 @@ The package decides canonical / terminal / Gorenstein and computes the
 index for finite monomial groups, with a closed-form fast path for the
 symmetric-power model (n copies of the S_d permutation action), plus
 plurigenus tables, Kodaira-dimension scaling, and genus bounds for
-symmetric powers. All group-theoretic results are exact; floating point
-only appears in the numeric verification oracle and the growth fit.
+symmetric powers. Every result is exact; floating point appears only in
+``symquot.oracle``, in the numeric eigenvalue check and the growth fit.
 
 The top level holds the names the README's library surface documents and
 the error classes. Everything else is reached through its module:
 ``symquot.sympower``, ``symquot.monomial``, ``symquot.combinatorics``,
-and ``symquot.oracle`` for every reference route.
+and ``symquot.oracle`` for every reference route and check.
 """
 
 from ._version import __version__
@@ -27,7 +27,6 @@ from .monomial import analyze, close_group, rep_from_dict
 from .plurigenera import (
     KodairaDim,
     genus_bound,
-    growth_exponent_check,
     invariant_dim_burnside,
     kodaira_scale,
     plurigenus_table,
@@ -48,7 +47,6 @@ __all__ = [
     "analyze",
     "close_group",
     "genus_bound",
-    "growth_exponent_check",
     "invariant_dim_burnside",
     "kodaira_scale",
     "plurigenus_table",

@@ -51,6 +51,7 @@ from .errors import GroupTooLargeError, MatrixTooLargeError, QuasiReflectionErro
 DEFAULT_CLOSURE_CAP = 20000
 CLOSURE_CAP_ENV = "QC_CLOSURE_CAP"
 DIMENSION_CAP = 256  # for files read by rep_from_dict; every element is an N-tuple
+ROOT_ORDER_BITS_CAP = 128  # for files too; each element code N * e + i grows with m
 
 
 class MonomialElement(namedtuple("MonomialElement", "perm exponents")):
@@ -278,7 +279,8 @@ def rep_from_dict(data: dict) -> MonomialRep:
 
     ``exponents`` may be omitted per generator and defaults to zeros.
     Numbers must be JSON integers; anything else raises ValueError. A
-    dimension above ``DIMENSION_CAP`` raises MatrixTooLargeError.
+    dimension above ``DIMENSION_CAP``, or a root order of more than
+    ``ROOT_ORDER_BITS_CAP`` bits, raises MatrixTooLargeError.
     """
     if not isinstance(data, dict):
         raise ValueError(f"representation file must hold a JSON object, got {type(data).__name__}")
@@ -290,6 +292,11 @@ def rep_from_dict(data: dict) -> MonomialRep:
         raise ValueError(f"representation file is missing field: {exc}") from exc
     if root_order < 1:
         raise ValueError(f"root order must be >= 1, got {root_order}")
+    if root_order.bit_length() > ROOT_ORDER_BITS_CAP:
+        raise MatrixTooLargeError(
+            f"root_order has {root_order.bit_length()} bits, over the cap of "
+            f"{ROOT_ORDER_BITS_CAP}"
+        )
     if dimension > DIMENSION_CAP:
         raise MatrixTooLargeError(f"dimension {dimension} exceeds the cap of {DIMENSION_CAP}")
     if not isinstance(raw_gens, list):

@@ -4,39 +4,42 @@ The engines decide age, determinant and quasi-reflections from one
 integer cycle-sum rule (``monomial.element_age``, ``sympower.class_table``).
 This module holds the routes the tests and ``selftest`` compare them with:
 
-- exact eigenvalue-exponent multisets: ``cycle_eigen_exponents`` and
-  ``nfold`` for the symmetric-power model, ``element_eigen_exponents``
-  for one monomial element, with ``age`` and ``is_quasi_reflection``
-  read off a multiset. The multiset is invariant under a -> k*a mod r for
+- exact eigenvalue exponents of one monomial element,
+  ``element_eigen_exponents``, with ``age`` and ``is_quasi_reflection``
+  read off the multiset, and the determinant ``det_turn`` from the
+  permutation sign. The multiset is invariant under a -> k*a mod r for
   k coprime to r, so the age does not depend on which primitive root the
   exponents are written against;
-- determinants from the permutation sign: ``det_sign`` for a class of the
-  model, ``det_turn`` for a monomial element;
-- numpy eigendecompositions of explicit 0/1 permutation matrices, and
-  ``bruteforce_check``, which holds every row of ``sympower.class_table``
-  against the multiset and numpy routes. An eigenvalue exp(i * theta)
-  is accepted as eps^a only when theta * r / (2 pi) sits within the
-  tolerance of the integer a;
+- numpy eigendecompositions of the explicit complex matrix of an element,
+  ``monomial_matrix``, and ``bruteforce_check``, which holds every row of
+  ``sympower.class_table`` against the exact and the numpy exponents of
+  ``class_element``, the canonical element of the row's class. An
+  eigenvalue exp(i * theta) is accepted as eps^a only when
+  theta * r / (2 pi) sits within the tolerance of the integer a;
 - ``multiply``, the matrix product of two ``MonomialElement`` values,
   and ``close_group_reference``, the breadth-first closure built on it,
   against which the code-tuple ``monomial.close_group`` is held element
   by element through ``decode_closure``;
 - the Terminal Lemma for cyclic 3-fold quotients, ``terminal_lemma``,
-  and ``terminal_lemma_sweep``, which holds ``monomial.analyze`` to it.
+  and ``terminal_lemma_sweep``, which holds ``monomial.analyze`` to it;
+- ``growth_exponent_check``, a log-log fit of the plurigenus growth
+  exponent. With the numpy routes it is the only floating-point code in
+  the package.
 
-numpy is imported inside the functions that use it, so ``import symquot``
-does not load it.
+numpy is imported inside the functions that use it, and no engine or
+CLI command other than ``selftest`` imports this module.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, log
 from typing import TYPE_CHECKING
 
-from .combinatorics import CycleType, element_order
-from .errors import GroupTooLargeError, MatrixTooLargeError
+from .combinatorics import CycleType
+from .errors import GroupTooLargeError, InsufficientDataError, MatrixTooLargeError
 from .monomial import (
     MonomialElement,
     MonomialRep,
@@ -45,6 +48,7 @@ from .monomial import (
     close_group,
     configured_cap,
 )
+from .plurigenera import sym_dim
 from .sympower import TABLE_POINTS_CAP, _check_model, class_table
 
 if TYPE_CHECKING:
@@ -77,28 +81,6 @@ class EigenExponents(namedtuple("EigenExponents", "order exponents")):
     @property
     def dimension(self) -> int:
         return len(self.exponents)
-
-
-def cycle_eigen_exponents(t: CycleType) -> EigenExponents:
-    """Exponent multiset of one copy of the permutation action on C^d.
-
-    Each cycle of length ri contributes one exponent 0 and the nonzero
-    multiples of r/ri below r, i.e. the ri-th roots of unity rewritten to
-    the common order r = lcm(parts).
-    """
-    r = element_order(t)
-    exps = []
-    for part in t.parts:
-        step = r // part
-        exps.extend(j * step for j in range(part))
-    return EigenExponents(r, tuple(exps))
-
-
-def nfold(e: EigenExponents, n: int) -> EigenExponents:
-    """Exponents of the direct sum of n copies: multiplicities scale by n."""
-    if n < 1:
-        raise ValueError(f"number of copies must be positive, got {n}")
-    return EigenExponents(e.order, e.exponents * n)
 
 
 def age(e: EigenExponents) -> tuple[int, Fraction]:
@@ -148,10 +130,20 @@ def element_eigen_exponents(g: MonomialElement, root_order: int) -> EigenExponen
     return EigenExponents(order, exps)
 
 
-def det_sign(t: CycleType, n: int) -> int:
-    """Determinant of the n-fold permutation matrix: sign^n, so +1 or -1."""
-    sign = -1 if (t.d - t.num_parts) % 2 else 1
-    return sign**n
+def class_element(t: CycleType, n: int) -> MonomialElement:
+    """The canonical permutation of cycle type ``t`` on each of n blocks of C^(n*d).
+
+    Block b holds indices b*d .. b*d + d - 1, its cycles run over
+    consecutive indices in the order of ``t.parts``, and every exponent
+    is 0.
+    """
+    if n < 1:
+        raise ValueError(f"number of copies must be positive, got {n}")
+    perm = []
+    for part in t.parts * n:
+        base = len(perm)
+        perm.extend(base + (j + 1) % part for j in range(part))
+    return MonomialElement(tuple(perm), (0,) * len(perm))
 
 
 def det_turn(g: MonomialElement, root_order: int) -> Fraction:
@@ -253,31 +245,15 @@ class RecoveryError(ValueError):
     """An eigenvalue argument did not land near an integer exponent."""
 
 
-def permutation_matrix(t: CycleType) -> np.ndarray:
-    """d x d matrix of the canonical permutation with cycle type ``t``.
-
-    Cycles occupy consecutive index blocks; column i carries a single 1
-    in the row the permutation sends i to.
-    """
+def monomial_matrix(g: MonomialElement, root_order: int) -> np.ndarray:
+    """The complex matrix of ``g``: entry (perm[i], i) is zeta_m^{exponents[i]}."""
     import numpy as np
 
-    d = t.d
-    mat = np.zeros((d, d))
-    base = 0
-    for part in t.parts:
-        for j in range(part):
-            mat[base + (j + 1) % part, base + j] = 1.0
-        base += part
+    size = len(g.perm)
+    mat = np.zeros((size, size), dtype=complex)
+    for i, (image, k) in enumerate(zip(g.perm, g.exponents)):
+        mat[image, i] = np.exp(2j * np.pi * (k / root_order))
     return mat
-
-
-def nfold_matrix(t: CycleType, n: int) -> np.ndarray:
-    """Block-diagonal direct sum of n copies of ``permutation_matrix(t)``."""
-    if n < 1:
-        raise ValueError(f"number of copies must be positive, got {n}")
-    import numpy as np
-
-    return np.kron(np.eye(n), permutation_matrix(t))
 
 
 def numeric_exponents(
@@ -332,13 +308,14 @@ def check_tolerance(tolerance: float) -> None:
 def bruteforce_check(
     n: int, d: int, tolerance: float = DEFAULT_TOLERANCE
 ) -> OracleReport:
-    """Verify every row of ``class_table(n, d)`` against the numeric oracle.
+    """Verify every row of ``class_table(n, d)`` against the element route.
 
-    For each row the explicit (n*d) x (n*d) permutation matrix is
-    eigendecomposed numerically; the recovered exponent multiset must
-    equal the per-cycle construction, and the row's order, exponent sum,
-    age and determinant must equal the multiset's and ``det_sign``
-    exactly. Discrepancies are reported per class, never silently dropped.
+    For each row the canonical element ``class_element(t, n)`` gives the
+    exact exponent multiset (``element_eigen_exponents``) and, from a
+    numpy eigendecomposition of its (n*d) x (n*d) matrix, a numeric one;
+    the two must agree, and the row's order, exponent sum, age and
+    determinant must equal the multiset's and ``det_turn`` exactly.
+    Discrepancies are reported per class, never silently dropped.
 
     A recovered exponent never drifts by more than 0.5 from its nearest
     integer, so a tolerance outside (0, 0.5), nan included, would switch
@@ -354,13 +331,14 @@ def bruteforce_check(
     rows = []
     for row in class_table(n, d):
         t = row.cycle_type
-        constructed = nfold(cycle_eigen_exponents(t), n)
+        g = class_element(t, n)
+        constructed = element_eigen_exponents(g, 1)
         try:
-            numeric = numeric_exponents(nfold_matrix(t, n), constructed.order, tolerance)
+            numeric = numeric_exponents(monomial_matrix(g, 1), constructed.order, tolerance)
         except RecoveryError as exc:
             rows.append(OracleRow(t, False, f"exponent recovery failed: {exc}"))
             continue
-        want = (constructed.order, *age(constructed), det_sign(t, n) == 1)
+        want = (constructed.order, *age(constructed), det_turn(g, 1) == 0)
         got = (row.order, row.s_sum, row.age, row.det_is_plus_one)
         if numeric != constructed.exponents:
             rows.append(
@@ -383,3 +361,35 @@ def bruteforce_check(
         else:
             rows.append(OracleRow(t, True))
     return OracleReport(rows=tuple(rows))
+
+
+def growth_exponent_check(rows: Sequence[tuple[int, int]], d: int) -> float:
+    """Fitted growth exponent of the symmetric-power plurigenera.
+
+    Maps each (m, P_m) row to P_m(symmetric power) and fits a log-log
+    least-squares line. The exponent being estimated is asymptotic, so
+    the fit uses the large-m half of the usable rows; the small-m head
+    still bends the log-log line through lower-order terms. Returns the
+    slope.
+    """
+    if d < 1:
+        raise ValueError(f"number of points must be >= 1, got {d}")
+    usable = []
+    for m, p_m in rows:
+        p_sigma = sym_dim(p_m, d)
+        if m >= 1 and p_sigma >= 1:
+            usable.append((m, p_sigma))
+    usable.sort()
+    if len(usable) < 3:
+        raise InsufficientDataError(
+            f"growth fit needs at least 3 valid rows, got {len(usable)}"
+        )
+    tail = usable[-max(3, len(usable) // 2):]
+    if len({m for m, _ in tail}) < 2:
+        raise InsufficientDataError("growth fit needs at least 2 distinct m values")
+    # log accepts arbitrary-size ints, so huge binomials are fine
+    xs = [log(m) for m, _ in tail]
+    ys = [log(p) for _, p in tail]
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    covariance = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    return covariance / sum((x - x_mean) ** 2 for x in xs)

@@ -9,17 +9,21 @@ genuinely different route and is kept as a permanent cross-check.
 Plurigenus rows are only asserted by the underlying isomorphism when
 m * n is even; odd-parity rows are still computed but carry a False
 validity flag, since nothing is claimed about them.
+
+Everything here is exact integer arithmetic. The log-log fit of the
+plurigenus growth exponent is a check on these numbers, not a result, and
+lives in ``oracle`` as ``growth_exponent_check``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .combinatorics import class_size, partitions
-from .errors import InsufficientDataError, PointsCapError
+from .errors import PointsCapError
 from .sympower import TABLE_POINTS_CAP
 
 REGIME_NONNEGATIVE = "nonnegative-kodaira"
@@ -182,35 +186,3 @@ def genus_bound(regime: str, d: int) -> int:
     raise ValueError(
         f"regime must be {REGIME_NONNEGATIVE!r} or {REGIME_GENERAL_TYPE!r}, got {regime!r}"
     )
-
-
-def growth_exponent_check(rows: Sequence[tuple[int, int]], d: int) -> float:
-    """Fitted growth exponent of the symmetric-power plurigenera.
-
-    Maps each (m, P_m) row to P_m(symmetric power) and fits a log-log
-    least-squares line. The exponent being estimated is asymptotic, so
-    the fit uses the large-m half of the usable rows; the small-m head
-    still bends the log-log line through lower-order terms. Returns the slope,
-    the only floating-point quantity this package produces.
-    """
-    if d < 1:
-        raise ValueError(f"number of points must be >= 1, got {d}")
-    usable = []
-    for m, p_m in rows:
-        p_sigma = sym_dim(p_m, d)
-        if m >= 1 and p_sigma >= 1:
-            usable.append((m, p_sigma))
-    usable.sort()
-    if len(usable) < 3:
-        raise InsufficientDataError(
-            f"growth fit needs at least 3 valid rows, got {len(usable)}"
-        )
-    tail = usable[-max(3, len(usable) // 2):]
-    if len({m for m, _ in tail}) < 2:
-        raise InsufficientDataError("growth fit needs at least 2 distinct m values")
-    # math.log accepts arbitrary-size ints, so huge binomials are fine
-    xs = [math.log(m) for m, _ in tail]
-    ys = [math.log(p) for _, p in tail]
-    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
-    covariance = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-    return covariance / sum((x - x_mean) ** 2 for x in xs)

@@ -7,9 +7,8 @@ plus a newline, so re-serializing a parsed report is byte-identical.
 ``canonical_json`` writes the rows of a ``classes`` list from one fixed
 template, ``CLASS_ROW_TEMPLATE``, which the tests pin to that definition
 byte for byte; ``json.dumps`` encodes the rest. Exact rationals are
-"p/q" strings ("inf" for the no-witness sentinel); the only floats ever
-emitted are growth-fit slopes. Payloads hold the package version and
-nothing time-dependent.
+"p/q" strings ("inf" for the no-witness sentinel), so no payload holds
+a float. Payloads hold the package version and nothing time-dependent.
 """
 
 from __future__ import annotations

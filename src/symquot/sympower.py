@@ -18,8 +18,8 @@ which total r * (ri-1) / 2; this gives the closed form
 S = n * (d - #parts) * r / 2 of the ``s_sum`` column of ``class_table``,
 and the age S/r. The determinant is exp(2 pi i age), so it is +1 exactly
 when the age is an integer. ``class_table`` is the one producer of
-per-class data for S_d. ``oracle`` holds the exponent-multiset route and
-``bruteforce_check``, which verify its rows class by class.
+per-class data for S_d. ``oracle.bruteforce_check`` verifies its rows
+class by class against the eigenvalues of one element of each class.
 
 Two caps on d are checked before any work: ``VERDICT_POINTS_CAP`` keeps
 d! printable, and ``TABLE_POINTS_CAP`` bounds the p(d) rows of a class

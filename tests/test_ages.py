@@ -10,12 +10,17 @@ from symquot.combinatorics import CycleType, partitions
 from symquot.oracle import (
     EigenExponents,
     age,
-    cycle_eigen_exponents,
-    det_sign,
+    class_element,
+    det_turn,
+    element_eigen_exponents,
     is_quasi_reflection,
-    nfold,
 )
 from symquot.sympower import class_table
+
+
+def class_exponents(t, n=1):
+    """Exact exponents of the canonical element of type ``t`` on n blocks."""
+    return element_eigen_exponents(class_element(t, n), 1)
 
 
 def class_rows(n, d):
@@ -24,19 +29,19 @@ def class_rows(n, d):
 
 
 def test_identity_exponents():
-    e = cycle_eigen_exponents(CycleType((1, 1)))
+    e = class_exponents(CycleType((1, 1)))
     assert e.order == 1
     assert e.exponents == (0, 0)
 
 
 def test_full_cycle_exponents():
-    e = cycle_eigen_exponents(CycleType((4,)))
+    e = class_exponents(CycleType((4,)))
     assert e.order == 4
     assert e.exponents == (0, 1, 2, 3)
 
 
 def test_three_two_exponents():
-    e = cycle_eigen_exponents(CycleType((3, 2)))
+    e = class_exponents(CycleType((3, 2)))
     assert e.order == 6
     assert e.exponents == (0, 0, 2, 3, 4)
     assert e.dimension == 5
@@ -46,45 +51,50 @@ def test_three_two_exponents():
 @pytest.mark.parametrize("d", range(1, 8))
 def test_exponents_match_numeric_eigendecomposition(n, d):
     for t in partitions(d):
-        constructed = nfold(cycle_eigen_exponents(t), n)
-        numeric = oracle.numeric_exponents(
-            oracle.nfold_matrix(t, n), constructed.order
-        )
+        g = class_element(t, n)
+        constructed = element_eigen_exponents(g, 1)
+        numeric = oracle.numeric_exponents(oracle.monomial_matrix(g, 1), constructed.order)
         assert numeric == constructed.exponents
 
 
 def test_nfold_identity():
-    e = nfold(cycle_eigen_exponents(CycleType((1, 1, 1))), 4)
+    e = class_exponents(CycleType((1, 1, 1)), 4)
     assert e.exponents == (0,) * 12
 
 
 def test_nfold_transposition_two_copies():
-    e = nfold(cycle_eigen_exponents(CycleType((2,))), 2)
+    e = class_exponents(CycleType((2,)), 2)
     assert e.order == 2
     assert e.exponents == (0, 0, 1, 1)
 
 
 def test_nfold_three_two_three_copies():
-    e = nfold(cycle_eigen_exponents(CycleType((3, 2))), 3)
+    e = class_exponents(CycleType((3, 2)), 3)
     assert e.exponents == tuple(sorted((0, 0, 2, 3, 4) * 3))
+
+
+def test_class_element_repeats_the_canonical_permutation_on_each_block():
+    g = class_element(CycleType((2, 1)), 2)
+    assert g.perm == (1, 0, 2, 4, 3, 5)
+    assert g.exponents == (0,) * 6
 
 
 def test_nfold_rejects_zero_copies():
     with pytest.raises(ValueError):
-        nfold(cycle_eigen_exponents(CycleType((2,))), 0)
+        class_element(CycleType((2,)), 0)
 
 
 def test_age_identity_is_zero():
-    assert age(nfold(cycle_eigen_exponents(CycleType((1, 1, 1, 1))), 3)) == (0, 0)
+    assert age(class_exponents(CycleType((1, 1, 1, 1)), 3)) == (0, 0)
 
 
 def test_age_transposition_two_copies():
-    e = nfold(cycle_eigen_exponents(CycleType((2, 1, 1))), 2)
+    e = class_exponents(CycleType((2, 1, 1)), 2)
     assert age(e) == (2, 1)
 
 
 def test_age_three_two_three_copies():
-    e = nfold(cycle_eigen_exponents(CycleType((3, 2))), 3)
+    e = class_exponents(CycleType((3, 2)), 3)
     assert age(e) == (27, Fraction(9, 2))
 
 
@@ -105,7 +115,7 @@ def test_closed_form_three_two_example():
 @pytest.mark.parametrize("d", range(1, 10))
 def test_closed_form_equals_multiset_route(n, d):
     for row in class_table(n, d):
-        multiset = nfold(cycle_eigen_exponents(row.cycle_type), n)
+        multiset = class_exponents(row.cycle_type, n)
         assert (row.s_sum, row.age) == age(multiset)
         assert row.order == multiset.order
 
@@ -118,13 +128,13 @@ def test_age_equals_simplified_law(n, d):
         t = row.cycle_type
         expected = Fraction(n * (d - t.num_parts), 2)
         assert row.age == expected
-        assert age(nfold(cycle_eigen_exponents(t), n))[1] == expected
+        assert age(class_exponents(t, n))[1] == expected
 
 
 @pytest.mark.parametrize("d", range(1, 10))
 def test_galois_stability_of_exponent_multisets(d):
     for t in partitions(d):
-        e = cycle_eigen_exponents(t)
+        e = class_exponents(t)
         for k in range(1, e.order):
             if gcd(k, e.order) != 1:
                 continue
@@ -145,27 +155,26 @@ def test_minimal_age_is_half_n_at_transposition(n, d):
 
 
 def test_det_sign_identity():
-    assert det_sign(CycleType((1, 1, 1)), 5) == 1
+    assert det_turn(class_element(CycleType((1, 1, 1)), 5), 1) == 0
 
 
 def test_det_sign_transposition():
     t = CycleType((2, 1))
-    assert det_sign(t, 2) == 1
-    assert det_sign(t, 3) == -1
+    assert det_turn(class_element(t, 2), 1) == 0
+    assert det_turn(class_element(t, 3), 1) == Fraction(1, 2)  # det = -1
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 @pytest.mark.parametrize("d", range(1, 10))
 def test_det_sign_always_positive_for_even_copies(n, d):
-    assert all(det_sign(t, n) == 1 for t in partitions(d))
+    assert all(det_turn(class_element(t, n), 1) == 0 for t in partitions(d))
 
 
 def test_quasi_reflection_detection():
-    identity = cycle_eigen_exponents(CycleType((1, 1, 1)))
-    assert not is_quasi_reflection(identity)
-    transposition = cycle_eigen_exponents(CycleType((2, 1, 1)))
-    assert is_quasi_reflection(transposition)  # one copy: one nonzero exponent
-    assert not is_quasi_reflection(nfold(transposition, 2))
+    assert not is_quasi_reflection(class_exponents(CycleType((1, 1, 1))))
+    transposition = CycleType((2, 1, 1))
+    assert is_quasi_reflection(class_exponents(transposition))  # one copy: one nonzero exponent
+    assert not is_quasi_reflection(class_exponents(transposition, 2))
 
 
 def test_eigen_exponents_validation():

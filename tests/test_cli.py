@@ -10,6 +10,7 @@ import time
 import pytest
 
 from symquot import cli
+from symquot.monomial import ROOT_ORDER_BITS_CAP
 from symquot.report import canonical_json
 from symquot.sympower import DIM_BITS_CAP
 
@@ -308,6 +309,24 @@ def test_analyze_dimension_cap_is_domain_error(run_cli, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_analyze_root_order_past_its_bit_cap_is_one_domain_line(run_cli, tmp_path):
+    m = int("9" * 4300)  # as many digits as an integer string may have
+    rep = tmp_path / "huge-root-order.json"
+    rep.write_text(json.dumps({
+        "dimension": 8,
+        "root_order": m,
+        "generators": [{"perm": list(range(1, 9)), "exponents": [m - 1] * 8}],
+    }))
+    started = time.monotonic()
+    code, out, err = run_cli("analyze", "--rep", str(rep))
+    assert time.monotonic() - started < 0.5
+    assert code == 3 and out == ""
+    assert err == (
+        f"error: matrix-too-large: root_order has {m.bit_length()} bits, "
+        f"over the cap of {ROOT_ORDER_BITS_CAP}\n"
+    )
+
+
 def test_analyze_malformed_file_is_usage_error(run_cli, tmp_path):
     rep = tmp_path / "broken.json"
     rep.write_text("{not json")
@@ -515,6 +534,24 @@ def test_plurigenera_kodaira_markdown_layout(run_cli):
     assert run_cli(
         "plurigenera", "--dim", "3", "--points", "2", "--pm", "1=5,2=3", "--kappa=2"
     ) == (0, PLURIGENERA_KAPPA_MD, "")
+
+
+def test_json_reports_hold_no_float(run_cli, tmp_path):
+    def refuse(text):
+        raise AssertionError(f"float {text} in a JSON report")
+
+    rep = tmp_path / "cyclic.json"
+    rep.write_text(
+        '{"dimension": 3, "root_order": 2, "generators": [{"perm": [1, 2, 3], "exponents": [1, 1, 1]}]}'
+    )
+    for argv in (
+        ("sympower", "--dim", "3", "--points", "4", "--table"),
+        ("analyze", "--rep", str(rep)),
+        ("plurigenera", "--dim", "2", "--points", "3", "--pm", "1=2,2=5,4=14", "--kappa", "2"),
+    ):
+        code, out, err = run_cli(*argv, "--format", "json")
+        assert code == 0 and err == ""
+        json.loads(out, parse_float=refuse)
 
 
 def test_genus_bound_output(run_cli):

@@ -16,18 +16,27 @@ from symquot import (
     close_group,
     rep_from_dict,
 )
-from symquot.combinatorics import CycleType, partitions
-from symquot.monomial import DIMENSION_CAP, MonomialElement, MonomialRep, element_age
+from symquot.combinatorics import partitions
+from symquot.monomial import (
+    DIMENSION_CAP,
+    ROOT_ORDER_BITS_CAP,
+    MonomialElement,
+    MonomialRep,
+    element_age,
+)
 from symquot.oracle import (
+    EigenExponents,
     age,
+    class_element,
     close_group_reference,
-    cycle_eigen_exponents,
     decode_closure,
     det_turn,
     element_eigen_exponents,
     identity,
     is_quasi_reflection,
+    monomial_matrix,
     multiply,
+    numeric_exponents,
     terminal_lemma,
     terminal_lemma_sweep,
 )
@@ -137,6 +146,7 @@ def test_element_exponents_zeta4_swap():
     assert e.exponents == (1, 5)
     # numeric cross-check on the explicit complex matrix
     mat = np.array([[0, 1], [1j, 0]])
+    np.testing.assert_allclose(monomial_matrix(g, 4), mat, atol=1e-12)
     eigenvalues = np.linalg.eigvals(mat)
     recovered = sorted(
         round(((np.angle(lam) / (2 * np.pi)) % 1.0) * 8) % 8 for lam in eigenvalues
@@ -146,15 +156,13 @@ def test_element_exponents_zeta4_swap():
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_element_exponents_match_cycle_construction(d):
-    # canonical permutation of each cycle type, as a monomial element
+    # a cycle of length l has the l-th roots of unity, written at the order lcm(parts)
     for t in partitions(d):
-        perm = []
-        base = 0
-        for part in t.parts:
-            perm.extend(base + (j + 1) % part for j in range(part))
-            base += part
-        g = MonomialElement(tuple(perm), (0,) * d)
-        assert element_eigen_exponents(g, 1) == cycle_eigen_exponents(t)
+        r = lcm(*t.parts)
+        per_cycle = [j * (r // part) for part in t.parts for j in range(part)]
+        g = class_element(t, 1)
+        assert element_eigen_exponents(g, 1) == EigenExponents(r, per_cycle)
+        assert numeric_exponents(monomial_matrix(g, 1), r) == tuple(sorted(per_cycle))
 
 
 def test_analyze_trivial_group():
@@ -374,6 +382,15 @@ def test_rep_from_dict_caps_the_dimension():
         rep_from_dict({"dimension": DIMENSION_CAP + 1, "root_order": 1, "generators": []})
 
 
+def test_rep_from_dict_caps_the_root_order_bits():
+    gen = {"perm": [2, 1], "exponents": [1, -1]}  # order 2 for every m
+    m = 2**ROOT_ORDER_BITS_CAP - 1
+    at_cap = rep_from_dict({"dimension": 2, "root_order": m, "generators": [gen]})
+    assert len(close_group(at_cap).flat_elements) == 2
+    with pytest.raises(MatrixTooLargeError, match=f"root_order has {ROOT_ORDER_BITS_CAP + 1} bits"):
+        rep_from_dict({"dimension": 2, "root_order": m + 1, "generators": [gen]})
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -437,11 +454,7 @@ ORACLE_GROUPS = {
 
 def numpy_age(g, m):
     """Age and number of eigenvalues != 1, from numpy on the complex matrix."""
-    size = len(g.perm)
-    mat = np.zeros((size, size), dtype=complex)
-    for i, (image, k) in enumerate(zip(g.perm, g.exponents)):
-        mat[image, i] = np.exp(2j * np.pi * k / m)
-    eigenvalues = np.linalg.eigvals(mat)
+    eigenvalues = np.linalg.eigvals(monomial_matrix(g, m))
     turns = (np.angle(eigenvalues) / (2 * np.pi)) % 1.0
     turns[turns > 1 - 1e-9] = 0.0
     return float(turns.sum()), int(np.sum(np.abs(eigenvalues - 1) > 1e-7))
@@ -453,6 +466,7 @@ def check_element_age(g, m):
     assert abs(float(a) - numeric_age) < 1e-9
     assert moved == numeric_moved
     exps = element_eigen_exponents(g, m)
+    assert numeric_exponents(monomial_matrix(g, m), exps.order) == exps.exponents
     assert a == age(exps)[1]
     assert (moved == 1) == is_quasi_reflection(exps)
     assert det_turn(g, m) == a % 1

@@ -14,13 +14,13 @@ from symquot import (
     KodairaDim,
     PointsCapError,
     genus_bound,
-    growth_exponent_check,
     invariant_dim_burnside,
     kodaira_scale,
     plurigenus_table,
     sym_dim,
 )
 from symquot import plurigenera
+from symquot.oracle import growth_exponent_check
 from symquot.plurigenera import PLURIGENUS_BITS_CAP, REGIME_GENERAL_TYPE, REGIME_NONNEGATIVE
 from symquot.sympower import TABLE_POINTS_CAP
 

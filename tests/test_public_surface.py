@@ -80,6 +80,7 @@ def test_every_cap_appears_in_the_readme_caps_table():
         "DIM_BITS_CAP": sympower.DIM_BITS_CAP,
         "DEFAULT_CLOSURE_CAP": monomial.DEFAULT_CLOSURE_CAP,
         "DIMENSION_CAP": monomial.DIMENSION_CAP,
+        "ROOT_ORDER_BITS_CAP": monomial.ROOT_ORDER_BITS_CAP,
         "MATRIX_SIZE_CAP": oracle.MATRIX_SIZE_CAP,
         "PLURIGENUS_BITS_CAP": plurigenera.PLURIGENUS_BITS_CAP,
     }

@@ -132,10 +132,11 @@ def test_class_table_sizes_sum_to_group_order(d):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_class_table_det_column_matches_the_sign_reference(n):
-    # the engine reads det from the age; the reference is sign(perm)^n
+    # the engine reads det from the age; the reference is sign(perm)^n, from the element
     for d in range(1, 10):
         for rec in class_table(n, d):
-            assert (1 if rec.det_is_plus_one else -1) == oracle.det_sign(rec.cycle_type, n)
+            g = oracle.class_element(rec.cycle_type, n)
+            assert rec.det_is_plus_one == (oracle.det_turn(g, 1) == 0)
 
 
 def test_materialized_group_has_full_order():
