@@ -27,7 +27,6 @@ from .monomial import analyze, close_group, rep_from_dict
 from .plurigenera import (
     KodairaDim,
     genus_bound,
-    invariant_dim_burnside,
     kodaira_scale,
     plurigenus_table,
     sym_dim,
@@ -47,7 +46,6 @@ __all__ = [
     "analyze",
     "close_group",
     "genus_bound",
-    "invariant_dim_burnside",
     "kodaira_scale",
     "plurigenus_table",
     "rep_from_dict",

@@ -14,8 +14,8 @@ points caps), 4 internal error (any other exception, reported as
 the report was written, reported as ``error: io: stdout closed``). Every
 error prints a single machine-parsable line on stderr:
 ``error: <code>: <message>``. Reports contain no timestamps; identical
-inputs give identical bytes. ``symquot.oracle`` is imported by
-``selftest`` only, so the other commands do not load it.
+inputs give identical bytes. ``selftest`` runs ``oracle.run_selftest``
+and is the one command that imports ``symquot.oracle``.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 
 from . import monomial, plurigenera, report, sympower
 from ._version import __version__
-from .errors import DomainError, MatrixTooLargeError, shown
+from .errors import DomainError, shown
 
 
 def _error_line(code: str, message: object) -> str:
@@ -167,114 +166,10 @@ def cmd_genus_bound(args) -> int:
     return 0
 
 
-CROSS_ENGINE_PAIRS = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2))
-GROWTH_CASES = tuple((kappa, d) for kappa in (0, 1, 2) for d in (2, 3))
-TERMINAL_LEMMA_R_BELOW = 20
-
-
-def run_selftest(max_dim: int, max_points: int, tolerance: float, out=None) -> int:
-    """Cross-check suite; returns 0 when clean, 1 on any discrepancy.
-
-    The range and the tolerance are checked before any output: a range
-    with nothing to check or a tolerance outside (0, 0.5) raises
-    ValueError, and a range past the brute-force matrix cap raises
-    MatrixTooLargeError.
-    """
+def cmd_selftest(args) -> int:
     from . import oracle  # the reference routes load for this command only
 
-    oracle.check_tolerance(tolerance)
-    if max_dim < 2 or max_points < 1:
-        raise ValueError(
-            f"selftest needs --max-dim >= 2 and --max-points >= 1, got {max_dim} and {max_points}"
-        )
-    if max_dim * max_points > oracle.MATRIX_SIZE_CAP:
-        raise MatrixTooLargeError(
-            f"selftest range needs brute-force matrices of size --max-dim * --max-points "
-            f"= {max_dim} * {max_points}, over the cap of {oracle.MATRIX_SIZE_CAP}"
-        )
-    out = out or sys.stdout
-    failures: list[str] = []
-    started = time.monotonic()
-
-    # numpy and exact eigenvalues of one element per class vs the class table
-    for n in range(2, max_dim + 1):
-        checked = 0
-        for d in range(1, max_points + 1):
-            rep = oracle.bruteforce_check(n, d, tolerance)
-            checked += len(rep.rows)
-            for row in rep.failures():
-                failures.append(f"oracle n={n} d={d} class {row.cycle_type}: {row.detail}")
-        out.write(f"selftest: oracle n={n}, d=1..{max_points}: {checked} classes\n")
-
-    # closed-form verdict against a scan of the class table
-    for n in range(2, max_dim + 1):
-        for d in range(2, max_points + 1):
-            v = sympower.verdict(n, d)
-            rows = sympower.class_table(n, d)
-            least = min((r for r in rows if not r.cycle_type.is_identity()),
-                        key=lambda r: r.age)
-            scanned = (least.age, str(least.cycle_type), least.age >= 1, least.age > 1,
-                       1 if all(r.det_is_plus_one for r in rows) else 2)
-            got = (v.min_age, v.witness, v.canonical, v.terminal, v.index)
-            if got != scanned:
-                failures.append(f"verdict n={n} d={d}: {got} but the scan gives {scanned}")
-            if v.min_age * 2 != n or v.index != 1 + n % 2:
-                failures.append(
-                    f"verdict n={n} d={d}: min age {v.min_age}, index {v.index}, "
-                    f"expected {n}/2 and {1 + n % 2}"
-                )
-    out.write(f"selftest: verdict scan n=2..{max_dim}, d=2..{max_points}\n")
-
-    # generic monomial engine against the closed-form engine
-    for n, d in CROSS_ENGINE_PAIRS:
-        if n > max_dim or d > max_points:
-            continue
-        closed = monomial.close_group(sympower.materialize_rep(n, d))
-        via_group = monomial.analyze(closed)
-        via_classes = sympower.verdict(n, d)
-        # the witnesses differ in kind: an element against a cycle type
-        if via_group._replace(witness=None) != via_classes._replace(witness=None):
-            failures.append(f"cross-engine n={n} d={d}: {via_group} but {via_classes}")
-    out.write("selftest: cross-engine agreement on materialized groups\n")
-
-    # the monomial engine against the Terminal Lemma for cyclic 3-folds
-    cases, mismatches = oracle.terminal_lemma_sweep(TERMINAL_LEMMA_R_BELOW)
-    failures.extend(f"terminal lemma {line}" for line in mismatches)
-    out.write(
-        f"selftest: Terminal Lemma 1/r(a,b,c), r=2..{TERMINAL_LEMMA_R_BELOW - 1}: "
-        f"{cases} cases\n"
-    )
-
-    # symmetric-power dimension identity, two independent routes
-    for p in range(0, 11):
-        for d in range(1, 11):
-            if plurigenera.sym_dim(p, d) != plurigenera.invariant_dim_burnside(p, d):
-                failures.append(f"burnside p={p} d={d}: routes disagree")
-    out.write("selftest: Burnside identity p=0..10, d=1..10\n")
-
-    # asymptotic plurigenus growth
-    for kappa, d in GROWTH_CASES:
-        rows = [(m, m**kappa) for m in range(2, 61, 2)]
-        slope = oracle.growth_exponent_check(rows, d)
-        allowed = 0.05 if kappa == 0 else 0.2
-        if abs(slope - d * kappa) > allowed:
-            failures.append(
-                f"growth kappa={kappa} d={d}: slope {slope:.4f} vs {d * kappa}"
-            )
-    out.write("selftest: plurigenus growth exponents\n")
-
-    elapsed = time.monotonic() - started
-    if failures:
-        for line in failures:
-            out.write(f"selftest FAILURE: {line}\n")
-        out.write(f"selftest: FAILED with {len(failures)} discrepancies ({elapsed:.1f}s)\n")
-        return 1
-    out.write(f"selftest: OK ({elapsed:.1f}s)\n")
-    return 0
-
-
-def cmd_selftest(args) -> int:
-    return run_selftest(args.max_dim, args.max_points, args.tolerance)
+    return oracle.run_selftest(args.max_dim, args.max_points, args.tolerance)
 
 
 def run(argv=None) -> int:

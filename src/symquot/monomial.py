@@ -52,6 +52,7 @@ DEFAULT_CLOSURE_CAP = 20000
 CLOSURE_CAP_ENV = "QC_CLOSURE_CAP"
 DIMENSION_CAP = 256  # for files read by rep_from_dict; every element is an N-tuple
 ROOT_ORDER_BITS_CAP = 128  # for files too; each element code N * e + i grows with m
+GENERATORS_CAP = 64  # for files too; closure work is |G| times the generator count
 
 
 class MonomialElement(namedtuple("MonomialElement", "perm exponents")):
@@ -280,7 +281,8 @@ def rep_from_dict(data: dict) -> MonomialRep:
     ``exponents`` may be omitted per generator and defaults to zeros.
     Numbers must be JSON integers; anything else raises ValueError. A
     dimension above ``DIMENSION_CAP``, or a root order of more than
-    ``ROOT_ORDER_BITS_CAP`` bits, raises MatrixTooLargeError.
+    ``ROOT_ORDER_BITS_CAP`` bits, raises MatrixTooLargeError; more than
+    ``GENERATORS_CAP`` generators raise GroupTooLargeError.
     """
     if not isinstance(data, dict):
         raise ValueError(f"representation file must hold a JSON object, got {type(data).__name__}")
@@ -301,6 +303,10 @@ def rep_from_dict(data: dict) -> MonomialRep:
         raise MatrixTooLargeError(f"dimension {dimension} exceeds the cap of {DIMENSION_CAP}")
     if not isinstance(raw_gens, list):
         raise ValueError(f"generators must be a list, got {raw_gens!r}")
+    if len(raw_gens) > GENERATORS_CAP:
+        raise GroupTooLargeError(
+            f"{len(raw_gens)} generators exceed the cap of {GENERATORS_CAP}", cap=GENERATORS_CAP
+        )
     generators = []
     for entry in raw_gens:
         if not isinstance(entry, dict) or "perm" not in entry:

@@ -1,8 +1,8 @@
-"""Every reference route that the engines are checked against.
+"""Every reference route that the engines are checked against, and the suite.
 
 The engines decide age, determinant and quasi-reflections from one
 integer cycle-sum rule (``monomial.element_age``, ``sympower.class_table``).
-This module holds the routes the tests and ``selftest`` compare them with:
+This module holds the routes the tests and ``run_selftest`` compare them with:
 
 - exact eigenvalue exponents of one monomial element,
   ``element_eigen_exponents``, with ``age`` and ``is_quasi_reflection``
@@ -16,40 +16,42 @@ This module holds the routes the tests and ``selftest`` compare them with:
   ``class_element``, the canonical element of the row's class. An
   eigenvalue exp(i * theta) is accepted as eps^a only when
   theta * r / (2 pi) sits within the tolerance of the integer a;
+- ``materialize_rep``, the model S_d on n blocks as an explicit group
+  generated by ``class_element`` values, for ``monomial.analyze`` to
+  hold against ``sympower.verdict``;
 - ``multiply``, the matrix product of two ``MonomialElement`` values,
   and ``close_group_reference``, the breadth-first closure built on it,
   against which the code-tuple ``monomial.close_group`` is held element
   by element through ``decode_closure``;
 - the Terminal Lemma for cyclic 3-fold quotients, ``terminal_lemma``,
   and ``terminal_lemma_sweep``, which holds ``monomial.analyze`` to it;
+- ``invariant_dim_burnside``, the Burnside trace average that
+  recomputes ``plurigenera.sym_dim``;
 - ``growth_exponent_check``, a log-log fit of the plurigenus growth
   exponent. With the numpy routes it is the only floating-point code in
   the package.
 
-numpy is imported inside the functions that use it, and no engine or
-CLI command other than ``selftest`` imports this module.
+``run_selftest`` runs all of them over a range of models and prints one
+line per section. numpy is imported inside the functions that use it,
+and no engine or CLI command other than ``selftest`` imports this module.
 """
 
 from __future__ import annotations
 
+import sys
+import time
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd, lcm, log
+from math import factorial, gcd, lcm, log
 from typing import TYPE_CHECKING
 
-from .combinatorics import CycleType
-from .errors import GroupTooLargeError, InsufficientDataError, MatrixTooLargeError
-from .monomial import (
-    MonomialElement,
-    MonomialRep,
-    _decode,
-    analyze,
-    close_group,
-    configured_cap,
-)
+from . import monomial
+from .combinatorics import CycleType, class_size, partitions
+from .errors import GroupTooLargeError, InsufficientDataError, MatrixTooLargeError, PointsCapError
+from .monomial import MonomialElement, MonomialRep, _decode, analyze, close_group, configured_cap
 from .plurigenera import sym_dim
-from .sympower import TABLE_POINTS_CAP, _check_model, class_table
+from .sympower import TABLE_POINTS_CAP, _check_model, class_table, verdict
 
 if TYPE_CHECKING:
     import numpy as np
@@ -144,6 +146,21 @@ def class_element(t: CycleType, n: int) -> MonomialElement:
         base = len(perm)
         perm.extend(base + (j + 1) % part for j in range(part))
     return MonomialElement(tuple(perm), (0,) * len(perm))
+
+
+def materialize_rep(n: int, d: int) -> MonomialRep:
+    """The model S_d on n blocks as an explicit monomial group on C^(n*d).
+
+    The generators are ``class_element`` of a transposition and of a
+    d-cycle, which generate S_d; they coincide at d = 2, and d = 1 needs
+    none. Quasi-reflection screening is left to the analyzer, so n = 1 is
+    allowed here.
+    """
+    if n < 1 or d < 1:
+        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    types = dict.fromkeys([(2,) + (1,) * (d - 2), (d,)]) if d > 1 else {}
+    gens = tuple(class_element(CycleType(t), n) for t in types)
+    return MonomialRep(dimension=n * d, root_order=1, generators=gens)
 
 
 def det_turn(g: MonomialElement, root_order: int) -> Fraction:
@@ -393,3 +410,136 @@ def growth_exponent_check(rows: Sequence[tuple[int, int]], d: int) -> float:
     x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
     covariance = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
     return covariance / sum((x - x_mean) ** 2 for x in xs)
+
+
+def invariant_dim_burnside(p: int, d: int) -> int:
+    """Invariant dimension of the d-fold tensor power, by trace averaging.
+
+    (1/d!) * sum over classes of class_size * p^(number of cycles), which
+    ``plurigenera.sym_dim`` gives as one binomial. The average is provably
+    integral; a non-integral value would mean a bug, so it raises rather
+    than rounding. The sum runs over the p(d) partitions of d, so d is
+    capped at TABLE_POINTS_CAP, as for the class table, and
+    PointsCapError is raised before any work.
+    """
+    if p < 0:
+        raise ValueError(f"space dimension must be >= 0, got {p}")
+    if d < 1:
+        raise ValueError(f"tensor power degree must be >= 1, got {d}")
+    if d > TABLE_POINTS_CAP:
+        raise PointsCapError(
+            f"tensor power degree {d} exceeds the Burnside-average cap of {TABLE_POINTS_CAP}",
+            cap=TABLE_POINTS_CAP,
+        )
+    d_factorial = factorial(d)
+    total = sum(class_size(t, d_factorial) * p**t.num_parts for t in partitions(d))
+    average = Fraction(total, d_factorial)
+    if average.denominator != 1:
+        raise ArithmeticError(
+            f"Burnside average is not an integer for p={p}, d={d}: {average}"
+        )
+    return int(average)
+
+
+CROSS_ENGINE_PAIRS = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2))
+GROWTH_CASES = tuple((kappa, d) for kappa in (0, 1, 2) for d in (2, 3))
+TERMINAL_LEMMA_R_BELOW = 20
+
+
+def run_selftest(max_dim: int, max_points: int, tolerance: float, out=None) -> int:
+    """Cross-check suite; returns 0 when clean, 1 on any discrepancy.
+
+    The range and the tolerance are checked before any output: a range
+    with nothing to check or a tolerance outside (0, 0.5) raises
+    ValueError, and a range past the brute-force matrix cap raises
+    MatrixTooLargeError.
+    """
+    check_tolerance(tolerance)
+    if max_dim < 2 or max_points < 1:
+        raise ValueError(
+            f"selftest needs --max-dim >= 2 and --max-points >= 1, got {max_dim} and {max_points}"
+        )
+    if max_dim * max_points > MATRIX_SIZE_CAP:
+        raise MatrixTooLargeError(
+            f"selftest range needs brute-force matrices of size --max-dim * --max-points "
+            f"= {max_dim} * {max_points}, over the cap of {MATRIX_SIZE_CAP}"
+        )
+    out = out or sys.stdout
+    failures: list[str] = []
+    started = time.monotonic()
+
+    # numpy and exact eigenvalues of one element per class vs the class table
+    for n in range(2, max_dim + 1):
+        checked = 0
+        for d in range(1, max_points + 1):
+            rep = bruteforce_check(n, d, tolerance)
+            checked += len(rep.rows)
+            for row in rep.failures():
+                failures.append(f"oracle n={n} d={d} class {row.cycle_type}: {row.detail}")
+        out.write(f"selftest: oracle n={n}, d=1..{max_points}: {checked} classes\n")
+
+    # closed-form verdict against a scan of the class table
+    for n in range(2, max_dim + 1):
+        for d in range(2, max_points + 1):
+            v = verdict(n, d)
+            rows = class_table(n, d)
+            least = min((r for r in rows if not r.cycle_type.is_identity()),
+                        key=lambda r: r.age)
+            scanned = (least.age, str(least.cycle_type), least.age >= 1, least.age > 1,
+                       1 if all(r.det_is_plus_one for r in rows) else 2)
+            got = (v.min_age, v.witness, v.canonical, v.terminal, v.index)
+            if got != scanned:
+                failures.append(f"verdict n={n} d={d}: {got} but the scan gives {scanned}")
+            if v.min_age * 2 != n or v.index != 1 + n % 2:
+                failures.append(
+                    f"verdict n={n} d={d}: min age {v.min_age}, index {v.index}, "
+                    f"expected {n}/2 and {1 + n % 2}"
+                )
+    out.write(f"selftest: verdict scan n=2..{max_dim}, d=2..{max_points}\n")
+
+    # generic monomial engine against the closed-form engine; the engine is
+    # called through its module, so that a test can patch it
+    for n, d in CROSS_ENGINE_PAIRS:
+        if n > max_dim or d > max_points:
+            continue
+        via_group = monomial.analyze(monomial.close_group(materialize_rep(n, d)))
+        via_classes = verdict(n, d)
+        # the witnesses differ in kind: an element against a cycle type
+        if via_group._replace(witness=None) != via_classes._replace(witness=None):
+            failures.append(f"cross-engine n={n} d={d}: {via_group} but {via_classes}")
+    out.write("selftest: cross-engine agreement on materialized groups\n")
+
+    # the monomial engine against the Terminal Lemma for cyclic 3-folds
+    cases, mismatches = terminal_lemma_sweep(TERMINAL_LEMMA_R_BELOW)
+    failures.extend(f"terminal lemma {line}" for line in mismatches)
+    out.write(
+        f"selftest: Terminal Lemma 1/r(a,b,c), r=2..{TERMINAL_LEMMA_R_BELOW - 1}: "
+        f"{cases} cases\n"
+    )
+
+    # symmetric-power dimension identity, two independent routes
+    for p in range(0, 11):
+        for d in range(1, 11):
+            if sym_dim(p, d) != invariant_dim_burnside(p, d):
+                failures.append(f"burnside p={p} d={d}: routes disagree")
+    out.write("selftest: Burnside identity p=0..10, d=1..10\n")
+
+    # asymptotic plurigenus growth
+    for kappa, d in GROWTH_CASES:
+        rows = [(m, m**kappa) for m in range(2, 61, 2)]
+        slope = growth_exponent_check(rows, d)
+        allowed = 0.05 if kappa == 0 else 0.2
+        if abs(slope - d * kappa) > allowed:
+            failures.append(
+                f"growth kappa={kappa} d={d}: slope {slope:.4f} vs {d * kappa}"
+            )
+    out.write("selftest: plurigenus growth exponents\n")
+
+    elapsed = time.monotonic() - started
+    if failures:
+        for line in failures:
+            out.write(f"selftest FAILURE: {line}\n")
+        out.write(f"selftest: FAILED with {len(failures)} discrepancies ({elapsed:.1f}s)\n")
+        return 1
+    out.write(f"selftest: OK ({elapsed:.1f}s)\n")
+    return 0

@@ -2,17 +2,16 @@
 
 Every dimension formula here reduces to one binomial: a d-th symmetric
 power of a p-dimensional space of sections has dimension C(p + d - 1, d),
-with the convention that the binomial vanishes when p = 0. The Burnside
-average over S_d conjugacy classes recomputes the same number by a
-genuinely different route and is kept as a permanent cross-check.
+with the convention that the binomial vanishes when p = 0.
 
 Plurigenus rows are only asserted by the underlying isomorphism when
 m * n is even; odd-parity rows are still computed but carry a False
 validity flag, since nothing is claimed about them.
 
-Everything here is exact integer arithmetic. The log-log fit of the
-plurigenus growth exponent is a check on these numbers, not a result, and
-lives in ``oracle`` as ``growth_exponent_check``.
+Everything here is exact integer arithmetic. The checks on these
+numbers live in ``oracle``: ``invariant_dim_burnside`` recomputes the
+binomial as a Burnside average over the S_d conjugacy classes, and
+``growth_exponent_check`` fits the plurigenus growth exponent.
 """
 
 from __future__ import annotations
@@ -20,11 +19,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterable
-from fractions import Fraction
 
-from .combinatorics import class_size, partitions
 from .errors import PointsCapError
-from .sympower import TABLE_POINTS_CAP
 
 REGIME_NONNEGATIVE = "nonnegative-kodaira"
 REGIME_GENERAL_TYPE = "general-type"
@@ -79,34 +75,6 @@ def sym_dim(p: int, d: int) -> int:
     if d < 1:
         raise ValueError(f"symmetric power degree must be >= 1, got {d}")
     return math.comb(p + d - 1, d)
-
-
-def invariant_dim_burnside(p: int, d: int) -> int:
-    """Invariant dimension of the d-fold tensor power, by trace averaging.
-
-    (1/d!) * sum over classes of class_size * p^(number of cycles). The
-    average is provably integral; a non-integral value would mean a bug,
-    so it raises rather than rounding. The sum runs over the p(d)
-    partitions of d, so d is capped at TABLE_POINTS_CAP, as for the class
-    table, and PointsCapError is raised before any work.
-    """
-    if p < 0:
-        raise ValueError(f"space dimension must be >= 0, got {p}")
-    if d < 1:
-        raise ValueError(f"tensor power degree must be >= 1, got {d}")
-    if d > TABLE_POINTS_CAP:
-        raise PointsCapError(
-            f"tensor power degree {d} exceeds the Burnside-average cap of {TABLE_POINTS_CAP}",
-            cap=TABLE_POINTS_CAP,
-        )
-    d_factorial = math.factorial(d)
-    total = sum(class_size(t, d_factorial) * p**t.num_parts for t in partitions(d))
-    average = Fraction(total, d_factorial)
-    if average.denominator != 1:
-        raise ArithmeticError(
-            f"Burnside average is not an integer for p={p}, d={d}: {average}"
-        )
-    return int(average)
 
 
 def plurigenus_table(

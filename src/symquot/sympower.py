@@ -6,10 +6,10 @@ action on C^d. By the cycle-sum rule of ``monomial`` with all exponents
 zero, an element of cycle type t has age n * (d - #parts(t)) / 2. The
 least non-identity age is therefore n/2, reached only at the
 transpositions (2,1^{d-2}); they generate S_d, so the index is the
-denominator of n/2. ``verdict`` returns this without a scan.
-``class_table`` lists one row per cycle type, and ``materialize_rep``
-builds the same group explicitly for cross-checking against the generic
-monomial engine.
+denominator of n/2. ``verdict`` returns this without a scan, and
+``class_table`` lists one row per cycle type; no group is ever built.
+The explicit group is ``oracle.materialize_rep``, for cross-checking
+against the generic monomial engine.
 
 A permutation of cycle type t has order r = lcm(parts), and its
 eigenvalues on C^d are r-th roots of unity eps^a with 0 <= a < r. A
@@ -38,7 +38,7 @@ from math import factorial
 
 from .combinatorics import CycleType, class_size, element_order, partitions
 from .errors import MatrixTooLargeError, PointsCapError, UnsupportedDimensionError
-from .monomial import MonomialElement, MonomialRep, SingularityVerdict
+from .monomial import SingularityVerdict
 
 VERDICT_POINTS_CAP = 1000  # d! stays far below Python's 4300-digit int->str limit
 TABLE_POINTS_CAP = 50  # p(50) = 204226 classes
@@ -112,24 +112,4 @@ def class_table(n: int, d: int) -> list[AgeRecord]:
             t, class_size(t, d_factorial), r, n * moved * r // 2, age, age.denominator == 1
         ))
     return out
-
-
-def materialize_rep(n: int, d: int) -> MonomialRep:
-    """The model as an explicit monomial group on C^(n*d).
-
-    Generators are the adjacent transpositions of S_d acting on all n
-    coordinate blocks at once. Quasi-reflection screening is left to the
-    analyzer, so n = 1 is allowed here.
-    """
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    size = n * d
-    gens = []
-    for i in range(d - 1):
-        perm = list(range(size))
-        for block in range(n):
-            a, b = block * d + i, block * d + i + 1
-            perm[a], perm[b] = perm[b], perm[a]
-        gens.append(MonomialElement(tuple(perm), (0,) * size))
-    return MonomialRep(dimension=size, root_order=1, generators=tuple(gens))
 

@@ -8,17 +8,15 @@ import json
 import time
 from fractions import Fraction
 
-from symquot import (
-    analyze,
-    close_group,
-    invariant_dim_burnside,
-    sym_dim,
-    verdict,
-)
+from symquot import analyze, close_group, sym_dim, verdict
 from symquot.combinatorics import CycleType
 from symquot.monomial import MonomialElement, MonomialRep
-from symquot.oracle import bruteforce_check, growth_exponent_check
-from symquot.sympower import materialize_rep
+from symquot.oracle import (
+    bruteforce_check,
+    growth_exponent_check,
+    invariant_dim_burnside,
+    materialize_rep,
+)
 from symquot import cli
 
 DIM_RANGE = range(2, 7)

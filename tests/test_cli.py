@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ import time
 import pytest
 
 from symquot import cli
-from symquot.monomial import ROOT_ORDER_BITS_CAP
+from symquot.monomial import GENERATORS_CAP, ROOT_ORDER_BITS_CAP
 from symquot.report import canonical_json
 from symquot.sympower import DIM_BITS_CAP
 
@@ -309,6 +310,20 @@ def test_analyze_dimension_cap_is_domain_error(run_cli, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_analyze_generators_past_their_cap_is_one_domain_line(run_cli, tmp_path):
+    # malformed generators too: the count is checked before any generator is read
+    gens = [{"perm": [2, 3, 1]}] * GENERATORS_CAP + [{"perm": [1, 1, 3]}]
+    rep = tmp_path / "many-generators.json"
+    rep.write_text(json.dumps({"dimension": 3, "root_order": 1, "generators": gens}))
+    code, out, err = run_cli("analyze", "--rep", str(rep))
+    assert code == 3 and out == ""
+    assert err == "error: group-too-large: 65 generators exceed the cap of 64\n"
+    rep.write_text(json.dumps({"dimension": 3, "root_order": 1, "generators": gens[:-1]}))
+    code, out, err = run_cli("analyze", "--rep", str(rep), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["model"]["num_generators"] == GENERATORS_CAP
+
+
 def test_analyze_root_order_past_its_bit_cap_is_one_domain_line(run_cli, tmp_path):
     m = int("9" * 4300)  # as many digits as an integer string may have
     rep = tmp_path / "huge-root-order.json"
@@ -567,6 +582,21 @@ def test_selftest_small_range_passes(run_cli):
     code, out, _ = run_cli("selftest", "--max-dim", "2", "--max-points", "4")
     assert code == 0
     assert "selftest: OK" in out
+
+
+def test_selftest_prints_every_section_line(run_cli):
+    code, out, err = run_cli("selftest", "--max-dim", "3", "--max-points", "3")
+    assert (code, err) == (0, "")
+    assert re.sub(r"\(\d+\.\d+s\)", "(<t>s)", out).splitlines() == [
+        "selftest: oracle n=2, d=1..3: 6 classes",
+        "selftest: oracle n=3, d=1..3: 6 classes",
+        "selftest: verdict scan n=2..3, d=2..3",
+        "selftest: cross-engine agreement on materialized groups",
+        "selftest: Terminal Lemma 1/r(a,b,c), r=2..19: 14825 cases",
+        "selftest: Burnside identity p=0..10, d=1..10",
+        "selftest: plurigenus growth exponents",
+        "selftest: OK (<t>s)",
+    ]
 
 
 def test_selftest_reports_both_verdicts_when_the_engines_disagree(run_cli, monkeypatch):

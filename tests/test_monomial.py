@@ -34,13 +34,13 @@ from symquot.oracle import (
     element_eigen_exponents,
     identity,
     is_quasi_reflection,
+    materialize_rep,
     monomial_matrix,
     multiply,
     numeric_exponents,
     terminal_lemma,
     terminal_lemma_sweep,
 )
-from symquot.sympower import materialize_rep
 
 
 def diag_rep(root_order, exps):

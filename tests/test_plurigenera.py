@@ -14,13 +14,12 @@ from symquot import (
     KodairaDim,
     PointsCapError,
     genus_bound,
-    invariant_dim_burnside,
     kodaira_scale,
     plurigenus_table,
     sym_dim,
 )
-from symquot import plurigenera
-from symquot.oracle import growth_exponent_check
+from symquot import oracle
+from symquot.oracle import growth_exponent_check, invariant_dim_burnside
 from symquot.plurigenera import PLURIGENUS_BITS_CAP, REGIME_GENERAL_TYPE, REGIME_NONNEGATIVE
 from symquot.sympower import TABLE_POINTS_CAP
 
@@ -218,13 +217,13 @@ def test_kodaira_scale_at_and_past_the_bit_cap():
 def test_burnside_admits_the_class_table_cap(monkeypatch):
     # p(50) = 204226 classes take seconds, so count the request, not the classes
     seen = []
-    monkeypatch.setattr(plurigenera, "partitions", lambda d: seen.append(d) or iter(()))
+    monkeypatch.setattr(oracle, "partitions", lambda d: seen.append(d) or iter(()))
     assert invariant_dim_burnside(3, TABLE_POINTS_CAP) == 0
     assert seen == [TABLE_POINTS_CAP]
 
 
 def test_burnside_past_the_class_table_cap_is_domain_error(monkeypatch):
-    monkeypatch.setattr(plurigenera, "partitions", lambda d: pytest.fail("scanned"))
+    monkeypatch.setattr(oracle, "partitions", lambda d: pytest.fail("scanned"))
     with pytest.raises(PointsCapError) as err:
         invariant_dim_burnside(3, TABLE_POINTS_CAP + 1)
     assert err.value.cap == TABLE_POINTS_CAP

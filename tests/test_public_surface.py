@@ -3,8 +3,10 @@ and every name and example the README gives still works."""
 
 import importlib
 import inspect
+import json
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import symquot
@@ -13,14 +15,13 @@ from symquot import errors
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def library_surface_section():
-    text = README.read_text(encoding="utf-8")
-    return text.split("## Library surface", 1)[1].split("\n## ", 1)[0]
+def readme_section(heading):
+    return README.read_text(encoding="utf-8").split(f"\n{heading}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def library_surface_names():
     """Names written as ``symquot.<name>`` in the Library-surface section, modules left out."""
-    section = library_surface_section()
+    section = readme_section("## Library surface")
     modules = {m.name for m in pkgutil.iter_modules(symquot.__path__)}
     # a name followed by ".x" is a module path such as symquot.oracle.bruteforce_check
     names = set(re.findall(r"\bsymquot\.([A-Za-z_]\w*)(?!\.?\w)", section))
@@ -52,7 +53,7 @@ def test_every_export_resolves():
 
 
 def test_library_surface_example_runs():
-    blocks = re.findall(r"```python\n(.*?)```", library_surface_section(), re.S)
+    blocks = re.findall(r"```python\n(.*?)```", readme_section("## Library surface"), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
 
@@ -81,8 +82,38 @@ def test_every_cap_appears_in_the_readme_caps_table():
         "DEFAULT_CLOSURE_CAP": monomial.DEFAULT_CLOSURE_CAP,
         "DIMENSION_CAP": monomial.DIMENSION_CAP,
         "ROOT_ORDER_BITS_CAP": monomial.ROOT_ORDER_BITS_CAP,
+        "GENERATORS_CAP": monomial.GENERATORS_CAP,
         "MATRIX_SIZE_CAP": oracle.MATRIX_SIZE_CAP,
         "PLURIGENUS_BITS_CAP": plurigenera.PLURIGENUS_BITS_CAP,
     }
     missing = [name for name, value in caps.items() if not re.search(rf"\b{value}\b", limits)]
     assert missing == []
+
+
+def cli_examples():
+    """(argv, expected stdout) for every ``$ symquot ...`` line of the README's CLI section."""
+    examples = []
+    for block in re.findall(r"```\n(.*?)```", readme_section("## CLI"), re.S):
+        for chunk in ("\n" + block).split("\n$ ")[1:]:
+            command, _, output = chunk.partition("\n")
+            examples.append((shlex.split(command)[1:], output))
+    return examples
+
+
+def test_every_cli_example_prints_what_the_readme_shows(run_cli):
+    examples = cli_examples()
+    assert [argv[0] for argv, _ in examples] == ["sympower", "genus-bound"]
+    for argv, output in examples:
+        assert run_cli(*argv) == (0, output, "")
+
+
+def test_the_representation_file_example_is_what_the_readme_says(run_cli, tmp_path):
+    section = readme_section("### Representation file format")
+    (text,) = re.findall(r"```json\n(.*?)```", section, re.S)
+    assert "`1/2(1,1,1)`: canonical, terminal,\nindex 2." in section
+    rep = tmp_path / "rep.json"
+    rep.write_text(text, encoding="utf-8")
+    code, out, err = run_cli("analyze", "--rep", str(rep), "--format", "json")
+    assert (code, err) == (0, "")
+    verdict = json.loads(out)["verdict"]
+    assert (verdict["canonical"], verdict["terminal"], verdict["index"]) == (True, True, 2)

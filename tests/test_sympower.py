@@ -14,8 +14,8 @@ from symquot import (
 )
 from symquot import oracle, sympower
 from symquot.combinatorics import CycleType
-from symquot.oracle import bruteforce_check
-from symquot.sympower import TABLE_POINTS_CAP, VERDICT_POINTS_CAP, class_table, materialize_rep
+from symquot.oracle import bruteforce_check, materialize_rep
+from symquot.sympower import TABLE_POINTS_CAP, VERDICT_POINTS_CAP, class_table
 
 
 def test_verdict_even_dim_is_gorenstein():
@@ -143,6 +143,17 @@ def test_materialized_group_has_full_order():
     assert len(close_group(materialize_rep(2, 4)).flat_elements) == 24
     assert len(close_group(materialize_rep(3, 3)).flat_elements) == 6
     assert len(close_group(materialize_rep(2, 1)).flat_elements) == 1
+
+
+def test_materialized_group_is_generated_by_a_transposition_and_a_d_cycle():
+    assert materialize_rep(3, 1) == (3, 1, (), None)
+    assert materialize_rep(2, 2).generators == (oracle.class_element(CycleType((2,)), 2),)
+    assert materialize_rep(2, 4).generators == tuple(
+        oracle.class_element(CycleType(t), 2) for t in [(2, 1, 1), (4,)]
+    )
+    for n, d in [(0, 3), (2, 0)]:
+        with pytest.raises(ValueError):
+            materialize_rep(n, d)
 
 
 def test_bruteforce_check_small_cases_pass():
