@@ -8,14 +8,16 @@ Subcommands:
   selftest     oracle / closed-form / Burnside cross-check suite
 
 Exit codes: 0 success, 1 selftest discrepancy, 2 usage error (argparse
-errors included), 3 domain error (quasi-reflections; closure, matrix or
-points caps), 4 internal error (any other exception, reported as
-``error: internal: <type>: <message>``), 5 io error (stdout closed before
-the report was written, reported as ``error: io: stdout closed``). Every
-error prints a single machine-parsable line on stderr:
-``error: <code>: <message>``. Reports contain no timestamps; identical
-inputs give identical bytes. ``selftest`` runs ``oracle.run_selftest``
-and is the one command that imports ``symquot.oracle``.
+errors included), 3 domain error (quasi-reflections, a --dim below 2;
+closure, matrix, points or file-size caps), 4 internal error (any other
+exception, reported as ``error: internal: <type>: <message>``), 5 io
+error (stdout closed before the report was written, reported as
+``error: io: stdout closed``). Every error prints a single
+machine-parsable line on stderr: ``error: <code>: <message>``. Reports
+contain no timestamps; identical inputs give identical bytes.
+``selftest`` runs ``oracle.run_selftest`` over its range, at the
+oracle's fixed tolerance, and is the one command that imports
+``symquot.oracle``.
 """
 
 from __future__ import annotations
@@ -90,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the full cross-check suite")
     p.add_argument("--max-dim", type=int, default=6)
     p.add_argument("--max-points", type=int, default=9)
-    p.add_argument("--tolerance", type=float, default=1e-6)
     p.set_defaults(func=cmd_selftest)
 
     return parser
@@ -140,18 +141,20 @@ def _parse_pm(text: str) -> list[tuple[int, int]]:
 
 def _parse_kappa(text: str, ambient_dim: int) -> plurigenera.KodairaDim:
     if text == "-inf":
-        return plurigenera.KodairaDim.minus_infinity()
-    return plurigenera.KodairaDim.finite(_flag_int(text, "--kappa"), ambient_dim=ambient_dim)
+        return plurigenera.KodairaDim(None)
+    kappa = plurigenera.KodairaDim(_flag_int(text, "--kappa"))  # rejects a negative value
+    if kappa.value > ambient_dim:
+        raise ValueError(
+            f"Kodaira dimension {kappa.value} exceeds the ambient dimension {ambient_dim}"
+        )
+    return kappa
 
 
 def cmd_plurigenera(args) -> int:
     rows = _parse_pm(args.pm)
     table = plurigenera.plurigenus_table(args.dim, args.points, rows)
-    kappa = kappa_scaled = None
-    if args.kappa is not None:
-        kappa = _parse_kappa(args.kappa, args.dim)
-        kappa_scaled = plurigenera.kodaira_scale(kappa, args.points)
-    payload = report.plurigenera_payload(table, kappa, kappa_scaled)
+    kappa = None if args.kappa is None else _parse_kappa(args.kappa, args.dim)
+    payload = report.plurigenera_payload(table, kappa)
     sys.stdout.write(report.render(payload, args.format))
     return 0
 
@@ -169,7 +172,7 @@ def cmd_genus_bound(args) -> int:
 def cmd_selftest(args) -> int:
     from . import oracle  # the reference routes load for this command only
 
-    return oracle.run_selftest(args.max_dim, args.max_points, args.tolerance)
+    return oracle.run_selftest(args.max_dim, args.max_points)
 
 
 def run(argv=None) -> int:

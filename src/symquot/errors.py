@@ -29,9 +29,15 @@ class QuasiReflectionError(DomainError):
 
 
 class UnsupportedDimensionError(DomainError):
-    """Base dimension too small: the model acquires quasi-reflections."""
+    """Base dimension n < 2: the model acquires quasi-reflections."""
 
     code = "unsupported-dimension"
+
+    def __init__(self, n: int):
+        super().__init__(
+            f"dim {n} is unsupported: with dim < 2 the transpositions act as "
+            "quasi-reflections, so the age criterion does not apply"
+        )
 
 
 class GroupTooLargeError(DomainError):

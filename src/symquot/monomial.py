@@ -53,6 +53,7 @@ CLOSURE_CAP_ENV = "QC_CLOSURE_CAP"
 DIMENSION_CAP = 256  # for files read by rep_from_dict; every element is an N-tuple
 ROOT_ORDER_BITS_CAP = 128  # for files too; each element code N * e + i grows with m
 GENERATORS_CAP = 64  # for files too; closure work is |G| times the generator count
+REP_FILE_CHARS_CAP = 1 << 24  # characters read from a file, checked before decoding
 
 
 class MonomialElement(namedtuple("MonomialElement", "perm exponents")):
@@ -327,12 +328,17 @@ def rep_from_dict(data: dict) -> MonomialRep:
 def load_rep_file(path: str | os.PathLike) -> MonomialRep:
     """Read a representation from a JSON file (see ``rep_from_dict``).
 
-    Invalid JSON, JSON nested too deeply for the decoder, and integer
-    literals longer than Python's limit for integer strings raise
-    ValueError.
+    A file longer than ``REP_FILE_CHARS_CAP`` characters raises
+    MatrixTooLargeError before any decoding. Invalid JSON, JSON nested
+    too deeply for the decoder, and integer literals longer than Python's
+    limit for integer strings raise ValueError.
     """
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+        text = fh.read(REP_FILE_CHARS_CAP + 1)
+    if len(text) > REP_FILE_CHARS_CAP:
+        raise MatrixTooLargeError(
+            f"representation file {path} is longer than the cap of {REP_FILE_CHARS_CAP} characters"
+        )
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

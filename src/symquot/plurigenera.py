@@ -20,7 +20,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .errors import PointsCapError
+from .errors import PointsCapError, UnsupportedDimensionError
 
 REGIME_NONNEGATIVE = "nonnegative-kodaira"
 REGIME_GENERAL_TYPE = "general-type"
@@ -40,18 +40,6 @@ class KodairaDim(namedtuple("KodairaDim", "value")):
     @classmethod
     def _make(cls, iterable):  # so that ``_replace`` validates too
         return cls(*iterable)
-
-    @classmethod
-    def minus_infinity(cls) -> "KodairaDim":
-        return cls(None)
-
-    @classmethod
-    def finite(cls, value: int, ambient_dim: int | None = None) -> "KodairaDim":
-        if ambient_dim is not None and value > ambient_dim:
-            raise ValueError(
-                f"Kodaira dimension {value} exceeds the ambient dimension {ambient_dim}"
-            )
-        return cls(value)
 
     @property
     def is_minus_infinity(self) -> bool:
@@ -89,7 +77,7 @@ def plurigenus_table(
     2^PLURIGENUS_BITS_CAP raises PointsCapError before it is computed.
     """
     if n < 2:
-        raise ValueError(f"base dimension must be >= 2, got {n}")
+        raise UnsupportedDimensionError(n)
     if d < 1:
         raise ValueError(f"number of points must be >= 1, got {d}")
     out = []
@@ -133,7 +121,7 @@ def kodaira_scale(kappa: KodairaDim, d: int) -> KodairaDim:
     if d < 1:
         raise ValueError(f"number of points must be >= 1, got {d}")
     if kappa.is_minus_infinity:
-        return KodairaDim.minus_infinity()
+        return kappa
     return KodairaDim(
         _within_bits_cap(d * kappa.value, "the scaled Kodaira dimension --points * --kappa")
     )

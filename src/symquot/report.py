@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 
 from ._version import __version__
 from .monomial import MonomialRep, SingularityVerdict
-from .plurigenera import KodairaDim, PlurigenusTable
+from .plurigenera import KodairaDim, PlurigenusTable, kodaira_scale
 from .sympower import AgeRecord
 
 
@@ -127,11 +127,8 @@ def analyze_payload(rep: MonomialRep, v: SingularityVerdict) -> dict:
     }
 
 
-def plurigenera_payload(
-    table: PlurigenusTable,
-    kappa: KodairaDim | None = None,
-    kappa_scaled: KodairaDim | None = None,
-) -> dict:
+def plurigenera_payload(table: PlurigenusTable, kappa: KodairaDim | None = None) -> dict:
+    """The plurigenus rows, and with ``kappa`` its scaling ``kodaira_scale(kappa, d)``."""
     payload = {
         "meta": meta_block(),
         "model": {"kind": "plurigenera", "dim": table.n, "points": table.d},
@@ -145,11 +142,8 @@ def plurigenera_payload(
             for row in table.rows
         ],
     }
-    if kappa is not None and kappa_scaled is not None:
-        payload["kodaira"] = {
-            "input": str(kappa),
-            "scaled": str(kappa_scaled),
-        }
+    if kappa is not None:
+        payload["kodaira"] = {"input": str(kappa), "scaled": str(kodaira_scale(kappa, table.d))}
     return payload
 
 

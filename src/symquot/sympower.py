@@ -56,10 +56,7 @@ AgeRecord = namedtuple("AgeRecord", "cycle_type class_size order s_sum age det_i
 def _check_model(n: int, d: int, cap: int, what: str) -> None:
     """Validate (n, d) before any work: d at most ``cap``, n at most ``DIM_BITS_CAP`` bits."""
     if n < 2:
-        raise UnsupportedDimensionError(
-            f"dim {n} is unsupported: with dim < 2 the transpositions act as "
-            "quasi-reflections, so the age criterion does not apply"
-        )
+        raise UnsupportedDimensionError(n)
     if d < 1:
         raise ValueError(f"number of points must be >= 1, got {d}")
     if d > cap:

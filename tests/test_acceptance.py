@@ -8,7 +8,7 @@ import json
 import time
 from fractions import Fraction
 
-from symquot import analyze, close_group, sym_dim, verdict
+from symquot import analyze, close_group, oracle, sym_dim, verdict
 from symquot.combinatorics import CycleType
 from symquot.monomial import MonomialElement, MonomialRep
 from symquot.oracle import (
@@ -44,9 +44,10 @@ def test_criterion_2_oracle_equivalence(capsys):
     started = time.monotonic()
     for n in DIM_RANGE:
         for d in POINT_RANGE:
-            report = bruteforce_check(n, d, tolerance=1e-6)
-            assert report.passed, f"n={n} d={d}: {report.failures()}"
-    code = cli.run(["selftest", "--max-dim", "6", "--max-points", "9", "--tolerance", "1e-6"])
+            failures = [row for row in bruteforce_check(n, d) if not row.passed]
+            assert failures == [], f"n={n} d={d}: {failures}"
+    assert oracle.TOLERANCE == 1e-6
+    code = cli.run(["selftest", "--max-dim", "6", "--max-points", "9"])
     elapsed = time.monotonic() - started
     out = capsys.readouterr().out
     assert code == 0, "selftest reported discrepancies"

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from symquot import cli
+from symquot import cli, monomial
 from symquot.monomial import GENERATORS_CAP, ROOT_ORDER_BITS_CAP
 from symquot.report import canonical_json
 from symquot.sympower import DIM_BITS_CAP
@@ -160,16 +160,16 @@ def test_plurigenera_non_integer_flag_is_one_usage_line_naming_the_flag(run_cli,
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "0", "0.5"])
 def test_selftest_rejects_a_tolerance_that_disables_the_check(run_cli, tolerance):
+    # the tolerance is a constant, so no value of it can be passed at all
     code, out, err = run_cli("selftest", "--tolerance", tolerance)
     assert code == 2 and out == ""
-    assert err.startswith("error: usage: tolerance must lie strictly between 0 and 0.5")
-    assert err.count("\n") == 1
+    assert err == f"error: usage: unrecognized arguments: --tolerance {tolerance}\n"
 
 
 @pytest.mark.parametrize(
     "flags",
     [
-        ("--max-dim", "1", "--max-points", "0", "--tolerance", "0.7"),
+        ("--max-dim", "1", "--max-points", "65"),  # the range is checked before the matrix cap
         ("--max-dim", "1", "--max-points", "0"),
         ("--max-dim", "1"),
         ("--max-points", "0"),
@@ -181,8 +181,6 @@ def test_selftest_rejects_a_range_with_nothing_to_check(run_cli, flags):
     assert code == 2 and out == ""
     assert err.startswith("error: usage: ")
     assert err.count("\n") == 1
-    if "--tolerance" in flags:  # the tolerance is checked even where the range is empty
-        assert "tolerance must lie strictly between 0 and 0.5" in err
 
 
 @pytest.mark.parametrize(
@@ -374,6 +372,33 @@ def test_analyze_ill_typed_file_is_one_usage_line(run_cli, tmp_path, text):
         assert "must hold a JSON object" in err and "missing field" not in err
 
 
+def test_analyze_file_past_its_character_cap_is_one_domain_line(run_cli, tmp_path, monkeypatch):
+    monkeypatch.setattr(monomial, "REP_FILE_CHARS_CAP", 100)
+    text = '{"dimension": 1, "root_order": 1, "generators": []}'
+    rep = tmp_path / "padded.json"
+    rep.write_text(text + " " * (100 - len(text)))  # exactly at the cap
+    code, out, err = run_cli("analyze", "--rep", str(rep), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["model"]["dimension"] == 1
+    rep.write_text(text + " " * (101 - len(text)))  # one past it
+    code, out, err = run_cli("analyze", "--rep", str(rep))
+    assert code == 3 and out == ""
+    assert err == (
+        f"error: matrix-too-large: representation file {rep} is longer than "
+        "the cap of 100 characters\n"
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_analyze_endless_file_stops_at_the_character_cap(run_cli):
+    code, out, err = run_cli("analyze", "--rep", "/dev/zero")
+    assert code == 3 and out == ""
+    assert err == (
+        "error: matrix-too-large: representation file /dev/zero is longer than "
+        f"the cap of {monomial.REP_FILE_CHARS_CAP} characters\n"
+    )
+
+
 def test_analyze_deeply_nested_file_is_one_usage_line(run_cli, tmp_path):
     rep = tmp_path / "deep.json"
     rep.write_text("[" * 200000)
@@ -447,6 +472,19 @@ def test_plurigenera_kappa_above_dim_is_usage_error(run_cli):
         "plurigenera", "--dim", "2", "--points", "2", "--pm", "1=1", "--kappa", "5"
     )
     assert code == 2
+    assert err == "error: usage: Kodaira dimension 5 exceeds the ambient dimension 2\n"
+    code, _, err = run_cli(
+        "plurigenera", "--dim", "2", "--points", "2", "--pm", "1=1", "--kappa", "-1"
+    )
+    assert code == 2
+    assert err == "error: usage: finite Kodaira dimension cannot be negative: -1\n"
+
+
+def test_plurigenera_rejects_dim_one_as_sympower_does(run_cli):
+    plurigenera = run_cli("plurigenera", "--dim", "1", "--points", "3", "--pm", "1=1")
+    sympower = run_cli("sympower", "--dim", "1", "--points", "3")
+    assert plurigenera == sympower
+    assert plurigenera[0] == 3 and plurigenera[2].startswith("error: unsupported-dimension:")
 
 
 def test_plurigenera_at_the_bit_cap_prints_the_value(run_cli):
@@ -608,6 +646,19 @@ def test_selftest_reports_both_verdicts_when_the_engines_disagree(run_cli, monke
     assert code == 1
     (line,) = [line for line in out.splitlines() if "cross-engine n=2 d=2" in line]
     assert "index=7" in line and "index=1" in line
+    assert "FAILED with 1 discrepancies" in out
+
+
+def test_selftest_reports_each_failing_oracle_row(run_cli, monkeypatch):
+    from symquot import oracle
+
+    monkeypatch.setattr(oracle, "numeric_exponents", lambda matrix, order: (0,) * len(matrix))
+    code, out, _ = run_cli("selftest", "--max-dim", "2", "--max-points", "2")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("selftest FAILURE")] == [
+        "selftest FAILURE: oracle n=2 d=2 class (2): exponent multisets differ: "
+        "numeric (0, 0, 0, 0) vs constructed (0, 0, 1, 1)"
+    ]
     assert "FAILED with 1 discrepancies" in out
 
 

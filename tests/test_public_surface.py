@@ -1,6 +1,7 @@
 """The top-level names are exactly the ones the README's library surface documents,
 and every name and example the README gives still works."""
 
+import argparse
 import importlib
 import inspect
 import json
@@ -83,11 +84,32 @@ def test_every_cap_appears_in_the_readme_caps_table():
         "DIMENSION_CAP": monomial.DIMENSION_CAP,
         "ROOT_ORDER_BITS_CAP": monomial.ROOT_ORDER_BITS_CAP,
         "GENERATORS_CAP": monomial.GENERATORS_CAP,
+        "REP_FILE_CHARS_CAP": monomial.REP_FILE_CHARS_CAP,
         "MATRIX_SIZE_CAP": oracle.MATRIX_SIZE_CAP,
         "PLURIGENUS_BITS_CAP": plurigenera.PLURIGENUS_BITS_CAP,
     }
     missing = [name for name, value in caps.items() if not re.search(rf"\b{value}\b", limits)]
     assert missing == []
+
+
+def test_the_cli_synopsis_names_the_flags_of_every_subcommand():
+    from symquot import cli
+
+    (subcommands,) = (
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    defined = {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in subcommands.choices.items()
+    }
+    synopsis = re.findall(r"```\n(.*?)```", readme_section("## CLI"), re.S)[0]
+    documented = {}
+    for line in synopsis.splitlines():
+        program, name, rest = line.split(" ", 2)
+        assert program == "symquot" and name not in documented
+        documented[name] = set(re.findall(r"--[a-z][a-z-]*", rest))
+    assert documented == defined
 
 
 def cli_examples():

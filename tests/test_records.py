@@ -6,7 +6,7 @@ import pytest
 
 from symquot.combinatorics import CycleType
 from symquot.monomial import MonomialElement, MonomialRep, SingularityVerdict, close_group
-from symquot.oracle import EigenExponents, OracleReport, OracleRow
+from symquot.oracle import EigenExponents, OracleRow
 from symquot.plurigenera import KodairaDim, PlurigenusRow, PlurigenusTable
 from symquot.sympower import AgeRecord
 
@@ -38,7 +38,6 @@ RECORDS = [
         OracleRow(CycleType((2,)), True),
         "OracleRow(cycle_type=CycleType(parts=(2,)), passed=True, detail='')",
     ),
-    (OracleReport(()), "OracleReport(rows=())"),
 ]
 VALUES = [value for value, _ in RECORDS]
 IDS = [type(value).__name__ for value in VALUES]

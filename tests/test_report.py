@@ -88,6 +88,7 @@ def test_plurigenera_payload_is_json_dumps(n, d, rows, kappa):
     if kappa is None:
         payload = plurigenera_payload(table)
     else:
-        k = KodairaDim.minus_infinity() if kappa < 0 else KodairaDim(kappa)
-        payload = plurigenera_payload(table, k, kodaira_scale(k, d))
+        k = KodairaDim(None) if kappa < 0 else KodairaDim(kappa)
+        payload = plurigenera_payload(table, k)
+        assert payload["kodaira"] == {"input": str(k), "scaled": str(kodaira_scale(k, d))}
     assert_canonical(payload)
