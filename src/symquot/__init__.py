@@ -5,7 +5,7 @@ index for finite monomial groups, with a closed-form fast path for the
 symmetric-power model (n copies of the S_d permutation action), plus
 plurigenus tables, Kodaira-dimension scaling, and genus bounds for
 symmetric powers. Every result is exact; floating point appears only in
-``symquot.oracle``, in the numeric eigenvalue check and the growth fit.
+``symquot.oracle``, in the numeric eigenvalue check.
 
 The top level holds the names the README's library surface documents and
 the error classes. Everything else is reached through its module:
@@ -17,7 +17,6 @@ from ._version import __version__
 from .errors import (
     DomainError,
     GroupTooLargeError,
-    InsufficientDataError,
     MatrixTooLargeError,
     PointsCapError,
     QuasiReflectionError,
@@ -37,7 +36,6 @@ __all__ = [
     "__version__",
     "DomainError",
     "GroupTooLargeError",
-    "InsufficientDataError",
     "KodairaDim",
     "MatrixTooLargeError",
     "PointsCapError",

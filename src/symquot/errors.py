@@ -60,9 +60,3 @@ class MatrixTooLargeError(DomainError):
     """A matrix size cap was exceeded: brute-force matrices or a file's dimension."""
 
     code = "matrix-too-large"
-
-
-class InsufficientDataError(DomainError):
-    """Not enough usable rows for a growth fit."""
-
-    code = "insufficient-data"

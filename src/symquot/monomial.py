@@ -280,7 +280,8 @@ def rep_from_dict(data: dict) -> MonomialRep:
          "generators": [{"perm": [1-based images], "exponents": [k_1..k_N]}]}
 
     ``exponents`` may be omitted per generator and defaults to zeros.
-    Numbers must be JSON integers; anything else raises ValueError. A
+    Numbers must be JSON integers; anything else raises ValueError, which
+    names a faulty generator by its 1-based place in the list. A
     dimension above ``DIMENSION_CAP``, or a root order of more than
     ``ROOT_ORDER_BITS_CAP`` bits, raises MatrixTooLargeError; more than
     ``GENERATORS_CAP`` generators raise GroupTooLargeError.
@@ -309,15 +310,18 @@ def rep_from_dict(data: dict) -> MonomialRep:
             f"{len(raw_gens)} generators exceed the cap of {GENERATORS_CAP}", cap=GENERATORS_CAP
         )
     generators = []
-    for entry in raw_gens:
+    for number, entry in enumerate(raw_gens, 1):  # 1-based, as a reader counts the file
+        where = f"generator {number}"
         if not isinstance(entry, dict) or "perm" not in entry:
-            raise ValueError(f"malformed generator entry {entry!r}")
-        images = _int_list(entry["perm"], "perm")
+            raise ValueError(f"{where}: malformed entry {entry!r}")
+        images = _int_list(entry["perm"], f"{where}: perm")
         if len(images) != dimension or sorted(images) != list(range(1, dimension + 1)):
             raise ValueError(
-                f"perm must list each of 1..{dimension} exactly once: {images}"
+                f"{where}: perm must list each of 1..{dimension} exactly once: {images}"
             )
-        exps = _int_list(entry.get("exponents", [0] * dimension), "exponents")
+        exps = _int_list(entry.get("exponents", [0] * dimension), f"{where}: exponents")
+        if len(exps) != dimension:
+            raise ValueError(f"{where}: need {dimension} exponents, got {len(exps)}")
         perm = tuple(i - 1 for i in images)
         generators.append(MonomialElement(perm, tuple(k % root_order for k in exps)))
     return MonomialRep(
@@ -329,12 +333,16 @@ def load_rep_file(path: str | os.PathLike) -> MonomialRep:
     """Read a representation from a JSON file (see ``rep_from_dict``).
 
     A file longer than ``REP_FILE_CHARS_CAP`` characters raises
-    MatrixTooLargeError before any decoding. Invalid JSON, JSON nested
-    too deeply for the decoder, and integer literals longer than Python's
-    limit for integer strings raise ValueError.
+    MatrixTooLargeError before any decoding. Text that is not UTF-8,
+    invalid JSON, JSON nested too deeply for the decoder, and integer
+    literals longer than Python's limit for integer strings raise
+    ValueError.
     """
     with open(path, encoding="utf-8") as fh:
-        text = fh.read(REP_FILE_CHARS_CAP + 1)
+        try:
+            text = fh.read(REP_FILE_CHARS_CAP + 1)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"representation file {path} is not UTF-8: {exc}") from exc
     if len(text) > REP_FILE_CHARS_CAP:
         raise MatrixTooLargeError(
             f"representation file {path} is longer than the cap of {REP_FILE_CHARS_CAP} characters"

@@ -28,9 +28,10 @@ This module holds the routes the tests and ``run_selftest`` compare them with:
   and ``terminal_lemma_sweep``, which holds ``monomial.analyze`` to it;
 - ``invariant_dim_burnside``, the Burnside trace average that
   recomputes ``plurigenera.sym_dim``;
-- ``growth_exponent_check``, a log-log fit of the plurigenus growth
-  exponent. With the numpy routes it is the only floating-point code in
-  the package.
+- ``growth_degree``, the exact degree in m of the symmetric-power
+  plurigenera, read off their divided differences.
+
+The numpy eigenvalue check is the only floating-point code in the package.
 
 ``run_selftest`` runs all of them over a range of models and prints one
 line per section. numpy is imported inside the functions that use it,
@@ -41,14 +42,13 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from collections.abc import Sequence
 from fractions import Fraction
-from math import factorial, gcd, lcm, log
+from math import factorial, gcd, lcm
 from typing import TYPE_CHECKING
 
 from . import monomial
 from .combinatorics import CycleType, class_size, partitions
-from .errors import GroupTooLargeError, InsufficientDataError, MatrixTooLargeError, PointsCapError
+from .errors import GroupTooLargeError, MatrixTooLargeError, PointsCapError
 from .monomial import MonomialElement, MonomialRep, _decode, analyze, close_group, configured_cap
 from .plurigenera import sym_dim
 from .sympower import TABLE_POINTS_CAP, _check_model, class_table, verdict
@@ -353,36 +353,34 @@ def bruteforce_check(n: int, d: int) -> tuple[OracleRow, ...]:
     return tuple(rows)
 
 
-def growth_exponent_check(rows: Sequence[tuple[int, int]], d: int) -> float:
-    """Fitted growth exponent of the symmetric-power plurigenera.
+def growth_degree(rows: list[tuple[int, int]], d: int) -> int:
+    """Exact degree in m of the symmetric-power plurigenera of ``rows``.
 
-    Maps each (m, P_m) row to P_m(symmetric power) and fits a log-log
-    least-squares line. The exponent being estimated is asymptotic, so
-    the fit uses the large-m half of the usable rows; the small-m head
-    still bends the log-log line through lower-order terms. Returns the
-    slope.
+    Maps each (m, P_m) row to P_m(sym^d) = ``sym_dim(P_m, d)`` and takes
+    exact divided differences over the m values; on equally spaced m they
+    are the integer finite differences divided by k! * h^k. Returns the
+    degree D: the D-th differences are a nonzero constant and the
+    (D+1)-th are all zero, so D + 2 rows are needed. Raises ValueError
+    for a repeated m, for rows that never reach a zero difference (too
+    few for their degree, or not a polynomial in m) and for all-zero
+    values, which have no degree; ``sym_dim`` rejects a d below 1.
     """
-    if d < 1:
-        raise ValueError(f"number of points must be >= 1, got {d}")
-    usable = []
-    for m, p_m in rows:
-        p_sigma = sym_dim(p_m, d)
-        if m >= 1 and p_sigma >= 1:
-            usable.append((m, p_sigma))
-    usable.sort()
-    if len(usable) < 3:
-        raise InsufficientDataError(
-            f"growth fit needs at least 3 valid rows, got {len(usable)}"
-        )
-    tail = usable[-max(3, len(usable) // 2):]
-    if len({m for m, _ in tail}) < 2:
-        raise InsufficientDataError("growth fit needs at least 2 distinct m values")
-    # log accepts arbitrary-size ints, so huge binomials are fine
-    xs = [log(m) for m, _ in tail]
-    ys = [log(p) for _, p in tail]
-    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
-    covariance = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-    return covariance / sum((x - x_mean) ** 2 for x in xs)
+    points = sorted((m, sym_dim(p_m, d)) for m, p_m in rows)
+    ms = [m for m, _ in points]
+    if len(set(ms)) < len(ms):
+        raise ValueError(f"growth degree needs distinct m, got {ms}")
+    column = [Fraction(value) for _, value in points]
+    if not any(column):
+        raise ValueError("no row has a nonzero plurigenus, so there is no degree")
+    for degree in range(len(column) - 1):
+        spans = [high - low for low, high in zip(ms, ms[degree + 1:])]
+        column = [(b - a) / span for a, b, span in zip(column, column[1:], spans)]
+        if not any(column):
+            return degree
+    raise ValueError(
+        f"{len(ms)} rows never reach a zero difference: too few for their degree, "
+        "or not a polynomial in m"
+    )
 
 
 def invariant_dim_burnside(p: int, d: int) -> int:
@@ -416,6 +414,7 @@ def invariant_dim_burnside(p: int, d: int) -> int:
 
 CROSS_ENGINE_PAIRS = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2))
 GROWTH_CASES = tuple((kappa, d) for kappa in (0, 1, 2) for d in (2, 3))
+GROWTH_LEVELS = range(2, 61, 2)  # the m of each growth case's rows (m, m**kappa)
 TERMINAL_LEMMA_R_BELOW = 20
 
 
@@ -494,15 +493,11 @@ def run_selftest(max_dim: int, max_points: int) -> int:
                 failures.append(f"burnside p={p} d={d}: routes disagree")
     print("selftest: Burnside identity p=0..10, d=1..10")
 
-    # asymptotic plurigenus growth
+    # plurigenus growth: P_m(sym^d) has degree exactly d * kappa in m
     for kappa, d in GROWTH_CASES:
-        rows = [(m, m**kappa) for m in range(2, 61, 2)]
-        slope = growth_exponent_check(rows, d)
-        allowed = 0.05 if kappa == 0 else 0.2
-        if abs(slope - d * kappa) > allowed:
-            failures.append(
-                f"growth kappa={kappa} d={d}: slope {slope:.4f} vs {d * kappa}"
-            )
+        degree = growth_degree([(m, m**kappa) for m in GROWTH_LEVELS], d)
+        if degree != d * kappa:
+            failures.append(f"growth kappa={kappa} d={d}: degree {degree}, expected {d * kappa}")
     print("selftest: plurigenus growth exponents")
 
     elapsed = time.monotonic() - started

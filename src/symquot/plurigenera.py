@@ -11,7 +11,7 @@ validity flag, since nothing is claimed about them.
 Everything here is exact integer arithmetic. The checks on these
 numbers live in ``oracle``: ``invariant_dim_burnside`` recomputes the
 binomial as a Burnside average over the S_d conjugacy classes, and
-``growth_exponent_check`` fits the plurigenus growth exponent.
+``growth_degree`` reads off the exact degree in m of the plurigenera.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from symquot.combinatorics import CycleType
 from symquot.monomial import MonomialElement, MonomialRep
 from symquot.oracle import (
     bruteforce_check,
-    growth_exponent_check,
+    growth_degree,
     invariant_dim_burnside,
     materialize_rep,
 )
@@ -105,16 +105,12 @@ def test_criterion_5_burnside_identity():
 
 
 def test_criterion_6_growth_exponents():
-    for kappa in (0, 1, 2):
-        for d in (2, 3):
-            rows = [(m, m**kappa) for m in range(2, 61, 2)]
-            slope = growth_exponent_check(rows, d)
-            assert abs(slope - d * kappa) < 0.2, (
-                f"kappa={kappa} d={d}: slope {slope:.4f} vs target {d * kappa}"
-            )
+    for kappa, d in oracle.GROWTH_CASES:
+        rows = [(m, m**kappa) for m in oracle.GROWTH_LEVELS]
+        assert growth_degree(rows, d) == d * kappa, f"kappa={kappa} d={d}"
     print(
-        "\n[criterion 6] PASS: fitted log-log growth exponents within 0.2 of "
-        "d*kappa for kappa in {0,1,2}, d in {2,3}"
+        "\n[criterion 6] PASS: P_m(sym^d) has degree exactly d*kappa in m for "
+        f"(kappa, d) in {list(oracle.GROWTH_CASES)}"
     )
 
 

@@ -348,12 +348,25 @@ def test_analyze_malformed_file_is_usage_error(run_cli, tmp_path):
     assert err.startswith("error: usage:")
 
 
+GENERATOR_FAULTS = {  # file text -> the message, which names the generator 1-based
+    '{"dimension": 2, "root_order": 2, "generators": [{"perm": ["a", 2], "exponents": [1, 1]}]}':
+        "generator 1: perm entry must be an integer, got 'a'",
+    '{"dimension": 2, "root_order": 2, "generators": [{"perm": [1.0, 2], "exponents": [1, 1]}]}':
+        "generator 1: perm entry must be an integer, got 1.0",
+    '{"dimension": 2, "root_order": 2, "generators": [{"perm": [1, 2], "exponents": [1]}]}':
+        "generator 1: need 2 exponents, got 1",
+    '{"dimension": 2, "root_order": 2, "generators": [{"perm": [2, 1]}, {"perm": [1, 1]}]}':
+        "generator 2: perm must list each of 1..2 exactly once: [1, 1]",
+    '{"dimension": 2, "root_order": 2, "generators": [{"perm": [2, 1]}, 5]}':
+        "generator 2: malformed entry 5",
+}
+
+
 @pytest.mark.parametrize(
     "text",
     [
         '{"dimension": 2, "root_order": 0, "generators": [{"perm": [2, 1], "exponents": [1, 1]}]}',
-        '{"dimension": 2, "root_order": 2, "generators": [{"perm": ["a", 2], "exponents": [1, 1]}]}',
-        '{"dimension": 2, "root_order": 2, "generators": [{"perm": [1.0, 2], "exponents": [1, 1]}]}',
+        *GENERATOR_FAULTS,
         '{"dimension": 2, "root_order": 2, "generators": 5}',
         "[]",
         "5",
@@ -370,6 +383,17 @@ def test_analyze_ill_typed_file_is_one_usage_line(run_cli, tmp_path, text):
     assert err.count("\n") == 1
     if not text.startswith("{"):
         assert "must hold a JSON object" in err and "missing field" not in err
+    if text in GENERATOR_FAULTS:
+        assert err == f"error: usage: {GENERATOR_FAULTS[text]}\n"
+
+
+def test_analyze_file_not_in_utf8_names_the_file(run_cli, tmp_path):
+    rep = tmp_path / "utf16.json"
+    rep.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run_cli("analyze", "--rep", str(rep))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: usage: representation file {rep} is not UTF-8: ")
+    assert err.count("\n") == 1
 
 
 def test_analyze_file_past_its_character_cap_is_one_domain_line(run_cli, tmp_path, monkeypatch):
@@ -660,6 +684,36 @@ def test_selftest_reports_each_failing_oracle_row(run_cli, monkeypatch):
         "numeric (0, 0, 0, 0) vs constructed (0, 0, 1, 1)"
     ]
     assert "FAILED with 1 discrepancies" in out
+
+
+@pytest.mark.parametrize(
+    "name,spoil,line,count",
+    [
+        (
+            "growth_degree",
+            lambda real: lambda rows, d: real(rows, d) + 1,
+            "growth kappa=1 d=2: degree 3, expected 2",
+            6,
+        ),
+        (
+            "invariant_dim_burnside",
+            lambda real: lambda p, d: real(p, d) + ((p, d) == (3, 2)),
+            "burnside p=3 d=2: routes disagree",
+            1,
+        ),
+    ],
+    ids=["growth", "burnside"],
+)
+def test_selftest_reports_each_failing_growth_and_burnside_case(
+    run_cli, monkeypatch, name, spoil, line, count
+):
+    from symquot import oracle
+
+    monkeypatch.setattr(oracle, name, spoil(getattr(oracle, name)))
+    code, out, _ = run_cli("selftest", "--max-dim", "2", "--max-points", "2")
+    assert code == 1
+    assert f"selftest FAILURE: {line}" in out.splitlines()
+    assert f"FAILED with {count} discrepancies" in out
 
 
 def test_identical_invocations_produce_identical_output(run_cli):

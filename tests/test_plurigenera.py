@@ -1,16 +1,14 @@
-"""Dimension formulas, Kodaira scaling, genus bounds, and growth fits."""
+"""Dimension formulas, Kodaira scaling, genus bounds, and growth degrees."""
 
 import math
 import time
 from itertools import combinations_with_replacement
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symquot import (
-    InsufficientDataError,
     KodairaDim,
     PointsCapError,
     UnsupportedDimensionError,
@@ -20,7 +18,7 @@ from symquot import (
     sym_dim,
 )
 from symquot import oracle
-from symquot.oracle import growth_exponent_check, invariant_dim_burnside
+from symquot.oracle import growth_degree, invariant_dim_burnside
 from symquot.plurigenera import PLURIGENUS_BITS_CAP, REGIME_GENERAL_TYPE, REGIME_NONNEGATIVE
 from symquot.sympower import TABLE_POINTS_CAP
 
@@ -149,47 +147,64 @@ def test_genus_bound_rejects_unknown_regime():
 
 
 def test_growth_quadratic_input_degree_two_power():
-    rows = [(m, m * m) for m in range(2, 41, 2)]
-    slope = growth_exponent_check(rows, 2)
-    assert abs(slope - 4) < 0.2
+    assert growth_degree([(m, m * m) for m in range(2, 41, 2)], 2) == 4
 
 
 def test_growth_constant_input_is_flat():
-    rows = [(m, 1) for m in range(2, 61, 2)]
-    slope = growth_exponent_check(rows, 5)
-    assert abs(slope) < 0.05
+    assert growth_degree([(m, 1) for m in range(2, 61, 2)], 5) == 0
 
 
 def test_growth_linear_input_degree_three_power():
-    rows = [(m, m) for m in range(2, 61, 2)]
-    slope = growth_exponent_check(rows, 3)
-    assert abs(slope - 3) < 0.2
+    assert growth_degree([(m, m) for m in range(2, 61, 2)], 3) == 3
 
 
-def test_growth_requires_three_rows():
-    with pytest.raises(InsufficientDataError):
-        growth_exponent_check([(2, 4), (4, 16)], 2)
+@st.composite
+def polynomial_plurigenera(draw):
+    """(rows, d, k): P_m a polynomial of degree k <= 3 with nonnegative
+    coefficients, d <= 3, and at least d*k + 2 distinct m in 1..60."""
+    k = draw(st.integers(0, 3))
+    coefficients = draw(st.lists(st.integers(0, 5), min_size=k, max_size=k))
+    coefficients.append(draw(st.integers(1, 5)))  # the leading one
+    d = draw(st.integers(1, 3))
+    ms = draw(st.lists(st.integers(1, 60), min_size=d * k + 2, max_size=d * k + 12, unique=True))
+    rows = [(m, sum(c * m**i for i, c in enumerate(coefficients))) for m in ms]
+    return rows, d, k
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    st.dictionaries(
-        st.integers(1, 500), st.integers(1, 10**12), min_size=3, max_size=40
-    )
+@given(polynomial_plurigenera())
+def test_growth_degree_is_d_times_the_degree_of_p(case):
+    rows, d, k = case
+    assert growth_degree(rows, d) == d * k
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_growth_of_a_minimal_surface_of_general_type(d):
+    # Riemann-Roch: P_m = chi + m(m - 1)/2 * K^2 for m >= 2, so kappa = 2
+    chi, k_squared = 3, 1
+    rows = [(m, chi + m * (m - 1) // 2 * k_squared) for m in range(2, 12)]
+    assert growth_degree(rows, d) == 2 * d
+
+
+def test_growth_on_unequally_spaced_m():
+    rows = [(m, m * m + 1) for m in (7, 1, 2, 4, 11, 16, 22)]
+    assert growth_degree(rows, 2) == 4
+    assert growth_degree(rows[:6], 2) == 4  # d*k + 2 rows are enough
+
+
+@pytest.mark.parametrize(
+    "rows,d,reason",
+    [
+        ([(4, 5), (4, 5), (4, 5)], 2, "distinct m"),
+        ([(2, 4), (4, 16)], 2, "too few"),
+        ([(m, m * m) for m in range(1, 6)], 2, "too few"),  # degree 4 needs 6 rows
+        ([(m, 2**m) for m in range(1, 9)], 1, "not a polynomial"),
+        ([(m, 0) for m in range(1, 5)], 3, "no row has a nonzero plurigenus"),
+    ],
 )
-def test_growth_slope_matches_numpy_polyfit(table):
-    # d = 1 keeps P_m unchanged; the fit runs on the large-m half of the rows
-    rows = sorted(table.items())
-    tail = rows[-max(3, len(rows) // 2):]
-    xs = [math.log(m) for m, _ in tail]
-    ys = [math.log(p) for _, p in tail]
-    expected = np.polyfit(xs, ys, 1)[0]
-    assert abs(growth_exponent_check(rows, 1) - expected) < 1e-9
-
-
-def test_growth_requires_distinct_m():
-    with pytest.raises(InsufficientDataError):
-        growth_exponent_check([(4, 5), (4, 5), (4, 5)], 2)
+def test_growth_degree_rejects_rows_without_a_degree(rows, d, reason):
+    with pytest.raises(ValueError, match=reason):
+        growth_degree(rows, d)
 
 
 def test_genus_bound_at_and_past_the_bit_cap():
