@@ -24,9 +24,11 @@ product and closure (``multiply``, ``close_group_reference``) live in
 
 The closure and the scan work on one N-tuple of integer codes per
 element, ``code[i] = N * exponents[i] + perm[i]``: the image of e_i and
-its exponent in one int. Right multiplication by a generator is one
-C-level gather of the codes (``operator.itemgetter``) followed, when the
-generator has nonzero exponents, by adding N * exponents mod N * m.
+its exponent in one int. Right multiplication by a generator gathers
+the codes by its permutation and, when it has nonzero exponents, adds
+N * exponents mod N * m. ``close_group`` does this for a whole slice of
+its queue at once, in C-level ``map`` and ``zip`` calls, and drops the
+products it has seen before in C too (``itertools.filterfalse``).
 ``MonomialElement`` appears only at the edges: the generators and the
 reported witness and quasi-reflections, decoded as ``c % N``, ``c // N``.
 
@@ -42,7 +44,7 @@ import os
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, filterfalse, repeat
 from math import lcm
 from operator import add, itemgetter, mod
 
@@ -54,6 +56,13 @@ DIMENSION_CAP = 256  # for files read by rep_from_dict; every element is an N-tu
 ROOT_ORDER_BITS_CAP = 128  # for files too; each element code N * e + i grows with m
 GENERATORS_CAP = 64  # for files too; closure work is |G| times the generator count
 REP_FILE_CHARS_CAP = 1 << 24  # characters read from a file, checked before decoding
+# Queue elements that close_group multiplies in one step. A wide step
+# copies its slice into N column tuples; the bound keeps that copy at
+# N * 256 references. Unbounded, it lifts the traced peak of S_8 on C^256,
+# which runs over the default cap, from 42.6 to 51.3 MB. 256 elements
+# still pay for the transpose and the per-column maps at N up to
+# DIMENSION_CAP.
+_QUEUE_SLICE = 256
 
 
 class MonomialElement(namedtuple("MonomialElement", "perm exponents")):
@@ -156,12 +165,26 @@ def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
     right by the generators in their given order, which fixes the element
     ordering used for witness reporting. Raises GroupTooLargeError as
     soon as the closure would exceed the cap.
+
+    The queue is walked in slices of up to ``_QUEUE_SLICE`` elements;
+    new elements are only appended, so slicing keeps the order of the
+    one-element-at-a-time walk, and with it the witness. A slice of at
+    least N elements is transposed once into N columns: a generator's
+    gather is a reordering of the columns, its shift one ``map`` per
+    column with a nonzero exponent, and ``zip`` rebuilds the products.
+    A thinner slice, such as every level of a cyclic group, gathers
+    element by element (``itemgetter``), which costs less than N columns
+    of a few entries each. The products of a slice are interleaved per
+    element in generator order, known ones are filtered out in C, and
+    the cap is checked on each new element as it comes, so the error is
+    raised at the same element as in the one-by-one walk.
     """
     cap = configured_cap(cap)
     n, nm = rep.dimension, rep.dimension * rep.root_order
     ident = tuple(range(n))
     # a @ g: a's codes gathered by g.perm, then N * g.exponents added mod N * m.
     # tuple(t) is t, where an itemgetter of one index would return a scalar.
+    # A gather reorders an element's codes, or a slice's columns alike.
     steps = [
         (
             tuple if g.perm == ident else itemgetter(*g.perm),
@@ -169,15 +192,34 @@ def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
         )
         for g in rep.generators
     ]
+    mods = repeat(nm)
     seen = {ident}
     ordered = [ident]
-    for current in ordered:  # grows while it is walked: the list is the BFS queue
-        for gather, shifts in steps:
-            product = gather(current)
-            if shifts is not None:
-                product = tuple(map(mod, map(add, product, shifts), repeat(nm)))
-            if product in seen:
-                continue
+    start = 0
+    while start < len(ordered):  # the list is the BFS queue, walked a slice at a time
+        chunk = ordered[start : start + _QUEUE_SLICE]
+        start += len(chunk)
+        products = []
+        if len(chunk) >= n:  # wide: one C-level map per column of the slice
+            cols = list(zip(*chunk))
+            for gather, shifts in steps:
+                new = gather(cols)
+                if shifts is not None:
+                    new = [
+                        map(mod, map(add, col, repeat(s)), mods) if s else col
+                        for col, s in zip(new, shifts)
+                    ]
+                products.append(zip(*new))
+        else:  # thin: one C-level map per element, no column overhead
+            for gather, shifts in steps:
+                gathered = map(gather, chunk)
+                if shifts is not None:
+                    summed = map(map, repeat(add), gathered, repeat(shifts))
+                    gathered = map(tuple, map(map, repeat(mod), summed, repeat(mods)))
+                products.append(gathered)
+        # zip interleaves the generators per element: the order of the one-by-one walk.
+        # filterfalse reads ``seen`` lazily, so a repeat within the slice is dropped too.
+        for product in filterfalse(seen.__contains__, chain.from_iterable(zip(*products))):
             if len(seen) >= cap:
                 raise GroupTooLargeError(
                     f"group closure exceeded the cap of {cap} elements", cap=cap
@@ -333,16 +375,19 @@ def load_rep_file(path: str | os.PathLike) -> MonomialRep:
     """Read a representation from a JSON file (see ``rep_from_dict``).
 
     A file longer than ``REP_FILE_CHARS_CAP`` characters raises
-    MatrixTooLargeError before any decoding. Text that is not UTF-8,
+    MatrixTooLargeError before any decoding. A path that cannot be opened
+    or read (missing, a directory, no permission), text that is not UTF-8,
     invalid JSON, JSON nested too deeply for the decoder, and integer
     literals longer than Python's limit for integer strings raise
     ValueError.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read(REP_FILE_CHARS_CAP + 1)
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"representation file {path} is not UTF-8: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"representation file {path} is not UTF-8: {exc}") from exc
+    except OSError as exc:  # missing, a directory, no permission
+        raise ValueError(f"representation file {path} cannot be read: {exc.strerror}") from exc
     if len(text) > REP_FILE_CHARS_CAP:
         raise MatrixTooLargeError(
             f"representation file {path} is longer than the cap of {REP_FILE_CHARS_CAP} characters"

@@ -458,8 +458,18 @@ def test_unexpected_exception_is_one_internal_line(run_cli, monkeypatch, exc):
 
 
 def test_analyze_missing_file_is_usage_error(run_cli, tmp_path):
-    code, _, _ = run_cli("analyze", "--rep", str(tmp_path / "nope.json"))
-    assert code == 2
+    path = tmp_path / "nope.json"
+    code, out, err = run_cli("analyze", "--rep", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: usage: representation file {path} cannot be read: No such file or directory\n"
+    )
+
+
+def test_analyze_directory_is_usage_error_naming_it(run_cli, tmp_path):
+    code, out, err = run_cli("analyze", "--rep", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: usage: representation file {tmp_path} cannot be read: Is a directory\n"
 
 
 def test_plurigenera_markdown(run_cli):
@@ -662,7 +672,8 @@ def test_selftest_prints_every_section_line(run_cli):
 
 
 def test_selftest_reports_both_verdicts_when_the_engines_disagree(run_cli, monkeypatch):
-    from symquot import monomial
+    # oracle binds its own ``analyze`` on first import, which must not be the patch
+    from symquot import monomial, oracle  # noqa: F401
 
     analyze = monomial.analyze
     monkeypatch.setattr(monomial, "analyze", lambda rep: analyze(rep)._replace(index=7))
@@ -686,6 +697,18 @@ def test_selftest_reports_each_failing_oracle_row(run_cli, monkeypatch):
     assert "FAILED with 1 discrepancies" in out
 
 
+def undivided_growth_degree(rows, d):
+    """``oracle.growth_degree`` with plain finite differences, not divided by the m spans."""
+    from symquot.plurigenera import sym_dim
+
+    column = [sym_dim(p_m, d) for _, p_m in sorted(rows)]
+    for degree in range(len(column) - 1):
+        column = [b - a for a, b in zip(column, column[1:])]
+        if not any(column):
+            return degree
+    raise ValueError(f"{len(rows)} rows never reach a zero difference")
+
+
 @pytest.mark.parametrize(
     "name,spoil,line,count",
     [
@@ -701,8 +724,14 @@ def test_selftest_reports_each_failing_oracle_row(run_cli, monkeypatch):
             "burnside p=3 d=2: routes disagree",
             1,
         ),
+        (  # right on equally spaced m only, so unequally spaced rows catch it
+            "growth_degree",
+            lambda real: undivided_growth_degree,
+            "growth kappa=1 d=2: 17 rows never reach a zero difference",
+            4,
+        ),
     ],
-    ids=["growth", "burnside"],
+    ids=["growth", "burnside", "growth-undivided"],
 )
 def test_selftest_reports_each_failing_growth_and_burnside_case(
     run_cli, monkeypatch, name, spoil, line, count

@@ -592,6 +592,46 @@ def test_flat_closure_matches_reference_on_edge_cases(rep):
     assert_same_closure(rep)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_flat_closure_matches_reference_under_small_caps(data):
+    # caps of 1-80 land inside a slice, often mid-way through its products
+    size, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
+    gens = [draw_element(data.draw, size, m) for _ in range(data.draw(st.integers(1, 4)))]
+    rep = MonomialRep(dimension=size, root_order=m, generators=tuple(gens))
+    assert_same_closure(rep, cap=data.draw(st.integers(1, 80)))
+
+
+def cyclic_powers_rep(order):
+    """1/order(1, 2) on C^2 given by its powers 1..256: the identity's slice yields
+    min(order - 1, 256) elements, and the next slices are 256 wide at most."""
+    gens = tuple(MonomialElement((0, 1), (k % order, 2 * k % order)) for k in range(1, 257))
+    return MonomialRep(dimension=2, root_order=order, generators=gens)
+
+
+@pytest.mark.parametrize(
+    "make_rep,order",
+    [
+        (lambda: sl_rep(30), 2700),  # N = 3: wide slices of 256 after the first levels
+        (lambda: diag_rep(97, tuple(range(1, 17))), 97),  # one element per slice, all < N = 16
+        (lambda: materialize_rep(3, 5), 120),  # N = 15: thin slices of 1-12, wide of 15-22, thin
+        (lambda: cyclic_powers_rep(256), 256),  # slices 1, 255; one generator is the identity
+        (lambda: cyclic_powers_rep(257), 257),  # slices 1, 256
+        (lambda: cyclic_powers_rep(513), 513),  # slices 1, 256, 256
+    ],
+    ids=["sl-30-wide", "cyclic-C16-thin", "sym-3-5-thin-then-wide", "order-256", "order-257",
+         "order-513"],
+)
+def test_flat_closure_matches_reference_across_slice_forms(make_rep, order):
+    rep = make_rep()
+    assert_same_closure(rep, cap=order)
+    assert len(close_group(rep, cap=order).flat_elements) == order
+    with pytest.raises(GroupTooLargeError):
+        close_group_reference(rep, cap=order - 1)
+    with pytest.raises(GroupTooLargeError):
+        close_group(rep, cap=order - 1)
+
+
 def test_flat_closure_of_dimension_one():
     closed = close_group(diag_rep(5, (2,)))
     assert describe_all(decode_closure(closed)) == [f"perm[1] exp[{k}]" for k in (0, 2, 4, 1, 3)]
