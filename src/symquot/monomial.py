@@ -18,9 +18,15 @@ otherwise. Hence
 and g is a quasi-reflection iff that count is 1. The determinant is
 exp(2 pi i age(g)) and a character, so the index is the lcm of the age
 denominators of the generators. The eigenvalue-multiset route
-(``element_eigen_exponents``, ``det_turn``) and the ``MonomialElement``
-product and closure (``multiply``, ``close_group_reference``) live in
-``oracle`` as the references that tests and the selftest compare against.
+(``element_eigen_exponents``, ``det_turn``), the full scan built on it
+(``analyze_reference``) and the ``MonomialElement`` product and closure
+(``multiply``, ``close_group_reference``) live in ``oracle`` as the
+references that tests and the selftest compare against.
+
+Every cycle adds to both sums above, never subtracts, so ``analyze``
+stops an element's walk as soon as its age reaches the least age found
+so far and two eigenvalues are known to differ from 1: past that point
+the element can neither become the witness nor be a quasi-reflection.
 
 The closure and the scan work on one N-tuple of integer codes per
 element, ``code[i] = N * exponents[i] + perm[i]``: the image of e_i and
@@ -229,29 +235,37 @@ def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
     return rep._replace(flat_elements=tuple(ordered))
 
 
-def _cycle_sums(code: tuple[int, ...], n: int, nm: int) -> tuple[int, int]:
+def _cycle_sums(
+    code: tuple[int, ...], n: int, nm: int, bound: int | None = None
+) -> tuple[int, int] | None:
     """2Nm * age and the number of eigenvalues != 1 of a coded element.
 
     Summing ``c - i`` along a cycle of ``i -> c % N``, mod N * m, leaves
-    N * K_c: 2Nm * age = 2N * sum K_c + Nm * (N - #cycles).
+    N * K_c: a cycle of length l adds 2N * K_c + Nm * (l - 1) to 2Nm * age,
+    and l - [K_c = 0] to the count. Both running sums only grow, so once
+    the key reaches ``bound`` and the count is at least 2 the walk stops
+    and returns None: the element's age is at least bound / 2Nm and it is
+    neither the identity nor a quasi-reflection.
     """
     seen = [False] * n
-    k_total = cycles = fixed = 0
+    key = moved = 0
     for start in range(n):
         if seen[start]:
             continue
-        cycles += 1
-        k_sum = 0
+        k_sum = length = 0
         i = start
         while not seen[i]:
             seen[i] = True
             c = code[i]
             k_sum += c - i
             i = c % n
+            length += 1
         k_sum %= nm
-        k_total += k_sum
-        fixed += k_sum == 0  # a cycle with K_c = 0 has exactly one eigenvalue 1
-    return 2 * k_total + nm * (n - cycles), n - fixed
+        key += 2 * k_sum + nm * (length - 1)
+        moved += length - (k_sum == 0)  # a cycle with K_c = 0 has exactly one eigenvalue 1
+        if bound is not None and key >= bound and moved >= 2:
+            return None
+    return key, moved
 
 
 def element_age(g: MonomialElement, root_order: int) -> tuple[Fraction, int]:
@@ -271,6 +285,13 @@ def analyze(rep: MonomialRep) -> SingularityVerdict:
     denominators. The witness is the first element of minimal age in
     closure order. Quasi-reflections abort the analysis: the quotient is
     not taken in that regime.
+
+    Each element's cycle walk gets the least key so far as its bound. An
+    element whose walk stops there has a key at least that large, and only
+    a strictly smaller key replaces the witness, so the witness stays the
+    first least-age element; it has two eigenvalues != 1 already, so it is
+    neither the identity nor a quasi-reflection, and the quasi-reflections
+    are still every one in closure order.
     """
     if rep.flat_elements is None:
         raise ValueError("group is not closed yet; call close_group first")
@@ -279,7 +300,10 @@ def analyze(rep: MonomialRep) -> SingularityVerdict:
     min_key: int | None = None  # 2Nm * age, so keys compare as ages do
     witness = None
     for g in rep.flat_elements:
-        key, moved = _cycle_sums(g, n, nm)
+        sums = _cycle_sums(g, n, nm, min_key)
+        if sums is None:  # no smaller age and no quasi-reflection: it changes nothing
+            continue
+        key, moved = sums
         if moved == 0:  # only the identity has every eigenvalue 1
             continue
         if moved == 1:

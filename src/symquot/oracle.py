@@ -25,7 +25,11 @@ This module holds the routes the tests and ``run_selftest`` compare them with:
   against which the code-tuple ``monomial.close_group`` is held element
   by element through ``decode_closure``;
 - the Terminal Lemma for cyclic 3-fold quotients, ``terminal_lemma``,
-  and ``terminal_lemma_sweep``, which holds ``monomial.analyze`` to it;
+  and ``terminal_lemma_sweep``, which holds ``monomial.analyze`` to it on
+  the groups of ``terminal_lemma_groups``;
+- ``analyze_reference``, the verdict of ``monomial.analyze`` by a full
+  scan of every element on the eigenvalue route, against which the
+  engine's early-stopping scan is held;
 - ``invariant_dim_burnside``, the Burnside trace average that
   recomputes ``plurigenera.sym_dim``;
 - ``growth_degree``, the exact degree in m of the symmetric-power
@@ -34,22 +38,25 @@ This module holds the routes the tests and ``run_selftest`` compare them with:
 The numpy eigenvalue check is the only floating-point code in the package.
 
 ``run_selftest`` runs all of them over a range of models and prints one
-line per section. numpy is imported inside the functions that use it,
-and no engine or CLI command other than ``selftest`` imports this module.
+line per section. Every engine call goes through the ``monomial`` module,
+so a patch of ``monomial.analyze`` reaches every section. numpy is
+imported inside the functions that use it, and no engine or CLI command
+other than ``selftest`` imports this module.
 """
 
 from __future__ import annotations
 
 import time
 from collections import namedtuple
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import TYPE_CHECKING
 
 from . import monomial
 from .combinatorics import CycleType, class_size, partitions
-from .errors import GroupTooLargeError, MatrixTooLargeError, PointsCapError
-from .monomial import MonomialElement, MonomialRep, _decode, analyze, close_group, configured_cap
+from .errors import GroupTooLargeError, MatrixTooLargeError, PointsCapError, QuasiReflectionError
+from .monomial import MonomialElement, MonomialRep, SingularityVerdict, _decode, configured_cap
 from .plurigenera import sym_dim
 from .sympower import TABLE_POINTS_CAP, _check_model, class_table, verdict
 
@@ -235,27 +242,83 @@ def terminal_lemma(r: int, weights: tuple[int, int, int]) -> tuple[bool, bool]:
     return terminal, (a + b + c) % r == 0
 
 
-def terminal_lemma_sweep(r_below: int) -> tuple[int, list[str]]:
-    """Hold ``analyze`` to ``terminal_lemma`` on every 1/r(a, b, c), r < r_below.
+def terminal_lemma_groups(r_below: int) -> Iterator[tuple[int, tuple[int, int, int], MonomialRep]]:
+    """Every 1/r(a, b, c) with 2 <= r < r_below and each weight in [1, r) prime to r.
 
-    Weights run over [1, r) prime to r, ordered triples included.
+    Yields (r, weights, the unclosed cyclic group on C^3), ordered triples
+    included.
+    """
+    for r in range(2, r_below):
+        units = [k for k in range(1, r) if gcd(k, r) == 1]
+        for weights in ((a, b, c) for a in units for b in units for c in units):
+            yield r, weights, MonomialRep(3, r, (MonomialElement((0, 1, 2), weights),))
+
+
+def terminal_lemma_sweep(r_below: int) -> tuple[int, list[str]]:
+    """Hold ``monomial.analyze`` to ``terminal_lemma`` on ``terminal_lemma_groups(r_below)``.
+
     Returns the number of cases and one line per disagreement.
     """
     cases = 0
     mismatches = []
-    for r in range(2, r_below):
-        units = [k for k in range(1, r) if gcd(k, r) == 1]
-        for weights in ((a, b, c) for a in units for b in units for c in units):
-            gen = MonomialElement((0, 1, 2), weights)
-            v = analyze(close_group(MonomialRep(3, r, (gen,))))
-            want = terminal_lemma(r, weights)
-            if (v.terminal, v.gorenstein) != want:
-                mismatches.append(
-                    f"1/{r}{weights}: terminal, gorenstein = "
-                    f"{v.terminal}, {v.gorenstein}; the lemma gives {want[0]}, {want[1]}"
-                )
-            cases += 1
+    for r, weights, rep in terminal_lemma_groups(r_below):
+        v = monomial.analyze(monomial.close_group(rep))
+        want = terminal_lemma(r, weights)
+        if (v.terminal, v.gorenstein) != want:
+            mismatches.append(
+                f"1/{r}{weights}: terminal, gorenstein = "
+                f"{v.terminal}, {v.gorenstein}; the lemma gives {want[0]}, {want[1]}"
+            )
+        cases += 1
     return cases, mismatches
+
+
+def analyze_reference(rep: MonomialRep) -> SingularityVerdict:
+    """``monomial.analyze`` by the eigenvalue route, every element scanned in full.
+
+    Walks ``decode_closure(rep)`` in closure order. Ages come from
+    ``element_eigen_exponents``, quasi-reflections from
+    ``is_quasi_reflection``, and the index is the order of the determinant
+    character: the lcm of the ``det_turn`` denominators over the whole
+    group. The witness is the first element of least age. Quasi-reflections
+    raise the engine's QuasiReflectionError, with the same message and
+    ``elements``.
+    """
+    elements = decode_closure(rep)
+    quasi = []
+    index = 1
+    least = witness = None
+    for g in elements:
+        index = lcm(index, det_turn(g, rep.root_order).denominator)
+        exps = element_eigen_exponents(g, rep.root_order)
+        if not any(exps.exponents):  # every eigenvalue 1: the identity
+            continue
+        if is_quasi_reflection(exps):
+            quasi.append(g.describe())
+        g_age = age(exps)[1]
+        if least is None or g_age < least:
+            least, witness = g_age, g
+    if quasi:
+        raise QuasiReflectionError(
+            f"group contains {len(quasi)} quasi-reflection(s): " + "; ".join(quasi),
+            elements=tuple(quasi),
+        )
+    return SingularityVerdict(
+        index=index,
+        group_order=len(elements),
+        min_age=least,
+        witness=None if witness is None else witness.describe(),
+    )
+
+
+def scan_outcome(
+    scan: Callable[[MonomialRep], SingularityVerdict], closed: MonomialRep
+) -> SingularityVerdict | str:
+    """``scan(closed)``, or the message and elements of its QuasiReflectionError."""
+    try:
+        return scan(closed)
+    except QuasiReflectionError as exc:
+        return f"QuasiReflectionError({exc}, elements={exc.elements})"
 
 
 class RecoveryError(ValueError):
@@ -419,6 +482,13 @@ GROWTH_CASES = tuple((kappa, d) for kappa in (0, 1, 2) for d in (2, 3))
 # past the degree; at least d * kappa + 2 = 8 of them for kappa = 2, d = 3.
 GROWTH_LEVELS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 TERMINAL_LEMMA_R_BELOW = 20
+# The groups on which the engine's scan is held to a full eigenvalue scan:
+# 1/r(a,b,c) for r below 12, and S_d on n blocks for d up to 4 and n = 1
+# (reflection groups) up to --max-dim. The full scan costs some 25 us an
+# element: r below 12 is 16 034 elements and 0.4 s, r below 20 would be
+# 242 000 elements and 6 s.
+FULL_SCAN_R_BELOW = 12
+FULL_SCAN_MAX_POINTS = 4
 
 
 def run_selftest(max_dim: int, max_points: int) -> int:
@@ -471,8 +541,7 @@ def run_selftest(max_dim: int, max_points: int) -> int:
                 )
     print(f"selftest: verdict scan n=2..{max_dim}, d=2..{max_points}")
 
-    # generic monomial engine against the closed-form engine; the engine is
-    # called through its module, so that a test can patch it
+    # generic monomial engine against the closed-form engine
     for n, d in CROSS_ENGINE_PAIRS:
         if n > max_dim or d > max_points:
             continue
@@ -488,6 +557,23 @@ def run_selftest(max_dim: int, max_points: int) -> int:
     failures.extend(f"terminal lemma {line}" for line in mismatches)
     print(f"selftest: Terminal Lemma 1/r(a,b,c), r=2..{TERMINAL_LEMMA_R_BELOW - 1}: "
           f"{cases} cases")
+
+    # the monomial engine, whose scan stops early, against a full eigenvalue scan
+    groups = [
+        (f"1/{r}{weights}", rep) for r, weights, rep in terminal_lemma_groups(FULL_SCAN_R_BELOW)
+    ]
+    groups += [
+        (f"n={n} d={d}", materialize_rep(n, d))
+        for n in range(1, max_dim + 1)
+        for d in range(1, min(max_points, FULL_SCAN_MAX_POINTS) + 1)
+    ]
+    for label, rep in groups:
+        closed = monomial.close_group(rep)
+        got = scan_outcome(monomial.analyze, closed)
+        want = scan_outcome(analyze_reference, closed)
+        if got != want:
+            failures.append(f"full scan {label}: analyze gives {got}, the full scan {want}")
+    print(f"selftest: analyze against a full eigenvalue scan: {len(groups)} groups")
 
     # symmetric-power dimension identity, two independent routes
     for p in range(0, 11):

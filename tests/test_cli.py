@@ -665,23 +665,78 @@ def test_selftest_prints_every_section_line(run_cli):
         "selftest: verdict scan n=2..3, d=2..3",
         "selftest: cross-engine agreement on materialized groups",
         "selftest: Terminal Lemma 1/r(a,b,c), r=2..19: 14825 cases",
+        "selftest: analyze against a full eigenvalue scan: 1658 groups",
         "selftest: Burnside identity p=0..10, d=1..10",
         "selftest: plurigenus growth exponents",
         "selftest: OK (<t>s)",
     ]
 
 
+def failed_sections(out):
+    """The label of each selftest FAILURE line: its text up to the next colon."""
+    prefix = "selftest FAILURE: "
+    return [line[len(prefix):].split(":")[0] for line in out.splitlines() if line.startswith(prefix)]
+
+
 def test_selftest_reports_both_verdicts_when_the_engines_disagree(run_cli, monkeypatch):
-    # oracle binds its own ``analyze`` on first import, which must not be the patch
-    from symquot import monomial, oracle  # noqa: F401
+    from symquot import monomial
 
     analyze = monomial.analyze
-    monkeypatch.setattr(monomial, "analyze", lambda rep: analyze(rep)._replace(index=7))
+
+    def spoiled(rep):  # the materialized groups (root order 1), not the Terminal Lemma ones
+        v = analyze(rep)
+        return v._replace(index=7) if rep.root_order == 1 else v
+
+    monkeypatch.setattr(monomial, "analyze", spoiled)
     code, out, _ = run_cli("selftest", "--max-dim", "2", "--max-points", "2")
     assert code == 1
     (line,) = [line for line in out.splitlines() if "cross-engine n=2 d=2" in line]
     assert "index=7" in line and "index=1" in line
-    assert "FAILED with 1 discrepancies" in out
+    # the full-scan section sees the patch too, on each group but the reflection group n=1 d=2
+    assert failed_sections(out) == [
+        "cross-engine n=2 d=2",
+        "full scan n=1 d=1",
+        "full scan n=2 d=1",
+        "full scan n=2 d=2",
+    ]
+    assert "FAILED with 4 discrepancies" in out
+
+
+def test_every_selftest_section_calls_the_engine_through_its_module(run_cli, monkeypatch):
+    from symquot import monomial, oracle
+
+    analyze, close_group, closed = monomial.analyze, monomial.close_group, []
+    monkeypatch.setattr(monomial, "analyze", lambda rep: analyze(rep)._replace(index=7))
+    monkeypatch.setattr(monomial, "close_group", lambda rep: closed.append(rep) or close_group(rep))
+    cases, mismatches = oracle.terminal_lemma_sweep(4)
+    assert len(closed) == cases == 9  # 1/2(1,1,1) and the eight 1/3 triples
+    assert [line.split(":")[0] for line in mismatches] == ["1/3(1, 1, 1)", "1/3(2, 2, 2)"]
+    code, out, _ = run_cli("selftest", "--max-dim", "2", "--max-points", "2")
+    sections = failed_sections(out)
+    assert code == 1
+    assert "cross-engine n=2 d=2" in sections
+    assert "terminal lemma 1/3(1, 1, 1)" in sections
+    assert "full scan 1/3(1, 1, 1)" in sections
+
+
+def test_selftest_catches_an_early_stop_that_skips_quasi_reflections(run_cli, monkeypatch):
+    from symquot import monomial
+
+    cycle_sums = monomial._cycle_sums
+
+    def stop_without_count(code, n, nm, bound=None):  # stops on the key alone
+        sums = cycle_sums(code, n, nm)
+        return None if bound is not None and sums[0] >= bound else sums
+
+    monkeypatch.setattr(monomial, "_cycle_sums", stop_without_count)
+    code, out, _ = run_cli("selftest", "--max-dim", "2", "--max-points", "3")
+    assert code == 1
+    (line,) = [line for line in out.splitlines() if "FAILURE" in line]
+    assert line.startswith(
+        "selftest FAILURE: full scan n=1 d=3: analyze gives QuasiReflectionError(group contains "
+        "1 quasi-reflection(s): perm[2,1,3] exp[0,0,0]"
+    )
+    assert "the full scan QuasiReflectionError(group contains 3 quasi-reflection(s)" in line
 
 
 def test_selftest_reports_each_failing_oracle_row(run_cli, monkeypatch):

@@ -22,11 +22,13 @@ from symquot.monomial import (
     ROOT_ORDER_BITS_CAP,
     MonomialElement,
     MonomialRep,
+    _cycle_sums,
     element_age,
 )
 from symquot.oracle import (
     EigenExponents,
     age,
+    analyze_reference,
     class_element,
     close_group_reference,
     decode_closure,
@@ -38,6 +40,7 @@ from symquot.oracle import (
     monomial_matrix,
     multiply,
     numeric_exponents,
+    scan_outcome,
     terminal_lemma,
     terminal_lemma_sweep,
 )
@@ -753,3 +756,117 @@ def test_invariance_draws_reach_nontrivial_verdicts():
         return isinstance(outcome, tuple) and outcome[-1] > 1
 
     assert nontrivial(find(small_reps(), nontrivial))
+
+
+# The scan stops an element's cycle walk once its key reaches the least
+# key so far and two of its eigenvalues differ from 1. The walk's contract
+# is held directly, and the whole scan to ``oracle.analyze_reference``,
+# which scans every element in full on the eigenvalue route.
+
+
+def coded(g):
+    n = len(g.perm)
+    return tuple(n * k + i for i, k in zip(g.perm, g.exponents))
+
+
+@pytest.mark.parametrize(
+    "g,m,bound,want",
+    [
+        (MonomialElement((1, 2, 0), (0, 0, 0)), 1, 6, None),  # 3-cycle: key 6, moved 2
+        (MonomialElement((1, 2, 0), (0, 0, 0)), 1, 7, (6, 2)),
+        (MonomialElement((0, 1, 2), (1, 1, 1)), 2, 7, None),  # key 18, moved 3
+        (MonomialElement((1, 0, 2), (0, 0, 0)), 1, 0, (3, 1)),  # a reflection never stops
+        (MonomialElement((0, 1, 2), (0, 0, 0)), 1, 0, (0, 0)),  # nor does the identity
+    ],
+    ids=["3-cycle-bound-at-key", "3-cycle-bound-past-key", "diagonal", "reflection", "identity"],
+)
+def test_cycle_walk_stops_at_its_bound(g, m, bound, want):
+    n = len(g.perm)
+    assert _cycle_sums(coded(g), n, n * m, bound) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(rep=small_reps(), data=st.data())
+def test_cycle_walk_stops_exactly_when_key_and_count_pass_the_bound(rep, data):
+    g = data.draw(st.sampled_from(rep.generators))
+    n, nm = rep.dimension, rep.dimension * rep.root_order
+    key, moved = _cycle_sums(coded(g), n, nm)
+    assert (Fraction(key, 2 * nm), moved) == element_age(g, rep.root_order)
+    bound = data.draw(st.integers(key - 2, key + 2) | st.integers(0, 2 * nm * n))
+    stops = key >= bound and moved >= 2
+    assert _cycle_sums(coded(g), n, nm, bound) == (None if stops else (key, moved))
+
+
+@st.composite
+def reps_with_quasi_reflections(draw):
+    """``small_reps`` plus one diagonal or transposition quasi-reflection generator."""
+    rep = draw(small_reps())
+    n, m = rep.dimension, rep.root_order
+    kinds = ["diagonal"] * (m > 1) + ["transposition"] * (n > 1)
+    if not kinds:  # C^1 with m = 1 has no quasi-reflection
+        return rep
+    perm, exps = list(range(n)), [0] * n
+    if draw(st.sampled_from(kinds)) == "diagonal":
+        exps[draw(st.integers(0, n - 1))] = draw(st.integers(1, m - 1))
+    else:  # e_i -> zeta^k e_j -> e_i: eigenvalues 1 and -1
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        perm[i], perm[j] = j, i
+        k = draw(st.integers(0, m - 1))
+        exps[i], exps[j] = k, -k % m
+    gens = list(rep.generators)
+    gens.insert(draw(st.integers(0, len(gens))), MonomialElement(tuple(perm), tuple(exps)))
+    return with_generators(rep, gens)
+
+
+def full_scan_outcomes(rep):
+    """(analyze, analyze_reference) outcomes of the closed group, None past the cap."""
+    try:
+        closed = close_group(rep, cap=INVARIANCE_CAP)
+    except GroupTooLargeError:
+        return None
+    return scan_outcome(analyze, closed), scan_outcome(analyze_reference, closed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rep=small_reps() | reps_with_quasi_reflections())
+def test_analyze_matches_the_full_eigenvalue_scan(rep):
+    outcomes = full_scan_outcomes(rep)
+    assert outcomes is None or outcomes[0] == outcomes[1]
+
+
+def test_full_scan_draws_reach_several_quasi_reflections():
+    # the property above must meet groups whose later quasi-reflections have no smaller age
+    def several(rep):
+        outcomes = full_scan_outcomes(rep)
+        return outcomes is not None and "group contains 3 quasi-reflection(s)" in outcomes[1]
+
+    assert several(find(reps_with_quasi_reflections(), several))
+
+
+@pytest.mark.parametrize(
+    "rep,want",
+    [
+        (diag_rep(5, (1, 0)), [f"perm[1,2] exp[{k},0]" for k in (1, 2, 3, 4)]),
+        (  # S_3 on C^3: the later transpositions have the first one's age
+            materialize_rep(1, 3),
+            ["perm[2,1,3] exp[0,0,0]", "perm[1,3,2] exp[0,0,0]", "perm[3,2,1] exp[0,0,0]"],
+        ),
+        (  # an age-1/2 element comes first, then reflections of age 1/4 to 3/4
+            MonomialRep(2, 4, (MonomialElement((0, 1), (1, 1)), MonomialElement((0, 1), (3, 0)))),
+            [f"perm[1,2] exp[{e}]" for e in ("3,0", "0,1", "2,0", "1,0", "0,2", "0,3")],
+        ),
+        (  # the same, with transpositions of eigenvalues 1 and -1
+            MonomialRep(2, 4, (MonomialElement((0, 1), (1, 1)), MonomialElement((1, 0), (1, 3)))),
+            ["perm[2,1] exp[1,3]", "perm[2,1] exp[3,1]"],
+        ),
+    ],
+    ids=["1/5(1,0)", "S3-on-C3", "diagonal-after-age-1/2", "transposition-after-age-1/2"],
+)
+def test_every_quasi_reflection_after_a_smaller_age_is_reported(rep, want):
+    closed = close_group(rep)
+    message = f"group contains {len(want)} quasi-reflection(s): " + "; ".join(want)
+    for scan in (analyze, analyze_reference):
+        with pytest.raises(QuasiReflectionError) as info:
+            scan(closed)
+        assert (str(info.value), info.value.elements) == (message, tuple(want))
+
