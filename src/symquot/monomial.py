@@ -28,6 +28,16 @@ stops an element's walk as soon as its age reaches the least age found
 so far and two eigenvalues are known to differ from 1: past that point
 the element can neither become the witness nor be a quasi-reflection.
 
+``analyze`` reads the index off the generators before the scan, and for
+index 1 it stops the whole scan at the first element of age 1. A group
+of index 1 lies in SL(N): every determinant exp(2 pi i age(g)) is 1, so
+every non-identity age is a whole number >= 1, and no element is a
+quasi-reflection, whose determinant is its one eigenvalue != 1. No later
+element can have a smaller age or be reported, so that first age-1
+element is the witness and the verdict is settled. A group of index 1
+without an age-1 element (terminal, such as 1/2(1,1,1,1)) and every
+group of index > 1 are scanned in full.
+
 The closure and the scan work on one N-tuple of integer codes per
 element, ``code[i] = N * exponents[i] + perm[i]``: the image of e_i and
 its exponent in one int. Right multiplication by a generator gathers
@@ -292,10 +302,20 @@ def analyze(rep: MonomialRep) -> SingularityVerdict:
     first least-age element; it has two eigenvalues != 1 already, so it is
     neither the identity nor a quasi-reflection, and the quasi-reflections
     are still every one in closure order.
+
+    The index comes first. When it is 1 the group lies in SL(N), where
+    every non-identity age is an integer >= 1 and no element is a
+    quasi-reflection (its determinant would be its one eigenvalue != 1),
+    so the scan ends at the first element of age 1: it is the witness, and
+    nothing after it can change the verdict. Other groups, and SL groups
+    with no age-1 element, are scanned to the end.
     """
     if rep.flat_elements is None:
         raise ValueError("group is not closed yet; call close_group first")
     n, m, nm = rep.dimension, rep.root_order, rep.dimension * rep.root_order
+    index = lcm(1, *(element_age(g, m)[0].denominator for g in rep.generators))
+    # In SL(N) every non-identity key is at least 2Nm (age 1), so one equal to it ends the scan.
+    least_possible = 2 * nm if index == 1 else None
     quasi = []
     min_key: int | None = None  # 2Nm * age, so keys compare as ages do
     witness = None
@@ -310,13 +330,14 @@ def analyze(rep: MonomialRep) -> SingularityVerdict:
             quasi.append(_decode(g, n).describe())
         if min_key is None or key < min_key:
             min_key, witness = key, g
+            if key == least_possible:
+                break
     if quasi:
         raise QuasiReflectionError(
             f"group contains {len(quasi)} quasi-reflection(s): " + "; ".join(quasi),
             elements=tuple(quasi),
         )
 
-    index = lcm(1, *(element_age(g, m)[0].denominator for g in rep.generators))
     return SingularityVerdict(
         index=index,
         group_order=len(rep.flat_elements),

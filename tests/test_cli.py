@@ -739,6 +739,37 @@ def test_selftest_catches_an_early_stop_that_skips_quasi_reflections(run_cli, mo
     assert "the full scan QuasiReflectionError(group contains 3 quasi-reflection(s)" in line
 
 
+def test_selftest_catches_a_stop_at_age_1_that_ignores_the_index(run_cli, monkeypatch):
+    from symquot import monomial
+
+    cycle_sums, stopped = monomial._cycle_sums, []
+
+    def stop_at_age_1(code, n, nm, bound=None):  # as if every group lay in SL(N)
+        if code == tuple(range(n)):  # each closure, and so each scan, starts at the identity
+            stopped.clear()
+        if stopped and bound is not None:  # element_age walks the generators without a bound
+            return None
+        sums = cycle_sums(code, n, nm, bound)
+        if sums is not None and sums[0] == 2 * nm:
+            stopped.append(code)
+        return sums
+
+    monkeypatch.setattr(monomial, "_cycle_sums", stop_at_age_1)
+    code, out, _ = run_cli("selftest", "--max-dim", "2", "--max-points", "2")
+    assert code == 1
+    failures = [line for line in out.splitlines() if line.startswith("selftest FAILURE")]
+    assert failed_sections(out)[0] == "full scan 1/6(5, 5, 5)"
+    assert all(section.startswith("full scan 1/") for section in failed_sections(out))
+    # 1/6(5,5,5): the powers of age 5/2, 2, 3/2 and 1 come before the one of age 1/2
+    assert failures[0] == (
+        "selftest FAILURE: full scan 1/6(5, 5, 5): analyze gives SingularityVerdict(index=2, "
+        "group_order=6, min_age=Fraction(1, 1), witness='perm[1,2,3] exp[2,2,2]'), the full scan "
+        "SingularityVerdict(index=2, group_order=6, min_age=Fraction(1, 2), "
+        "witness='perm[1,2,3] exp[1,1,1]')"
+    )
+    assert f"FAILED with {len(failures)} discrepancies" in out
+
+
 def test_selftest_reports_each_failing_oracle_row(run_cli, monkeypatch):
     from symquot import oracle
 

@@ -14,6 +14,7 @@ from symquot import (
     QuasiReflectionError,
     analyze,
     close_group,
+    monomial,
     rep_from_dict,
 )
 from symquot.combinatorics import partitions
@@ -22,6 +23,7 @@ from symquot.monomial import (
     ROOT_ORDER_BITS_CAP,
     MonomialElement,
     MonomialRep,
+    SingularityVerdict,
     _cycle_sums,
     element_age,
 )
@@ -635,6 +637,34 @@ def test_flat_closure_matches_reference_across_slice_forms(make_rep, order):
         close_group(rep, cap=order - 1)
 
 
+def closure_at_the_raise(rep, cap):
+    """The lengths of ``close_group``'s ``seen`` and ``ordered`` when it raises at ``cap``."""
+    with pytest.raises(GroupTooLargeError) as info:
+        close_group(rep, cap=cap)
+    tb = info.tb
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    assert tb.tb_frame.f_code.co_name == "close_group"
+    held = tb.tb_frame.f_locals
+    return len(held["seen"]), len(held["ordered"])
+
+
+@pytest.mark.parametrize(
+    "make_rep,caps",
+    [
+        (lambda: sl_rep(30), (1, 2, 299, 300, 2699)),  # wide slices, three generators
+        (lambda: materialize_rep(1, 6), (5, 100, 719)),  # S_6 on C^6: thin, then wide
+        (lambda: cyclic_powers_rep(513), (256, 257, 512)),  # slices 1, 256, 256
+    ],
+    ids=["sl-30-wide", "sym-1-6", "order-513"],
+)
+def test_closure_raises_when_it_holds_exactly_cap_elements(make_rep, caps):
+    # the cap is checked on each new element: a slice never carries the closure past it
+    rep = make_rep()
+    for cap in caps:
+        assert closure_at_the_raise(rep, cap) == (cap, cap)
+
+
 def test_flat_closure_of_dimension_one():
     closed = close_group(diag_rep(5, (2,)))
     assert describe_all(decode_closure(closed)) == [f"perm[1] exp[{k}]" for k in (0, 2, 4, 1, 3)]
@@ -818,6 +848,28 @@ def reps_with_quasi_reflections(draw):
     return with_generators(rep, gens)
 
 
+@st.composite
+def sl_reps(draw):
+    """``small_reps`` with every generator moved into SL(N): a group of index 1.
+
+    A generator's determinant is sign(perm) * zeta_m^(sum of exponents).
+    An odd permutation over an odd m first swaps two images to become
+    even; then the first exponent is shifted so that the determinant is 1.
+    """
+    rep = draw(small_reps())
+    m = rep.root_order
+    gens = []
+    for g in rep.generators:
+        perm, exps = list(g.perm), list(g.exponents)
+        if element_age(g, m)[0] * m % 1:  # det = -zeta^k over an odd m, no power of zeta
+            perm[0], perm[1] = perm[1], perm[0]
+        turn = element_age(MonomialElement(tuple(perm), tuple(exps)), m)[0] % 1
+        exps[0] = (exps[0] - int(turn * m)) % m
+        gens.append(MonomialElement(tuple(perm), tuple(exps)))
+    assert all(element_age(g, m)[0].denominator == 1 for g in gens)  # every det is 1
+    return with_generators(rep, gens)
+
+
 def full_scan_outcomes(rep):
     """(analyze, analyze_reference) outcomes of the closed group, None past the cap."""
     try:
@@ -828,7 +880,7 @@ def full_scan_outcomes(rep):
 
 
 @settings(max_examples=150, deadline=None)
-@given(rep=small_reps() | reps_with_quasi_reflections())
+@given(rep=small_reps() | reps_with_quasi_reflections() | sl_reps())
 def test_analyze_matches_the_full_eigenvalue_scan(rep):
     outcomes = full_scan_outcomes(rep)
     assert outcomes is None or outcomes[0] == outcomes[1]
@@ -841,6 +893,18 @@ def test_full_scan_draws_reach_several_quasi_reflections():
         return outcomes is not None and "group contains 3 quasi-reflection(s)" in outcomes[1]
 
     assert several(find(reps_with_quasi_reflections(), several))
+
+
+def test_sl_draws_reach_the_age_1_stop():
+    # the property above must meet index-1 groups whose scan ends before their last element
+    def stops_early(rep):
+        outcomes = full_scan_outcomes(rep)
+        if outcomes is None or not isinstance(outcomes[1], SingularityVerdict):
+            return False
+        v, last = outcomes[1], decode_closure(close_group(rep))[-1]
+        return (v.index, v.min_age) == (1, 1) and v.witness != last.describe()
+
+    assert stops_early(find(sl_reps(), stops_early))
 
 
 @pytest.mark.parametrize(
@@ -859,8 +923,14 @@ def test_full_scan_draws_reach_several_quasi_reflections():
             MonomialRep(2, 4, (MonomialElement((0, 1), (1, 1)), MonomialElement((1, 0), (1, 3)))),
             ["perm[2,1] exp[1,3]", "perm[2,1] exp[3,1]"],
         ),
+        (  # index 2: diag(1,1,0) of age 1 comes first, so an SL-only stop would end there
+            MonomialRep(3, 2, (MonomialElement((0, 1, 2), (1, 1, 0)),
+                               MonomialElement((0, 1, 2), (1, 0, 0)))),
+            ["perm[1,2,3] exp[1,0,0]", "perm[1,2,3] exp[0,1,0]"],
+        ),
     ],
-    ids=["1/5(1,0)", "S3-on-C3", "diagonal-after-age-1/2", "transposition-after-age-1/2"],
+    ids=["1/5(1,0)", "S3-on-C3", "diagonal-after-age-1/2", "transposition-after-age-1/2",
+         "index-2-after-age-1"],
 )
 def test_every_quasi_reflection_after_a_smaller_age_is_reported(rep, want):
     closed = close_group(rep)
@@ -870,3 +940,40 @@ def test_every_quasi_reflection_after_a_smaller_age_is_reported(rep, want):
             scan(closed)
         assert (str(info.value), info.value.elements) == (message, tuple(want))
 
+
+# In SL(N) every non-identity age is a whole number >= 1 and no element is
+# a quasi-reflection, so the scan of an index-1 group ends at its first
+# age-1 element; any other group is scanned as before.
+
+
+def walks_of_analyze(monkeypatch, closed):
+    """The verdict of ``analyze(closed)`` and the codes ``monomial._cycle_sums`` walked for it."""
+    walked = []
+
+    def counting(code, n, nm, bound=None):
+        walked.append(code)
+        return cycle_sums(code, n, nm, bound)
+
+    cycle_sums = monomial._cycle_sums
+    monkeypatch.setattr(monomial, "_cycle_sums", counting)
+    return analyze(closed), walked
+
+
+def test_sl_scan_stops_at_its_first_age_1_element(monkeypatch):
+    closed = close_group(sl_rep(30))  # 2700 elements; diag(1, 29, 0) of age 1 comes first
+    v, walked = walks_of_analyze(monkeypatch, closed)
+    generators = [coded(g) for g in closed.generators]  # element_age's walks for the index
+    assert walked == generators + list(closed.flat_elements[:2])
+    assert (v.index, v.min_age, v.witness) == (1, 1, "perm[1,2,3] exp[1,29,0]")
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [diag_rep(2, (1, 1, 1, 1)), materialize_rep(4, 3)],
+    ids=["1/2(1,1,1,1)", "S3-on-C4-blocks"],
+)
+def test_sl_scan_without_an_age_1_element_walks_every_element(monkeypatch, rep):
+    closed = close_group(rep)
+    v, walked = walks_of_analyze(monkeypatch, closed)
+    assert walked == [coded(g) for g in closed.generators] + list(closed.flat_elements)
+    assert (v.index, v.min_age) == (1, 2)
