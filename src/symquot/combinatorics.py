@@ -1,17 +1,25 @@
 """Conjugacy-class data for the symmetric group S_d.
 
 Conjugacy classes of S_d are indexed by integer partitions of d (cycle
-types). Everything is exact: class sizes are Python big integers and the
-partition stream has a fixed reverse-lexicographic order so that tables
-and golden files are byte-stable. All values are immutable and all
-functions pure, so concurrent use needs no coordination.
+types). ``conjugacy_classes(d)`` walks them in one recursion and yields
+each class with its size and element order: a class of cycle type t with
+m_i parts equal to i has centralizer order z_t = prod(i^{m_i} * m_i!)
+and size d! / z_t, and its elements have order lcm(parts). The walk
+chooses the parts run by run, largest first, so it multiplies z_t by
+p^j * j! and takes the lcm with p once per run of j parts p, and fills
+what is left with 1s; each class costs a few integer operations beyond
+its tuple. Everything is exact: sizes are Python big integers, and the
+classes come in a fixed reverse-lexicographic order so that tables and
+golden files are byte-stable. ``partitions`` is the same stream without
+the sizes and orders. All values are immutable and all functions pure,
+so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from math import factorial, lcm
+from math import lcm
 
 
 class CycleType(namedtuple("CycleType", "parts")):
@@ -48,52 +56,52 @@ class CycleType(namedtuple("CycleType", "parts")):
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-def partitions(d: int) -> Iterator[CycleType]:
-    """Yield every partition of d exactly once, reverse-lexicographically.
+def conjugacy_classes(d: int) -> Iterator[tuple[CycleType, int, int]]:
+    """Yield ``(cycle type, class size, element order)`` for every class of S_d.
 
-    The stream starts at (d) and ends at (1, ..., 1); its length is the
-    partition number p(d).
+    The classes come in reverse-lexicographic order of their cycle types,
+    from (d) to (1, ..., 1); there are p(d) of them. d is checked here,
+    before the walk starts.
     """
     if d < 1:
         raise ValueError(f"degree must be a positive integer, got {d}")
-    current = [d]
-    while True:
-        yield CycleType(tuple(current))
-        # rightmost part that can still shrink
-        k = len(current) - 1
-        while k >= 0 and current[k] == 1:
-            k -= 1
-        if k < 0:
-            return
-        # shrink it by one and refill the freed amount greedily
-        freed = len(current) - k
-        current[k] -= 1
-        cap = current[k]
-        del current[k + 1:]
-        while freed > 0:
-            nxt = min(cap, freed)
-            current.append(nxt)
-            freed -= nxt
+    factorials = [1]
+    for i in range(1, d + 1):
+        factorials.append(factorials[-1] * i)
+    return _walk(d, d, (), 1, 1, factorials)
 
 
-def class_size(t: CycleType, d_factorial: int | None = None) -> int:
-    """Number of permutations in S_d with cycle type ``t``.
+def _walk(rest, cap, prefix, z, order, factorials):
+    """Classes of S_d whose cycle type is ``prefix`` followed by parts summing to ``rest``.
 
-    Centralizer formula: d! / z_t with z_t = prod(i^{m_i} m_i!) over part
-    multiplicities. A part that is the j-th of its run of equal parts i
-    contributes the factor i * j, so one walk over the sorted parts gives
-    z_t. A caller sizing many classes of one S_d passes ``d_factorial``
-    so that d! is computed once.
+    ``prefix`` holds the parts >= 2 chosen so far, in non-increasing
+    order, and every further part is at most ``cap``, which lies below
+    them. ``z`` is the centralizer order of ``prefix`` and ``order`` the
+    lcm of its parts. Each part value p, from the largest down to 2, is
+    taken j times, from the most copies down to one: a run of j parts p
+    multiplies z by p^j * j!, and p enters the lcm. What is left after
+    the parts >= 2 is filled with 1s, whose run of length r multiplies z
+    by r!, so every class comes with its exact centralizer order z_t and
+    its size d! / z_t. ``factorials`` lists 0! to d!. A module-level
+    generator rather than a nested closure: a closure that calls itself
+    is a reference cycle, which keeps each finished walk alive until the
+    cyclic garbage collector runs.
     """
-    z = 1
-    run = prev = 0
-    for part in t.parts:
-        run = run + 1 if part == prev else 1
-        prev = part
-        z *= part * run
-    return (factorial(t.d) if d_factorial is None else d_factorial) // z
+    for p in range(min(cap, rest), 1, -1):
+        p_order = lcm(order, p)
+        for j in range(rest // p, 0, -1):
+            yield from _walk(
+                rest - p * j, p - 1, prefix + (p,) * j, z * p**j * factorials[j],
+                p_order, factorials,
+            )
+    # the walk builds only valid partitions, so skip CycleType's check
+    yield (
+        tuple.__new__(CycleType, (prefix + (1,) * rest,)),
+        factorials[-1] // (z * factorials[rest]),
+        order,
+    )
 
 
-def element_order(t: CycleType) -> int:
-    """Order of any permutation with cycle type ``t``: lcm of the parts."""
-    return lcm(*t.parts)
+def partitions(d: int) -> Iterator[CycleType]:
+    """The cycle types of ``conjugacy_classes(d)``: every partition of d once, in its order."""
+    return (t for t, _, _ in conjugacy_classes(d))

@@ -31,7 +31,9 @@ This module holds the routes the tests and ``run_selftest`` compare them with:
   scan of every element on the eigenvalue route, against which the
   engine's early-stopping scan is held;
 - ``invariant_dim_burnside``, the Burnside trace average that
-  recomputes ``plurigenera.sym_dim``;
+  recomputes ``plurigenera.sym_dim`` from the class sizes of
+  ``combinatorics.conjugacy_classes``, so the exact identity checks every
+  size the walk yields for d <= 10;
 - ``growth_degree``, the exact degree in m of the symmetric-power
   plurigenera, read off their divided differences.
 
@@ -54,7 +56,7 @@ from math import factorial, gcd, lcm
 from typing import TYPE_CHECKING
 
 from . import monomial
-from .combinatorics import CycleType, class_size, partitions
+from .combinatorics import CycleType, conjugacy_classes
 from .errors import GroupTooLargeError, MatrixTooLargeError, PointsCapError, QuasiReflectionError
 from .monomial import MonomialElement, MonomialRep, SingularityVerdict, _decode, configured_cap
 from .plurigenera import sym_dim
@@ -449,12 +451,13 @@ def growth_degree(rows: list[tuple[int, int]], d: int) -> int:
 def invariant_dim_burnside(p: int, d: int) -> int:
     """Invariant dimension of the d-fold tensor power, by trace averaging.
 
-    (1/d!) * sum over classes of class_size * p^(number of cycles), which
-    ``plurigenera.sym_dim`` gives as one binomial. The average is provably
-    integral; a non-integral value would mean a bug, so it raises rather
-    than rounding. The sum runs over the p(d) partitions of d, so d is
-    capped at TABLE_POINTS_CAP, as for the class table, and
-    PointsCapError is raised before any work.
+    (1/d!) * sum over classes of class size * p^(number of cycles), which
+    ``plurigenera.sym_dim`` gives as one binomial. The sizes are those of
+    ``combinatorics.conjugacy_classes``, which the identity thereby checks.
+    The average is provably integral; a non-integral value would mean a
+    bug, so it raises rather than rounding. The sum runs over the p(d)
+    partitions of d, so d is capped at TABLE_POINTS_CAP, as for the class
+    table, and PointsCapError is raised before any work.
     """
     if p < 0:
         raise ValueError(f"space dimension must be >= 0, got {p}")
@@ -465,9 +468,8 @@ def invariant_dim_burnside(p: int, d: int) -> int:
             f"tensor power degree {d} exceeds the Burnside-average cap of {TABLE_POINTS_CAP}",
             cap=TABLE_POINTS_CAP,
         )
-    d_factorial = factorial(d)
-    total = sum(class_size(t, d_factorial) * p**t.num_parts for t in partitions(d))
-    average = Fraction(total, d_factorial)
+    total = sum(size * p**t.num_parts for t, size, _ in conjugacy_classes(d))
+    average = Fraction(total, factorial(d))
     if average.denominator != 1:
         raise ArithmeticError(
             f"Burnside average is not an integer for p={p}, d={d}: {average}"

@@ -61,6 +61,20 @@ CLASS_ROW_TEMPLATE = """\
     }"""
 
 
+class _PartText(dict):
+    """Cycle-type part -> its decimal text, converted on first lookup.
+
+    The renderers make one per call, so each part value of a report is
+    converted once and nothing outlives the report.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, part: int) -> str:
+        text = self[part] = str(part)
+        return text
+
+
 def canonical_json(payload) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, byte for byte.
 
@@ -73,11 +87,12 @@ def canonical_json(payload) -> str:
     classes = payload.get("classes")
     if classes is None:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    part_text = _PartText().__getitem__
     rows = ",\n".join(
         CLASS_ROW_TEMPLATE % (
             encode_basestring_ascii(c["age"]),
             c["class_size"],
-            ",\n        ".join(map(str, c["cycle_type"])),
+            ",\n        ".join(map(part_text, c["cycle_type"])),
             c["det"],
             c["order"],
             c["s_sum"],
@@ -170,11 +185,12 @@ def markdown(payload: dict) -> str:
             lines.append(f"- min age: {v['min_age']} at {v['witness']}")
         sections.append(lines)
     if "classes" in payload:
+        part_text = _PartText().__getitem__
         sections.append([
             "| cycle type | class size | order | S | age | det |",
             "| --- | --- | --- | --- | --- | --- |",
             *(
-                f"| ({','.join(map(str, c['cycle_type']))}) | {c['class_size']} "
+                f"| ({','.join(map(part_text, c['cycle_type']))}) | {c['class_size']} "
                 f"| {c['order']} | {c['s_sum']} | {c['age']} | {c['det']:+d} |"
                 for c in payload["classes"]
             ),

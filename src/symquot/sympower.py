@@ -18,8 +18,13 @@ which total r * (ri-1) / 2; this gives the closed form
 S = n * (d - #parts) * r / 2 of the ``s_sum`` column of ``class_table``,
 and the age S/r. The determinant is exp(2 pi i age), so it is +1 exactly
 when the age is an integer. ``class_table`` is the one producer of
-per-class data for S_d. ``oracle.bruteforce_check`` verifies its rows
-class by class against the eigenvalues of one element of each class.
+per-class data for S_d: one pass over ``combinatorics.conjugacy_classes``,
+which carries each class's size d! / z_t and order lcm(parts) along its
+partition walk, so a row costs a few integer operations. ``oracle``
+checks both: ``bruteforce_check`` holds every row against the
+eigenvalues of one element of its class, and the Burnside identity of
+``invariant_dim_burnside``, exact against ``plurigenera.sym_dim``, sums
+the same walk's sizes.
 
 Two caps on d are checked before any work: ``VERDICT_POINTS_CAP`` keeps
 d! printable, and ``TABLE_POINTS_CAP`` bounds the p(d) rows of a class
@@ -36,7 +41,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
-from .combinatorics import CycleType, class_size, element_order, partitions
+from .combinatorics import CycleType, conjugacy_classes
 from .errors import MatrixTooLargeError, PointsCapError, UnsupportedDimensionError
 from .monomial import SingularityVerdict
 
@@ -89,24 +94,21 @@ def verdict(n: int, d: int) -> SingularityVerdict:
 def class_table(n: int, d: int) -> list[AgeRecord]:
     """One AgeRecord per conjugacy class, in canonical partition order.
 
-    A cycle of length ri adds (r/ri) * ri * (ri - 1) / 2 = r * (ri - 1) / 2
-    to S, so S = n * (d - #parts) * r / 2. It is an integer: odd r makes
-    every part odd and d - #parts = sum(ri - 1) even. The age S/r is
+    Class sizes and orders come exact from ``conjugacy_classes``, which
+    builds them up run by run as it walks the partitions. A cycle of
+    length ri adds (r/ri) * ri * (ri - 1) / 2 = r * (ri - 1) / 2 to S, so
+    S = n * (d - #parts) * r / 2. It is an integer: odd r makes every
+    part odd and d - #parts = sum(ri - 1) even. The age S/r is
     n * (d - #parts) / 2, so one Fraction per distinct part count serves
-    every class with that count; d! is computed once.
+    every class with that count.
     """
     _check_model(n, d, TABLE_POINTS_CAP, "class-table")
-    d_factorial = factorial(d)
     ages: dict[int, Fraction] = {}
     out = []
-    for t in partitions(d):
-        r = element_order(t)
-        moved = d - t.num_parts
+    for t, size, r in conjugacy_classes(d):
+        moved = d - len(t.parts)
         age = ages.get(moved)
         if age is None:
             age = ages[moved] = Fraction(n * moved, 2)
-        out.append(AgeRecord(
-            t, class_size(t, d_factorial), r, n * moved * r // 2, age, age.denominator == 1
-        ))
+        out.append(AgeRecord(t, size, r, n * moved * r // 2, age, age.denominator == 1))
     return out
-

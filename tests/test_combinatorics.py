@@ -1,11 +1,22 @@
-"""Partition enumeration and class data against independent oracles."""
+"""The class walk of S_d and its partition stream against independent oracles."""
 
+from collections import Counter
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm, prod
 
 import pytest
 
-from symquot.combinatorics import CycleType, class_size, element_order, partitions
+from symquot.combinatorics import CycleType, conjugacy_classes, partitions
+
+
+def class_size(t):
+    """Closed form d! / z_t, with z_t = prod(i^{m_i} * m_i!) over part multiplicities."""
+    return factorial(t.d) // prod(i**m * factorial(m) for i, m in Counter(t.parts).items())
+
+
+def element_order(t):
+    """Closed form of the order of a permutation of cycle type ``t``: lcm of the parts."""
+    return lcm(*t.parts)
 
 
 def euler_partition_count(n, _cache={0: 1}):
@@ -55,6 +66,46 @@ def brute_cycle_type(perm):
             length += 1
         parts.append(length)
     return tuple(sorted(parts, reverse=True))
+
+
+def permutation_order(perm):
+    """Least k >= 1 with perm^k the identity, by composing powers."""
+    identity = tuple(range(len(perm)))
+    power, k = perm, 1
+    while power != identity:
+        power = tuple(perm[i] for i in power)
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_walk_against_brute_enumeration(d):
+    counts, orders = Counter(), {}
+    for perm in permutations(range(d)):
+        parts = brute_cycle_type(perm)
+        counts[parts] += 1
+        assert orders.setdefault(parts, permutation_order(perm)) == permutation_order(perm)
+    walked = [(t.parts, size, order) for t, size, order in conjugacy_classes(d)]
+    assert sorted(walked) == sorted((parts, counts[parts], orders[parts]) for parts in counts)
+
+
+@pytest.mark.parametrize("d", range(1, 21))
+def test_walk_order_matches_exhaustive_enumeration(d):
+    assert [t.parts for t, _, _ in conjugacy_classes(d)] == exhaustive_partitions(d)
+    assert [t.parts for t in partitions(d)] == exhaustive_partitions(d)
+
+
+@pytest.mark.parametrize("d", range(1, 31))
+def test_walk_sizes_and_orders_match_closed_forms(d):
+    for t, size, order in conjugacy_classes(d):
+        assert type(t) is CycleType and CycleType(t.parts) == t
+        assert (size, order) == (class_size(t), element_order(t))
+
+
+@pytest.mark.parametrize("d", [0, -1, -7])
+def test_walk_rejects_nonpositive_degree(d):
+    with pytest.raises(ValueError):
+        conjugacy_classes(d)
 
 
 def test_partitions_of_one():

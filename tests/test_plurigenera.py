@@ -232,13 +232,13 @@ def test_kodaira_scale_at_and_past_the_bit_cap():
 def test_burnside_admits_the_class_table_cap(monkeypatch):
     # p(50) = 204226 classes take seconds, so count the request, not the classes
     seen = []
-    monkeypatch.setattr(oracle, "partitions", lambda d: seen.append(d) or iter(()))
+    monkeypatch.setattr(oracle, "conjugacy_classes", lambda d: seen.append(d) or iter(()))
     assert invariant_dim_burnside(3, TABLE_POINTS_CAP) == 0
     assert seen == [TABLE_POINTS_CAP]
 
 
 def test_burnside_past_the_class_table_cap_is_domain_error(monkeypatch):
-    monkeypatch.setattr(oracle, "partitions", lambda d: pytest.fail("scanned"))
+    monkeypatch.setattr(oracle, "conjugacy_classes", lambda d: pytest.fail("scanned"))
     with pytest.raises(PointsCapError) as err:
         invariant_dim_burnside(3, TABLE_POINTS_CAP + 1)
     assert err.value.cap == TABLE_POINTS_CAP

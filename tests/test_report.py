@@ -1,5 +1,6 @@
 """Canonical JSON: the class-row template against its definition, json.dumps."""
 
+import gc
 import json
 
 import pytest
@@ -12,6 +13,7 @@ from symquot.report import (
     analyze_payload,
     canonical_json,
     plurigenera_payload,
+    sympower_markdown,
     sympower_payload,
 )
 
@@ -20,6 +22,38 @@ def assert_canonical(payload):
     text = canonical_json(payload)
     assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
     assert json.loads(text) == payload
+
+
+def unreachable_after(work):
+    """Objects that ``work`` leaves behind in reference cycles, found by one collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        work()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_class_table_and_its_reports_leave_no_garbage():
+    # A cycle that holds a finished table keeps it alive until the cyclic
+    # collector runs, which raises the peak memory of back-to-back tables.
+    n, d = 3, 26
+
+    def table_and_markdown():
+        sympower_markdown(n, d, sympower.verdict(n, d), sympower.class_table(n, d))
+
+    def table_and_json():
+        canonical_json(sympower_payload(n, d, sympower.verdict(n, d), sympower.class_table(n, d)))
+
+    payload = sympower_payload(n, d, sympower.verdict(n, d), sympower.class_table(n, d))
+    assert unreachable_after(table_and_markdown) == 0
+    # json's indenting encoder is built from closures that refer to one
+    # another, so json.dumps(indent=2) itself leaves a cycle on every call;
+    # canonical_json may leave that much and no more
+    assert unreachable_after(table_and_json) == unreachable_after(
+        lambda: json.dumps(payload, sort_keys=True, indent=2)
+    )
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -71,13 +71,13 @@ def test_verdict_past_its_cap_is_domain_error():
 def test_class_table_admits_its_cap(monkeypatch):
     # p(50) = 204226 rows take seconds, so count the request, not the rows
     seen = []
-    monkeypatch.setattr(sympower, "partitions", lambda d: seen.append(d) or iter(()))
+    monkeypatch.setattr(sympower, "conjugacy_classes", lambda d: seen.append(d) or iter(()))
     assert class_table(2, TABLE_POINTS_CAP) == []
     assert seen == [TABLE_POINTS_CAP] and TABLE_POINTS_CAP >= 50
 
 
 def test_class_table_past_its_cap_is_domain_error(monkeypatch):
-    monkeypatch.setattr(sympower, "partitions", lambda d: pytest.fail("scanned"))
+    monkeypatch.setattr(sympower, "conjugacy_classes", lambda d: pytest.fail("scanned"))
     with pytest.raises(PointsCapError) as err:
         class_table(2, TABLE_POINTS_CAP + 1)
     assert err.value.cap == TABLE_POINTS_CAP
