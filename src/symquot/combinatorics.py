@@ -1,25 +1,23 @@
 """Conjugacy-class data for the symmetric group S_d.
 
 Conjugacy classes of S_d are indexed by integer partitions of d (cycle
-types). ``conjugacy_classes(d)`` walks them in one recursion and yields
-each class with its size and element order: a class of cycle type t with
-m_i parts equal to i has centralizer order z_t = prod(i^{m_i} * m_i!)
-and size d! / z_t, and its elements have order lcm(parts). The walk
-chooses the parts run by run, largest first, so it multiplies z_t by
-p^j * j! and takes the lcm with p once per run of j parts p, and fills
-what is left with 1s; each class costs a few integer operations beyond
-its tuple. Everything is exact: sizes are Python big integers, and the
-classes come in a fixed reverse-lexicographic order so that tables and
-golden files are byte-stable. ``partitions`` is the same stream without
-the sizes and orders. All values are immutable and all functions pure,
-so concurrent use needs no coordination.
+types). A class of cycle type t with m_i parts equal to i has centralizer
+order z_t = prod(i^{m_i} * m_i!) and size d! / z_t, and its elements
+have order lcm(parts). ``conjugacy_classes(d)`` yields every class with
+its size and order from one flat loop, algorithm ZS1 of Zoghbi and
+Stojmenovic ("Fast algorithms for generating integer partitions", Int.
+J. Comput. Math. 70 (1998)). From one partition to the next it rewrites
+only the tail of its part array, and it keeps z and the lcm of the parts
+per position, refreshed from the lowest place a step rewrote. Sizes are
+exact big integers; the fixed reverse-lexicographic order keeps tables
+byte-stable. All values are immutable and all functions pure.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from math import lcm
+from math import factorial, lcm
 
 
 class CycleType(namedtuple("CycleType", "parts")):
@@ -42,10 +40,6 @@ class CycleType(namedtuple("CycleType", "parts")):
         return cls(*iterable)
 
     @property
-    def d(self) -> int:
-        return sum(self.parts)
-
-    @property
     def num_parts(self) -> int:
         return len(self.parts)
 
@@ -65,43 +59,48 @@ def conjugacy_classes(d: int) -> Iterator[tuple[CycleType, int, int]]:
     """
     if d < 1:
         raise ValueError(f"degree must be a positive integer, got {d}")
-    factorials = [1]
-    for i in range(1, d + 1):
-        factorials.append(factorials[-1] * i)
-    return _walk(d, d, (), 1, 1, factorials)
+    return _zs1(d)
 
 
-def _walk(rest, cap, prefix, z, order, factorials):
-    """Classes of S_d whose cycle type is ``prefix`` followed by parts summing to ``rest``.
+def _zs1(d):
+    """The classes of ``conjugacy_classes(d)``, by algorithm ZS1.
 
-    ``prefix`` holds the parts >= 2 chosen so far, in non-increasing
-    order, and every further part is at most ``cap``, which lies below
-    them. ``z`` is the centralizer order of ``prefix`` and ``order`` the
-    lcm of its parts. Each part value p, from the largest down to 2, is
-    taken j times, from the most copies down to one: a run of j parts p
-    multiplies z by p^j * j!, and p enters the lcm. What is left after
-    the parts >= 2 is filled with 1s, whose run of length r multiplies z
-    by r!, so every class comes with its exact centralizer order z_t and
-    its size d! / z_t. ``factorials`` lists 0! to d!. A module-level
-    generator rather than a nested closure: a closure that calls itself
-    is a reference cycle, which keeps each finished walk alive until the
-    cyclic garbage collector runs.
+    ``x[1..m]`` is the partition, ``h`` the place of its last part >= 2,
+    and x holds 1s past h. ``z[k]`` and ``order[k]`` are the centralizer
+    order and lcm of ``x[1..k]``; ``run[k]`` counts the parts equal to
+    ``x[k]`` up to k, as a run of p that grows to length j multiplies z
+    by p * j.
     """
-    for p in range(min(cap, rest), 1, -1):
-        p_order = lcm(order, p)
-        for j in range(rest // p, 0, -1):
-            yield from _walk(
-                rest - p * j, p - 1, prefix + (p,) * j, z * p**j * factorials[j],
-                p_order, factorials,
-            )
-    # the walk builds only valid partitions, so skip CycleType's check
-    yield (
-        tuple.__new__(CycleType, (prefix + (1,) * rest,)),
-        factorials[-1] // (z * factorials[rest]),
-        order,
-    )
-
-
-def partitions(d: int) -> Iterator[CycleType]:
-    """The cycle types of ``conjugacy_classes(d)``: every partition of d once, in its order."""
-    return (t for t, _, _ in conjugacy_classes(d))
+    factorials = [factorial(i) for i in range(d + 1)]
+    x, z, order, run = [1] * (d + 1), [1] * (d + 1), [1] * (d + 1), [0] * (d + 1)
+    x[0], x[1], z[1], order[1], run[1] = 0, d, d, d, 1  # place 0 matches no part
+    h = m = 1
+    while True:
+        # the loop builds only valid partitions, so skip CycleType's check
+        yield (tuple.__new__(CycleType, (tuple(x[1:m + 1]),)),
+               factorials[d] // (z[h] * factorials[m - h]), order[h])
+        if x[1] == 1:
+            return
+        if x[h] == 2:  # (..., 2, 1, ...) -> (..., 1, 1, ...): no prefix up to h - 1 moves
+            x[h] = 1
+            h, m = h - 1, m + 1
+            continue
+        low, r, rest = h, x[h] - 1, m - h + 1  # lower x[h] by one, refill behind it
+        x[h] = r
+        while rest >= r:
+            h += 1
+            x[h] = r
+            rest -= r
+        m = h + (rest > 0)
+        if rest > 1:
+            h += 1
+            x[h] = rest
+        for k in range(low, h + 1):
+            p = x[k]
+            if p == x[k - 1]:
+                j = run[k] = run[k - 1] + 1
+                order[k] = order[k - 1]
+            else:
+                j = run[k] = 1
+                order[k] = lcm(order[k - 1], p)
+            z[k] = z[k - 1] * p * j

@@ -374,13 +374,13 @@ def rep_from_dict(data: dict) -> MonomialRep:
     ``GENERATORS_CAP`` generators raise GroupTooLargeError.
     """
     if not isinstance(data, dict):
-        raise ValueError(f"representation file must hold a JSON object, got {type(data).__name__}")
+        raise ValueError(f"the top level must hold a JSON object, got {type(data).__name__}")
     try:
         dimension = _int_field(data["dimension"], "dimension")
         root_order = _int_field(data["root_order"], "root_order")
         raw_gens = data["generators"]
     except KeyError as exc:
-        raise ValueError(f"representation file is missing field: {exc}") from exc
+        raise ValueError(f"missing field: {exc}") from exc
     if root_order < 1:
         raise ValueError(f"root order must be >= 1, got {root_order}")
     if root_order.bit_length() > ROOT_ORDER_BITS_CAP:
@@ -424,7 +424,7 @@ def load_rep_file(path: str | os.PathLike) -> MonomialRep:
     or read (missing, a directory, no permission), text that is not UTF-8,
     invalid JSON, JSON nested too deeply for the decoder, and integer
     literals longer than Python's limit for integer strings raise
-    ValueError.
+    ValueError; so do the faults of ``rep_from_dict``, after the path.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -448,4 +448,7 @@ def load_rep_file(path: str | os.PathLike) -> MonomialRep:
             f"representation file {path} has an integer longer than the "
             f"{sys.get_int_max_str_digits()}-digit limit for integer strings"
         ) from exc
-    return rep_from_dict(data)
+    try:
+        return rep_from_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"representation file {path}: {exc}") from exc

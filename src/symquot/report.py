@@ -4,11 +4,12 @@ The ``*_payload`` functions alone decide a report's fields and values;
 ``render`` writes a payload as canonical JSON or as markdown. Canonical
 JSON is byte-for-byte ``json.dumps(payload, sort_keys=True, indent=2)``
 plus a newline, so re-serializing a parsed report is byte-identical.
-``canonical_json`` writes the rows of a ``classes`` list from one fixed
-template, ``CLASS_ROW_TEMPLATE``, which the tests pin to that definition
-byte for byte; ``json.dumps`` encodes the rest. Exact rationals are
-"p/q" strings ("inf" for the no-witness sentinel), so no payload holds
-a float. Payloads hold the package version and nothing time-dependent.
+``canonical_json`` writes that layout without json's indenting encoder,
+class rows from ``CLASS_ROW_TEMPLATE``; the tests pin it byte for byte.
+``sympower_markdown`` writes its class table straight from the
+``AgeRecord`` rows. Exact rationals are "p/q" strings ("inf" for the
+no-witness sentinel), so no payload holds a float. Payloads hold the
+package version and nothing time-dependent.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ def fraction_str(value: Fraction | None) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def meta_block() -> dict:
-    return {"version": __version__}
-
-
 def verdict_dict(v: SingularityVerdict) -> dict:
     return {
         "canonical": v.canonical,
@@ -46,8 +43,7 @@ def verdict_dict(v: SingularityVerdict) -> dict:
     }
 
 
-# One ``class_row_dict`` row as ``canonical_json`` indents it inside the
-# payload's ``classes`` list: keys sorted, two spaces per level.
+# A ``classes`` row as ``canonical_json`` indents it: keys sorted, two spaces per level.
 CLASS_ROW_TEMPLATE = """\
     {
       "age": %s,
@@ -59,14 +55,11 @@ CLASS_ROW_TEMPLATE = """\
       "order": %s,
       "s_sum": %s
     }"""
+_SEPARATED_CLASS_ROW = ",\n" + CLASS_ROW_TEMPLATE
 
 
 class _PartText(dict):
-    """Cycle-type part -> its decimal text, converted on first lookup.
-
-    The renderers make one per call, so each part value of a report is
-    converted once and nothing outlives the report.
-    """
+    """Cycle-type part -> its decimal text; one per render, so each part converts once."""
 
     __slots__ = ()
 
@@ -75,63 +68,73 @@ class _PartText(dict):
         return text
 
 
+def _json_block(value, indent: str) -> str:
+    """``value`` as ``json.dumps(sort_keys=True, indent=2)`` writes it ``indent`` deep."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [
+            f"{encode_basestring_ascii(k)}: {_json_block(value[k], inner)}" for k in sorted(value)
+        ]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    if isinstance(value, list) and value:
+        items = [_json_block(item, inner) for item in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    return json.dumps(value)
+
+
 def canonical_json(payload) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, byte for byte.
 
     That call is the definition of the format, and the tests hold this
-    function to it. ``indent`` sends ``json`` to its pure-Python encoder,
-    so the rows of a payload's ``classes`` list are written from
-    ``CLASS_ROW_TEMPLATE`` (strings through the C escaper of ``json``,
-    integers through ``str``) and spliced into the encoding of the rest.
+    function to it. A top-level ``classes`` list is written from
+    ``CLASS_ROW_TEMPLATE``, every other field by ``_json_block``. Each
+    field and each row comes after the ",\\n" that parts it from the one
+    before, or after its opening bracket, so one join makes the whole text.
     """
-    classes = payload.get("classes")
-    if classes is None:
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    part_text = _PartText().__getitem__
-    rows = ",\n".join(
-        CLASS_ROW_TEMPLATE % (
-            encode_basestring_ascii(c["age"]),
-            c["class_size"],
-            ",\n        ".join(map(part_text, c["cycle_type"])),
-            c["det"],
-            c["order"],
-            c["s_sum"],
+    out, separator = [], "{\n"
+    for key in sorted(payload):
+        value = payload[key]
+        out.append(f"{separator}  {encode_basestring_ascii(key)}: ")
+        separator = ",\n"
+        if key != "classes" or not value:
+            out.append(_json_block(value, "  "))
+            continue
+        part_text = _PartText().__getitem__
+        first = len(out)
+        out += (
+            _SEPARATED_CLASS_ROW % (
+                encode_basestring_ascii(c["age"]), c["class_size"],
+                ",\n        ".join(map(part_text, c["cycle_type"])),
+                c["det"], c["order"], c["s_sum"],
+            )
+            for c in value
         )
-        for c in classes
-    )
-    listing = f"[\n{rows}\n  ]" if rows else "[]"
-    rest = json.dumps({**payload, "classes": None}, sort_keys=True, indent=2)
-    # only a top-level key sits at a two-space indent
-    return rest.replace('\n  "classes": null', f'\n  "classes": {listing}', 1) + "\n"
-
-
-def class_row_dict(rec: AgeRecord) -> dict:
-    return {
-        "cycle_type": list(rec.cycle_type.parts),
-        "class_size": rec.class_size,
-        "order": rec.order,
-        "s_sum": rec.s_sum,
-        "age": fraction_str(rec.age),
-        "det": 1 if rec.det_is_plus_one else -1,
-    }
+        out[first] = "[" + out[first][1:]
+        out.append("\n  ]")
+    out.append("\n}\n" if out else "{}\n")
+    return "".join(out)
 
 
 def sympower_payload(
     n: int, d: int, v: SingularityVerdict, records: list[AgeRecord] | None = None
 ) -> dict:
     payload = {
-        "meta": meta_block(),
+        "meta": {"version": __version__},
         "model": {"kind": "sympower", "dim": n, "points": d, "matrix_size": n * d},
         "verdict": verdict_dict(v),
     }
     if records is not None:
-        payload["classes"] = [class_row_dict(r) for r in records]
+        payload["classes"] = [
+            {"cycle_type": list(t.parts), "class_size": size, "order": order, "s_sum": s_sum,
+             "age": fraction_str(age), "det": 1 if plus_one else -1}
+            for t, size, order, s_sum, age, plus_one in records
+        ]
     return payload
 
 
 def analyze_payload(rep: MonomialRep, v: SingularityVerdict) -> dict:
     return {
-        "meta": meta_block(),
+        "meta": {"version": __version__},
         "model": {
             "kind": "monomial",
             "dimension": rep.dimension,
@@ -145,17 +148,9 @@ def analyze_payload(rep: MonomialRep, v: SingularityVerdict) -> dict:
 def plurigenera_payload(table: PlurigenusTable, kappa: KodairaDim | None = None) -> dict:
     """The plurigenus rows, and with ``kappa`` its scaling ``kodaira_scale(kappa, d)``."""
     payload = {
-        "meta": meta_block(),
+        "meta": {"version": __version__},
         "model": {"kind": "plurigenera", "dim": table.n, "points": table.d},
-        "rows": [
-            {
-                "m": row.m,
-                "p_m_x": row.p_m_x,
-                "p_m_sigma": row.p_m_sigma,
-                "valid": row.valid,
-            }
-            for row in table.rows
-        ],
+        "rows": [row._asdict() for row in table.rows],
     }
     if kappa is not None:
         payload["kodaira"] = {"input": str(kappa), "scaled": str(kodaira_scale(kappa, table.d))}
@@ -184,17 +179,6 @@ def markdown(payload: dict) -> str:
         else:
             lines.append(f"- min age: {v['min_age']} at {v['witness']}")
         sections.append(lines)
-    if "classes" in payload:
-        part_text = _PartText().__getitem__
-        sections.append([
-            "| cycle type | class size | order | S | age | det |",
-            "| --- | --- | --- | --- | --- | --- |",
-            *(
-                f"| ({','.join(map(part_text, c['cycle_type']))}) | {c['class_size']} "
-                f"| {c['order']} | {c['s_sum']} | {c['age']} | {c['det']:+d} |"
-                for c in payload["classes"]
-            ),
-        ])
     if "rows" in payload:
         sections.append([
             "| m | P_m(X) | P_m(sym^d) | parity valid |",
@@ -218,5 +202,16 @@ def render(payload: dict, fmt: str) -> str:
 def sympower_markdown(
     n: int, d: int, v: SingularityVerdict, records: list[AgeRecord] | None = None
 ) -> str:
-    """Markdown of ``sympower_payload(n, d, v, records)``."""
-    return markdown(sympower_payload(n, d, v, records))
+    """Markdown of ``sympower_payload(n, d, v, records)``, class rows straight from the records."""
+    text = markdown(sympower_payload(n, d, v))
+    if records is None:
+        return text
+    part_text = _PartText().__getitem__
+    out = [f"{text}\n| cycle type | class size | order | S | age | det |\n"
+           "| --- | --- | --- | --- | --- | --- |\n"]
+    out += (
+        f"| ({','.join(map(part_text, t.parts))}) | {size} | {order} | {s_sum} "
+        f"| {fraction_str(age)} | {'+1' if plus_one else '-1'} |\n"
+        for t, size, order, s_sum, age, plus_one in records
+    )
+    return "".join(out)

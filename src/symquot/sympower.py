@@ -95,7 +95,7 @@ def class_table(n: int, d: int) -> list[AgeRecord]:
     """One AgeRecord per conjugacy class, in canonical partition order.
 
     Class sizes and orders come exact from ``conjugacy_classes``, which
-    builds them up run by run as it walks the partitions. A cycle of
+    builds them up part by part as it walks the partitions. A cycle of
     length ri adds (r/ri) * ri * (ri - 1) / 2 = r * (ri - 1) / 2 to S, so
     S = n * (d - #parts) * r / 2. It is an integer: odd r makes every
     part odd and d - #parts = sum(ri - 1) even. The age S/r is

@@ -384,7 +384,28 @@ def test_analyze_ill_typed_file_is_one_usage_line(run_cli, tmp_path, text):
     if not text.startswith("{"):
         assert "must hold a JSON object" in err and "missing field" not in err
     if text in GENERATOR_FAULTS:
-        assert err == f"error: usage: {GENERATOR_FAULTS[text]}\n"
+        assert err == f"error: usage: representation file {rep}: {GENERATOR_FAULTS[text]}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"dimension": 0, "root_order": 2, "generators": []}',
+         "dimension must be >= 1, got 0"),
+        ('{"dimension": 2, "root_order": 0, "generators": []}',
+         "root order must be >= 1, got 0"),
+        ('{"dimension": 2, "generators": []}', "missing field: 'root_order'"),
+        ('{"dimension": 2, "root_order": 2, "generators": [{"perm": [2, 2]}]}',
+         "generator 1: perm must list each of 1..2 exactly once: [2, 2]"),
+    ],
+    ids=["dimension", "root-order", "missing-field", "generator"],
+)
+def test_analyze_content_fault_names_the_file(run_cli, tmp_path, text, message):
+    rep = tmp_path / "fault.json"
+    rep.write_text(text)
+    assert run_cli("analyze", "--rep", str(rep)) == (
+        2, "", f"error: usage: representation file {rep}: {message}\n"
+    )
 
 
 def test_analyze_file_not_in_utf8_names_the_file(run_cli, tmp_path):

@@ -1,4 +1,4 @@
-"""The class walk of S_d and its partition stream against independent oracles."""
+"""The class walk of S_d and its cycle types against independent oracles."""
 
 from collections import Counter
 from itertools import permutations
@@ -6,12 +6,17 @@ from math import factorial, lcm, prod
 
 import pytest
 
-from symquot.combinatorics import CycleType, conjugacy_classes, partitions
+from symquot.combinatorics import CycleType, conjugacy_classes
+
+
+def cycle_types(d):
+    """The cycle types of ``conjugacy_classes(d)``, in its order."""
+    return [t for t, _, _ in conjugacy_classes(d)]
 
 
 def class_size(t):
     """Closed form d! / z_t, with z_t = prod(i^{m_i} * m_i!) over part multiplicities."""
-    return factorial(t.d) // prod(i**m * factorial(m) for i, m in Counter(t.parts).items())
+    return factorial(sum(t.parts)) // prod(i**m * factorial(m) for i, m in Counter(t.parts).items())
 
 
 def element_order(t):
@@ -92,7 +97,6 @@ def test_walk_against_brute_enumeration(d):
 @pytest.mark.parametrize("d", range(1, 21))
 def test_walk_order_matches_exhaustive_enumeration(d):
     assert [t.parts for t, _, _ in conjugacy_classes(d)] == exhaustive_partitions(d)
-    assert [t.parts for t in partitions(d)] == exhaustive_partitions(d)
 
 
 @pytest.mark.parametrize("d", range(1, 31))
@@ -102,6 +106,13 @@ def test_walk_sizes_and_orders_match_closed_forms(d):
         assert (size, order) == (class_size(t), element_order(t))
 
 
+@pytest.mark.parametrize("d", range(1, 36))
+def test_walk_counts_classes_and_sums_sizes_to_group_order(d):
+    sizes = [size for _, size, _ in conjugacy_classes(d)]
+    assert len(sizes) == euler_partition_count(d)
+    assert sum(sizes) == factorial(d)
+
+
 @pytest.mark.parametrize("d", [0, -1, -7])
 def test_walk_rejects_nonpositive_degree(d):
     with pytest.raises(ValueError):
@@ -109,41 +120,41 @@ def test_walk_rejects_nonpositive_degree(d):
 
 
 def test_partitions_of_one():
-    assert [t.parts for t in partitions(1)] == [(1,)]
+    assert [t.parts for t in cycle_types(1)] == [(1,)]
 
 
 def test_partitions_of_four_reverse_lex():
     expected = [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    assert [t.parts for t in partitions(4)] == expected
+    assert [t.parts for t in cycle_types(4)] == expected
 
 
 @pytest.mark.parametrize("d", range(1, 11))
 def test_partition_counts_match_pentagonal_oracle(d):
-    assert len(list(partitions(d))) == euler_partition_count(d)
+    assert len(cycle_types(d)) == euler_partition_count(d)
 
 
 def test_partition_count_ten_is_forty_two():
-    assert len(list(partitions(10))) == 42
+    assert len(cycle_types(10)) == 42
 
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_partitions_match_exhaustive_enumeration(d):
-    assert [t.parts for t in partitions(d)] == exhaustive_partitions(d)
+    assert [t.parts for t in cycle_types(d)] == exhaustive_partitions(d)
 
 
 @pytest.mark.parametrize("d", [0, -1, -7])
 def test_partitions_rejects_nonpositive_degree(d):
     with pytest.raises(ValueError):
-        list(partitions(d))
+        cycle_types(d)
 
 
 @pytest.mark.parametrize("d", range(1, 11))
 def test_partition_stream_has_no_duplicates_and_valid_types(d):
     seen = set()
-    for t in partitions(d):
+    for t in cycle_types(d):
         assert t.parts not in seen
         seen.add(t.parts)
-        assert sum(t.parts) == t.d == d
+        assert sum(t.parts) == d
         assert all(p >= 1 for p in t.parts)
         assert all(a >= b for a, b in zip(t.parts, t.parts[1:]))
 
@@ -153,7 +164,7 @@ def test_class_sizes_against_brute_enumeration(d):
     counts = {}
     for perm in permutations(range(d)):
         counts[brute_cycle_type(perm)] = counts.get(brute_cycle_type(perm), 0) + 1
-    for t in partitions(d):
+    for t in cycle_types(d):
         assert class_size(t) == counts[t.parts]
 
 
@@ -165,7 +176,7 @@ def test_class_size_frozen_values():
 
 @pytest.mark.parametrize("d", range(1, 11))
 def test_class_sizes_sum_to_group_order(d):
-    assert sum(class_size(t) for t in partitions(d)) == factorial(d)
+    assert sum(class_size(t) for t in cycle_types(d)) == factorial(d)
 
 
 def test_element_order_frozen_values():
@@ -176,7 +187,7 @@ def test_element_order_frozen_values():
 
 @pytest.mark.parametrize("d", range(1, 11))
 def test_element_order_divisibility(d):
-    for t in partitions(d):
+    for t in cycle_types(d):
         order = element_order(t)
         assert factorial(d) % order == 0
         assert all(order % p == 0 for p in t.parts)

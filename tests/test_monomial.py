@@ -17,7 +17,7 @@ from symquot import (
     monomial,
     rep_from_dict,
 )
-from symquot.combinatorics import partitions
+from symquot.combinatorics import conjugacy_classes
 from symquot.monomial import (
     DIMENSION_CAP,
     ROOT_ORDER_BITS_CAP,
@@ -162,7 +162,7 @@ def test_element_exponents_zeta4_swap():
 @pytest.mark.parametrize("d", range(1, 7))
 def test_element_exponents_match_cycle_construction(d):
     # a cycle of length l has the l-th roots of unity, written at the order lcm(parts)
-    for t in partitions(d):
+    for t, _, _ in conjugacy_classes(d):
         r = lcm(*t.parts)
         per_cycle = [j * (r // part) for part in t.parts for j in range(part)]
         g = class_element(t, 1)
@@ -300,7 +300,7 @@ def test_class_representative_scan_matches_full_scan(d):
         age_of(g, closed) for g in decode_closure(closed) if g != identity(closed.dimension)
     )
     rep_min = None
-    for t in partitions(d):
+    for t, _, _ in conjugacy_classes(d):
         if t.is_identity():
             continue
         perm = []

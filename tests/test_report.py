@@ -1,4 +1,5 @@
-"""Canonical JSON: the class-row template against its definition, json.dumps."""
+"""Reports against their definitions: canonical JSON against json.dumps,
+the record-driven markdown class table against a renderer of payload rows."""
 
 import gc
 import json
@@ -12,6 +13,7 @@ from symquot.plurigenera import KodairaDim, kodaira_scale, plurigenus_table
 from symquot.report import (
     analyze_payload,
     canonical_json,
+    markdown,
     plurigenera_payload,
     sympower_markdown,
     sympower_payload,
@@ -46,14 +48,51 @@ def test_class_table_and_its_reports_leave_no_garbage():
     def table_and_json():
         canonical_json(sympower_payload(n, d, sympower.verdict(n, d), sympower.class_table(n, d)))
 
-    payload = sympower_payload(n, d, sympower.verdict(n, d), sympower.class_table(n, d))
     assert unreachable_after(table_and_markdown) == 0
     # json's indenting encoder is built from closures that refer to one
-    # another, so json.dumps(indent=2) itself leaves a cycle on every call;
-    # canonical_json may leave that much and no more
-    assert unreachable_after(table_and_json) == unreachable_after(
-        lambda: json.dumps(payload, sort_keys=True, indent=2)
-    )
+    # another and leaves a cycle on every call; canonical_json leaves none
+    assert unreachable_after(table_and_json) == 0
+
+
+def test_analyze_and_plurigenera_reports_leave_no_garbage():
+    closed = close_group(rep_from_dict(ANALYZE_REPS["sl-4"]))
+    verdict = analyze(closed)
+    table = plurigenus_table(3, 4, [(1, 2), (2, 5)])
+    assert unreachable_after(lambda: canonical_json(analyze_payload(closed, verdict))) == 0
+    assert unreachable_after(
+        lambda: canonical_json(plurigenera_payload(table, KodairaDim(2)))
+    ) == 0
+
+
+def payload_markdown(payload):
+    """Markdown of a sympower payload with the class table drawn from its row dicts.
+
+    The reference for ``sympower_markdown``, which writes the same table
+    from the class records without building the rows.
+    """
+    text = markdown({k: v for k, v in payload.items() if k != "classes"})
+    if "classes" not in payload:
+        return text
+    lines = [
+        "| cycle type | class size | order | S | age | det |",
+        "| --- | --- | --- | --- | --- | --- |",
+        *(
+            f"| ({','.join(map(str, c['cycle_type']))}) | {c['class_size']} "
+            f"| {c['order']} | {c['s_sum']} | {c['age']} | {c['det']:+d} |"
+            for c in payload["classes"]
+        ),
+    ]
+    return text + "\n" + "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("d", range(1, 15))
+def test_sympower_markdown_matches_payload_rows(n, d):
+    v = sympower.verdict(n, d)
+    records = sympower.class_table(n, d)
+    for rows in (None, records, []):
+        expected = payload_markdown(sympower_payload(n, d, v, rows))
+        assert sympower_markdown(n, d, v, rows) == expected
 
 
 @pytest.mark.parametrize("n", range(2, 7))
