@@ -39,9 +39,14 @@ This module holds the routes the tests and ``run_selftest`` compare them with:
 
 The numpy eigenvalue check is the only floating-point code in the package.
 
-``run_selftest`` runs all of them over a range of models and prints one
-line per section. Every engine call goes through the ``monomial`` module,
-so a patch of ``monomial.analyze`` reaches every section. numpy is
+The selftest is the tuple ``SELFTEST_SECTIONS``: oracle, verdict scan,
+cross-engine, Terminal Lemma, full scan, Burnside and growth. Each
+section is a function of the range ``(max_dim, max_points)`` that returns
+``(summary_lines, failure_lines)``, so a test can run the one section it
+checks. ``run_selftest`` checks the range, runs the sections in order,
+prints their lines and tallies their failures. A new check is one more
+entry in the tuple. Every engine call goes through the ``monomial``
+module, so a patch of ``monomial.analyze`` reaches every section. numpy is
 imported inside the functions that use it, and no engine or CLI command
 other than ``selftest`` imports this module.
 """
@@ -493,26 +498,9 @@ FULL_SCAN_R_BELOW = 12
 FULL_SCAN_MAX_POINTS = 4
 
 
-def run_selftest(max_dim: int, max_points: int) -> int:
-    """Cross-check suite, printed to stdout; returns 0 when clean, 1 on any discrepancy.
-
-    The range is checked before any output: a range with nothing to check
-    raises ValueError, and a range past the brute-force matrix cap raises
-    MatrixTooLargeError.
-    """
-    if max_dim < 2 or max_points < 1:
-        raise ValueError(
-            f"selftest needs --max-dim >= 2 and --max-points >= 1, got {max_dim} and {max_points}"
-        )
-    if max_dim * max_points > MATRIX_SIZE_CAP:
-        raise MatrixTooLargeError(
-            f"selftest range needs brute-force matrices of size --max-dim * --max-points "
-            f"= {max_dim} * {max_points}, over the cap of {MATRIX_SIZE_CAP}"
-        )
-    failures: list[str] = []
-    started = time.monotonic()
-
-    # numpy and exact eigenvalues of one element per class vs the class table
+def oracle_section(max_dim: int, max_points: int) -> tuple[list[str], list[str]]:
+    """numpy and exact eigenvalues of one element per class vs the class table."""
+    lines, failures = [], []
     for n in range(2, max_dim + 1):
         checked = 0
         for d in range(1, max_points + 1):
@@ -522,11 +510,16 @@ def run_selftest(max_dim: int, max_points: int) -> int:
                 f"oracle n={n} d={d} class {row.cycle_type}: {row.detail}"
                 for row in rows if not row.passed
             )
-        print(f"selftest: oracle n={n}, d=1..{max_points}: {checked} classes")
+        lines.append(f"oracle n={n}, d=1..{max_points}: {checked} classes")
+    return lines, failures
 
-    # closed-form verdict against a scan of the class table
+
+def verdict_scan_section(max_dim: int, max_points: int) -> tuple[list[str], list[str]]:
+    """Closed-form verdict against a scan of the class table."""
+    models, failures = 0, []
     for n in range(2, max_dim + 1):
         for d in range(2, max_points + 1):
+            models += 1
             v = verdict(n, d)
             rows = class_table(n, d)
             least = min((r for r in rows if not r.cycle_type.is_identity()),
@@ -541,26 +534,35 @@ def run_selftest(max_dim: int, max_points: int) -> int:
                     f"verdict n={n} d={d}: min age {v.min_age}, index {v.index}, "
                     f"expected {n}/2 and {1 + n % 2}"
                 )
-    print(f"selftest: verdict scan n=2..{max_dim}, d=2..{max_points}")
+    return [f"verdict scan n=2..{max_dim}, d=2..{max_points}: {models} models"], failures
 
-    # generic monomial engine against the closed-form engine
+
+def cross_engine_section(max_dim: int, max_points: int) -> tuple[list[str], list[str]]:
+    """The generic monomial engine against the closed-form engine."""
+    groups, failures = 0, []
     for n, d in CROSS_ENGINE_PAIRS:
         if n > max_dim or d > max_points:
             continue
+        groups += 1
         via_group = monomial.analyze(monomial.close_group(materialize_rep(n, d)))
         via_classes = verdict(n, d)
         # the witnesses differ in kind: an element against a cycle type
         if via_group._replace(witness=None) != via_classes._replace(witness=None):
             failures.append(f"cross-engine n={n} d={d}: {via_group} but {via_classes}")
-    print("selftest: cross-engine agreement on materialized groups")
+    return [f"cross-engine agreement on materialized groups: {groups} groups"], failures
 
-    # the monomial engine against the Terminal Lemma for cyclic 3-folds
+
+def terminal_lemma_section(max_dim: int, max_points: int) -> tuple[list[str], list[str]]:
+    """The monomial engine against the Terminal Lemma for cyclic 3-folds; the range is unused."""
     cases, mismatches = terminal_lemma_sweep(TERMINAL_LEMMA_R_BELOW)
-    failures.extend(f"terminal lemma {line}" for line in mismatches)
-    print(f"selftest: Terminal Lemma 1/r(a,b,c), r=2..{TERMINAL_LEMMA_R_BELOW - 1}: "
-          f"{cases} cases")
+    return (
+        [f"Terminal Lemma 1/r(a,b,c), r=2..{TERMINAL_LEMMA_R_BELOW - 1}: {cases} cases"],
+        [f"terminal lemma {line}" for line in mismatches],
+    )
 
-    # the monomial engine, whose scan stops early, against a full eigenvalue scan
+
+def full_scan_section(max_dim: int, max_points: int) -> tuple[list[str], list[str]]:
+    """The monomial engine, whose scan stops early, against a full eigenvalue scan."""
     groups = [
         (f"1/{r}{weights}", rep) for r, weights, rep in terminal_lemma_groups(FULL_SCAN_R_BELOW)
     ]
@@ -569,22 +571,30 @@ def run_selftest(max_dim: int, max_points: int) -> int:
         for n in range(1, max_dim + 1)
         for d in range(1, min(max_points, FULL_SCAN_MAX_POINTS) + 1)
     ]
+    failures = []
     for label, rep in groups:
         closed = monomial.close_group(rep)
         got = scan_outcome(monomial.analyze, closed)
         want = scan_outcome(analyze_reference, closed)
         if got != want:
             failures.append(f"full scan {label}: analyze gives {got}, the full scan {want}")
-    print(f"selftest: analyze against a full eigenvalue scan: {len(groups)} groups")
+    return [f"analyze against a full eigenvalue scan: {len(groups)} groups"], failures
 
-    # symmetric-power dimension identity, two independent routes
-    for p in range(0, 11):
-        for d in range(1, 11):
-            if sym_dim(p, d) != invariant_dim_burnside(p, d):
-                failures.append(f"burnside p={p} d={d}: routes disagree")
-    print("selftest: Burnside identity p=0..10, d=1..10")
 
-    # plurigenus growth: P_m(sym^d) has degree exactly d * kappa in m
+def burnside_section(max_dim: int, max_points: int) -> tuple[list[str], list[str]]:
+    """The symmetric-power dimension identity by two independent routes; the range is unused."""
+    failures = [
+        f"burnside p={p} d={d}: routes disagree"
+        for p in range(0, 11)
+        for d in range(1, 11)
+        if sym_dim(p, d) != invariant_dim_burnside(p, d)
+    ]
+    return ["Burnside identity p=0..10, d=1..10"], failures
+
+
+def growth_section(max_dim: int, max_points: int) -> tuple[list[str], list[str]]:
+    """Plurigenus growth: P_m(sym^d) has degree exactly d * kappa in m; the range is unused."""
+    failures = []
     for kappa, d in GROWTH_CASES:
         try:
             degree = growth_degree([(m, m**kappa) for m in GROWTH_LEVELS], d)
@@ -593,8 +603,45 @@ def run_selftest(max_dim: int, max_points: int) -> int:
             continue
         if degree != d * kappa:
             failures.append(f"growth kappa={kappa} d={d}: degree {degree}, expected {d * kappa}")
-    print("selftest: plurigenus growth exponents")
+    return ["plurigenus growth exponents"], failures
 
+
+# The selftest sections, in the order they print.
+SELFTEST_SECTIONS = (
+    oracle_section,
+    verdict_scan_section,
+    cross_engine_section,
+    terminal_lemma_section,
+    full_scan_section,
+    burnside_section,
+    growth_section,
+)
+
+
+def run_selftest(max_dim: int, max_points: int) -> int:
+    """Run ``SELFTEST_SECTIONS`` over a range; returns 0 when clean, 1 on any discrepancy.
+
+    Prints each section's summary lines as it finishes, then every failure
+    line, then the verdict. The range is checked before any output: a range
+    with nothing to check raises ValueError, and a range past the
+    brute-force matrix cap raises MatrixTooLargeError.
+    """
+    if max_dim < 2 or max_points < 1:
+        raise ValueError(
+            f"selftest needs --max-dim >= 2 and --max-points >= 1, got {max_dim} and {max_points}"
+        )
+    if max_dim * max_points > MATRIX_SIZE_CAP:
+        raise MatrixTooLargeError(
+            f"selftest range needs brute-force matrices of size --max-dim * --max-points "
+            f"= {max_dim} * {max_points}, over the cap of {MATRIX_SIZE_CAP}"
+        )
+    failures: list[str] = []
+    started = time.monotonic()
+    for section in SELFTEST_SECTIONS:
+        lines, found = section(max_dim, max_points)
+        for line in lines:
+            print(f"selftest: {line}")
+        failures += found
     elapsed = time.monotonic() - started
     if failures:
         for line in failures:

@@ -84,6 +84,8 @@ def plurigenus_table(
     for m, p_m in rows:
         if m < 1:
             raise ValueError(f"plurigenus level must be >= 1, got {m}")
+        if p_m < 0:
+            raise ValueError(f"plurigenus P_{m} must be >= 0, got {p_m}")
         bits = min(d, p_m - 1) * (p_m + d - 1).bit_length()
         if bits > PLURIGENUS_BITS_CAP:
             raise PointsCapError(

@@ -15,6 +15,7 @@ package version and nothing time-dependent.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -66,6 +67,24 @@ class _PartText(dict):
     def __missing__(self, part: int) -> str:
         text = self[part] = str(part)
         return text
+
+
+def _age_text() -> Callable[[Fraction], str]:
+    """``fraction_str`` memoized for one render, so each distinct age formats once.
+
+    ``class_table`` shares one Fraction per distinct age. The memo is keyed
+    by ``id``: a Fraction hashes in Python code, dearer than formatting it.
+    Each entry holds its age, so no id is reused while the memo lives.
+    """
+    memo: dict[int, tuple[Fraction, str]] = {}
+
+    def age_text(age: Fraction) -> str:
+        hit = memo.get(id(age))
+        if hit is None:
+            hit = memo[id(age)] = (age, fraction_str(age))
+        return hit[1]
+
+    return age_text
 
 
 def _json_block(value, indent: str) -> str:
@@ -124,9 +143,10 @@ def sympower_payload(
         "verdict": verdict_dict(v),
     }
     if records is not None:
+        age_text = _age_text()
         payload["classes"] = [
             {"cycle_type": list(t.parts), "class_size": size, "order": order, "s_sum": s_sum,
-             "age": fraction_str(age), "det": 1 if plus_one else -1}
+             "age": age_text(age), "det": 1 if plus_one else -1}
             for t, size, order, s_sum, age, plus_one in records
         ]
     return payload
@@ -206,12 +226,12 @@ def sympower_markdown(
     text = markdown(sympower_payload(n, d, v))
     if records is None:
         return text
-    part_text = _PartText().__getitem__
+    part_text, age_text = _PartText().__getitem__, _age_text()
     out = [f"{text}\n| cycle type | class size | order | S | age | det |\n"
            "| --- | --- | --- | --- | --- | --- |\n"]
     out += (
         f"| ({','.join(map(part_text, t.parts))}) | {size} | {order} | {s_sum} "
-        f"| {fraction_str(age)} | {'+1' if plus_one else '-1'} |\n"
+        f"| {age_text(age)} | {'+1' if plus_one else '-1'} |\n"
         for t, size, order, s_sum, age, plus_one in records
     )
     return "".join(out)

@@ -586,6 +586,12 @@ def test_plurigenera_bad_pm_is_usage_error(run_cli):
     assert err.startswith("error: usage:")
 
 
+def test_plurigenera_negative_pm_is_one_usage_line_naming_the_row(run_cli):
+    code, out, err = run_cli("plurigenera", "--dim", "2", "--points", "2", "--pm", "1=-1")
+    assert (code, out) == (2, "")
+    assert err == "error: usage: plurigenus P_1 must be >= 0, got -1\n"
+
+
 SYMPOWER_TABLE_MD = """\
 # Symmetric-power model: 3 copies of the S_3 permutation action
 
@@ -671,20 +677,14 @@ def test_genus_bound_output(run_cli):
     assert out == "minimal genus: 5\n"
 
 
-def test_selftest_small_range_passes(run_cli):
-    code, out, _ = run_cli("selftest", "--max-dim", "2", "--max-points", "4")
-    assert code == 0
-    assert "selftest: OK" in out
-
-
 def test_selftest_prints_every_section_line(run_cli):
     code, out, err = run_cli("selftest", "--max-dim", "3", "--max-points", "3")
     assert (code, err) == (0, "")
     assert re.sub(r"\(\d+\.\d+s\)", "(<t>s)", out).splitlines() == [
         "selftest: oracle n=2, d=1..3: 6 classes",
         "selftest: oracle n=3, d=1..3: 6 classes",
-        "selftest: verdict scan n=2..3, d=2..3",
-        "selftest: cross-engine agreement on materialized groups",
+        "selftest: verdict scan n=2..3, d=2..3: 4 models",
+        "selftest: cross-engine agreement on materialized groups: 4 groups",
         "selftest: Terminal Lemma 1/r(a,b,c), r=2..19: 14825 cases",
         "selftest: analyze against a full eigenvalue scan: 1658 groups",
         "selftest: Burnside identity p=0..10, d=1..10",
@@ -693,14 +693,82 @@ def test_selftest_prints_every_section_line(run_cli):
     ]
 
 
+def test_selftest_sections_say_when_the_range_leaves_them_nothing():
+    from symquot import oracle
+
+    # no model has d >= 2 at --max-points 1, and no cross-engine pair has d <= 1
+    assert oracle.verdict_scan_section(2, 1) == (["verdict scan n=2..2, d=2..1: 0 models"], [])
+    assert oracle.cross_engine_section(2, 1) == (
+        ["cross-engine agreement on materialized groups: 0 groups"], []
+    )
+
+
+def stub_section(name, lines, failures, calls):
+    def section(max_dim, max_points):
+        calls.append((name, max_dim, max_points))
+        return lines, failures
+
+    return section
+
+
+@pytest.mark.parametrize(
+    "failures, code, verdict",
+    [
+        ((["first broke"], ["second broke", "second broke again"]), 1,
+         "selftest: FAILED with 3 discrepancies (<t>s)"),
+        (([], []), 0, "selftest: OK (<t>s)"),
+    ],
+    ids=["failed", "ok"],
+)
+def test_run_selftest_prints_each_section_then_every_failure(
+    run_cli, monkeypatch, failures, code, verdict
+):
+    from symquot import oracle
+
+    calls = []
+    sections = (
+        stub_section("first", ["first a", "first b"], failures[0], calls),
+        stub_section("second", ["second"], failures[1], calls),
+    )
+    monkeypatch.setattr(oracle, "SELFTEST_SECTIONS", sections)
+    got, out, err = run_cli("selftest", "--max-dim", "3", "--max-points", "2")
+    assert (got, err) == (code, "")
+    assert calls == [("first", 3, 2), ("second", 3, 2)]
+    assert re.sub(r"\(\d+\.\d+s\)", "(<t>s)", out).splitlines() == [
+        "selftest: first a",
+        "selftest: first b",
+        "selftest: second",
+        *(f"selftest FAILURE: {line}" for line in failures[0] + failures[1]),
+        verdict,
+    ]
+
+
+@pytest.mark.parametrize(
+    "flags, code", [(("--max-dim", "1"), 2), (("--max-points", "0"), 2), (("--max-dim", "65"), 3)]
+)
+def test_run_selftest_checks_the_range_before_any_section(run_cli, monkeypatch, flags, code):
+    from symquot import oracle
+
+    calls = []
+    monkeypatch.setattr(oracle, "SELFTEST_SECTIONS", (stub_section("only", ["x"], [], calls),))
+    got, out, err = run_cli("selftest", "--max-points", "1", *flags)
+    assert (got, out, calls) == (code, "", [])
+    assert err.count("\n") == 1
+
+
+def labels(failures):
+    """The label of each section failure line: its text up to the first colon."""
+    return [line.split(":")[0] for line in failures]
+
+
 def failed_sections(out):
-    """The label of each selftest FAILURE line: its text up to the next colon."""
+    """The label of each selftest FAILURE line in a selftest's stdout."""
     prefix = "selftest FAILURE: "
-    return [line[len(prefix):].split(":")[0] for line in out.splitlines() if line.startswith(prefix)]
+    return labels(line[len(prefix):] for line in out.splitlines() if line.startswith(prefix))
 
 
-def test_selftest_reports_both_verdicts_when_the_engines_disagree(run_cli, monkeypatch):
-    from symquot import monomial
+def test_selftest_reports_both_verdicts_when_the_engines_disagree(monkeypatch):
+    from symquot import monomial, oracle
 
     analyze = monomial.analyze
 
@@ -709,18 +777,14 @@ def test_selftest_reports_both_verdicts_when_the_engines_disagree(run_cli, monke
         return v._replace(index=7) if rep.root_order == 1 else v
 
     monkeypatch.setattr(monomial, "analyze", spoiled)
-    code, out, _ = run_cli("selftest", "--max-dim", "2", "--max-points", "2")
-    assert code == 1
-    (line,) = [line for line in out.splitlines() if "cross-engine n=2 d=2" in line]
+    _, failures = oracle.cross_engine_section(2, 2)
+    (line,) = failures
+    assert line.startswith("cross-engine n=2 d=2: ")
     assert "index=7" in line and "index=1" in line
     # the full-scan section sees the patch too, on each group but the reflection group n=1 d=2
-    assert failed_sections(out) == [
-        "cross-engine n=2 d=2",
-        "full scan n=1 d=1",
-        "full scan n=2 d=1",
-        "full scan n=2 d=2",
-    ]
-    assert "FAILED with 4 discrepancies" in out
+    _, failures = oracle.full_scan_section(2, 2)
+    assert labels(failures) == ["full scan n=1 d=1", "full scan n=2 d=1", "full scan n=2 d=2"]
+    assert oracle.terminal_lemma_sweep(4) == (9, [])
 
 
 def test_every_selftest_section_calls_the_engine_through_its_module(run_cli, monkeypatch):
@@ -740,8 +804,8 @@ def test_every_selftest_section_calls_the_engine_through_its_module(run_cli, mon
     assert "full scan 1/3(1, 1, 1)" in sections
 
 
-def test_selftest_catches_an_early_stop_that_skips_quasi_reflections(run_cli, monkeypatch):
-    from symquot import monomial
+def test_selftest_catches_an_early_stop_that_skips_quasi_reflections(monkeypatch):
+    from symquot import monomial, oracle
 
     cycle_sums = monomial._cycle_sums
 
@@ -750,18 +814,17 @@ def test_selftest_catches_an_early_stop_that_skips_quasi_reflections(run_cli, mo
         return None if bound is not None and sums[0] >= bound else sums
 
     monkeypatch.setattr(monomial, "_cycle_sums", stop_without_count)
-    code, out, _ = run_cli("selftest", "--max-dim", "2", "--max-points", "3")
-    assert code == 1
-    (line,) = [line for line in out.splitlines() if "FAILURE" in line]
+    _, failures = oracle.full_scan_section(2, 3)
+    (line,) = failures
     assert line.startswith(
-        "selftest FAILURE: full scan n=1 d=3: analyze gives QuasiReflectionError(group contains "
+        "full scan n=1 d=3: analyze gives QuasiReflectionError(group contains "
         "1 quasi-reflection(s): perm[2,1,3] exp[0,0,0]"
     )
     assert "the full scan QuasiReflectionError(group contains 3 quasi-reflection(s)" in line
 
 
-def test_selftest_catches_a_stop_at_age_1_that_ignores_the_index(run_cli, monkeypatch):
-    from symquot import monomial
+def test_selftest_catches_a_stop_at_age_1_that_ignores_the_index(monkeypatch):
+    from symquot import monomial, oracle
 
     cycle_sums, stopped = monomial._cycle_sums, []
 
@@ -776,32 +839,26 @@ def test_selftest_catches_a_stop_at_age_1_that_ignores_the_index(run_cli, monkey
         return sums
 
     monkeypatch.setattr(monomial, "_cycle_sums", stop_at_age_1)
-    code, out, _ = run_cli("selftest", "--max-dim", "2", "--max-points", "2")
-    assert code == 1
-    failures = [line for line in out.splitlines() if line.startswith("selftest FAILURE")]
-    assert failed_sections(out)[0] == "full scan 1/6(5, 5, 5)"
-    assert all(section.startswith("full scan 1/") for section in failed_sections(out))
+    _, failures = oracle.full_scan_section(2, 2)
+    assert labels(failures)[0] == "full scan 1/6(5, 5, 5)"
+    assert all(label.startswith("full scan 1/") for label in labels(failures))
     # 1/6(5,5,5): the powers of age 5/2, 2, 3/2 and 1 come before the one of age 1/2
     assert failures[0] == (
-        "selftest FAILURE: full scan 1/6(5, 5, 5): analyze gives SingularityVerdict(index=2, "
+        "full scan 1/6(5, 5, 5): analyze gives SingularityVerdict(index=2, "
         "group_order=6, min_age=Fraction(1, 1), witness='perm[1,2,3] exp[2,2,2]'), the full scan "
         "SingularityVerdict(index=2, group_order=6, min_age=Fraction(1, 2), "
         "witness='perm[1,2,3] exp[1,1,1]')"
     )
-    assert f"FAILED with {len(failures)} discrepancies" in out
 
 
-def test_selftest_reports_each_failing_oracle_row(run_cli, monkeypatch):
+def test_selftest_reports_each_failing_oracle_row(monkeypatch):
     from symquot import oracle
 
     monkeypatch.setattr(oracle, "numeric_exponents", lambda matrix, order: (0,) * len(matrix))
-    code, out, _ = run_cli("selftest", "--max-dim", "2", "--max-points", "2")
-    assert code == 1
-    assert [line for line in out.splitlines() if line.startswith("selftest FAILURE")] == [
-        "selftest FAILURE: oracle n=2 d=2 class (2): exponent multisets differ: "
+    assert oracle.oracle_section(2, 2)[1] == [
+        "oracle n=2 d=2 class (2): exponent multisets differ: "
         "numeric (0, 0, 0, 0) vs constructed (0, 0, 1, 1)"
     ]
-    assert "FAILED with 1 discrepancies" in out
 
 
 def undivided_growth_degree(rows, d):
@@ -817,23 +874,26 @@ def undivided_growth_degree(rows, d):
 
 
 @pytest.mark.parametrize(
-    "name,spoil,line,count",
+    "name,spoil,section,line,count",
     [
         (
             "growth_degree",
             lambda real: lambda rows, d: real(rows, d) + 1,
+            "growth_section",
             "growth kappa=1 d=2: degree 3, expected 2",
             6,
         ),
         (
             "invariant_dim_burnside",
             lambda real: lambda p, d: real(p, d) + ((p, d) == (3, 2)),
+            "burnside_section",
             "burnside p=3 d=2: routes disagree",
             1,
         ),
         (  # right on equally spaced m only, so unequally spaced rows catch it
             "growth_degree",
             lambda real: undivided_growth_degree,
+            "growth_section",
             "growth kappa=1 d=2: 17 rows never reach a zero difference",
             4,
         ),
@@ -841,15 +901,14 @@ def undivided_growth_degree(rows, d):
     ids=["growth", "burnside", "growth-undivided"],
 )
 def test_selftest_reports_each_failing_growth_and_burnside_case(
-    run_cli, monkeypatch, name, spoil, line, count
+    monkeypatch, name, spoil, section, line, count
 ):
     from symquot import oracle
 
     monkeypatch.setattr(oracle, name, spoil(getattr(oracle, name)))
-    code, out, _ = run_cli("selftest", "--max-dim", "2", "--max-points", "2")
-    assert code == 1
-    assert f"selftest FAILURE: {line}" in out.splitlines()
-    assert f"FAILED with {count} discrepancies" in out
+    _, failures = getattr(oracle, section)(2, 2)
+    assert line in failures
+    assert len(failures) == count
 
 
 def test_identical_invocations_produce_identical_output(run_cli):
@@ -881,15 +940,14 @@ def test_cli_import_leaves_dataclasses_inspect_and_oracle_unloaded():
         "import symquot.cli\n"
         "heavy = ('dataclasses', 'inspect', 'symquot.oracle', 'numpy')\n"
         "print(sorted(m for m in heavy if m in sys.modules))\n"
-        "symquot.cli.run(['selftest', '--max-dim', '2', '--max-points', '1'])\n"
+        "print(symquot.cli.run(['selftest', '--max-dim', '1', '--max-points', '1']))\n"
         "print('symquot.oracle' in sys.modules)\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[0] == "[]"
-    assert "selftest: OK" in lines[-2]
-    assert lines[-1] == "True"
+    # the range is rejected only after cmd_selftest has imported the oracle
+    assert lines == ["[]", "2", "True"]
 
 
 def test_import_leaves_numpy_unloaded():
