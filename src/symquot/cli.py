@@ -100,11 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_sympower(args) -> int:
     v = sympower.verdict(args.dim, args.points)
     records = sympower.class_table(args.dim, args.points) if args.table else None
-    if args.format == "json":
-        text = report.canonical_json(report.sympower_payload(args.dim, args.points, v, records))
-    else:
-        text = report.sympower_markdown(args.dim, args.points, v, records)
-    sys.stdout.write(text)
+    payload = report.sympower_payload(args.dim, args.points, v, records)
+    sys.stdout.write(report.render(payload, args.format))
     return 0
 
 

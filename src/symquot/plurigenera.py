@@ -72,18 +72,22 @@ def plurigenus_table(
 
     Each (m, P_m) row gets C(d + P_m - 1, d) and a validity flag for the
     parity condition m * n even. Invalid-parity rows are computed anyway
-    so the two parities can be compared side by side. The binomial is
-    below (P_m + d - 1)^min(d, P_m - 1); a row whose bound passes
+    so the two parities can be compared side by side. A level m given
+    twice raises ValueError. The binomial is below
+    (P_m + d - 1)^min(d, P_m - 1); a row whose bound passes
     2^PLURIGENUS_BITS_CAP raises PointsCapError before it is computed.
     """
     if n < 2:
         raise UnsupportedDimensionError(n)
     if d < 1:
         raise ValueError(f"number of points must be >= 1, got {d}")
-    out = []
+    out, levels = [], set()
     for m, p_m in rows:
         if m < 1:
             raise ValueError(f"plurigenus level must be >= 1, got {m}")
+        if m in levels:
+            raise ValueError(f"plurigenus level m={m} is given twice")
+        levels.add(m)
         if p_m < 0:
             raise ValueError(f"plurigenus P_{m} must be >= 0, got {p_m}")
         bits = min(d, p_m - 1) * (p_m + d - 1).bit_length()

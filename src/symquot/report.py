@@ -3,13 +3,13 @@
 The ``*_payload`` functions alone decide a report's fields and values;
 ``render`` writes a payload as canonical JSON or as markdown. Canonical
 JSON is byte-for-byte ``json.dumps(payload, sort_keys=True, indent=2)``
-plus a newline, so re-serializing a parsed report is byte-identical.
-``canonical_json`` writes that layout without json's indenting encoder,
-class rows from ``CLASS_ROW_TEMPLATE``; the tests pin it byte for byte.
-``sympower_markdown`` writes its class table straight from the
-``AgeRecord`` rows. Exact rationals are "p/q" strings ("inf" for the
-no-witness sentinel), so no payload holds a float. Payloads hold the
-package version and nothing time-dependent.
+plus a newline, so re-serializing a parsed report is byte-identical. A
+sympower payload's ``classes`` holds the ``AgeRecord``s themselves, which
+``CLASS_ROW_TEMPLATE`` and the markdown table spell as rows, with no
+per-row dict. ``canonical_json`` writes the layout without json's
+indenting encoder; the tests pin it byte for byte. Exact rationals are
+"p/q" strings ("inf" for the no-witness sentinel), so no report holds a
+float. Payloads hold the package version and nothing time-dependent.
 """
 
 from __future__ import annotations
@@ -45,9 +45,10 @@ def verdict_dict(v: SingularityVerdict) -> dict:
 
 
 # A ``classes`` row as ``canonical_json`` indents it: keys sorted, two spaces per level.
+# The age is ``fraction_str`` text, ASCII "p/q", so it needs no escaping.
 CLASS_ROW_TEMPLATE = """\
     {
-      "age": %s,
+      "age": "%s",
       "class_size": %s,
       "cycle_type": [
         %s
@@ -104,8 +105,9 @@ def _json_block(value, indent: str) -> str:
 def canonical_json(payload) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, byte for byte.
 
-    That call is the definition of the format, and the tests hold this
-    function to it. A top-level ``classes`` list is written from
+    That call is the definition of the format, with each class record
+    of a top-level ``classes`` list read as its row dict, and the tests
+    hold this function to it. ``classes`` is written from
     ``CLASS_ROW_TEMPLATE``, every other field by ``_json_block``. Each
     field and each row comes after the ",\\n" that parts it from the one
     before, or after its opening bracket, so one join makes the whole text.
@@ -118,15 +120,14 @@ def canonical_json(payload) -> str:
         if key != "classes" or not value:
             out.append(_json_block(value, "  "))
             continue
-        part_text = _PartText().__getitem__
+        part_text, age_text = _PartText().__getitem__, _age_text()
         first = len(out)
         out += (
             _SEPARATED_CLASS_ROW % (
-                encode_basestring_ascii(c["age"]), c["class_size"],
-                ",\n        ".join(map(part_text, c["cycle_type"])),
-                c["det"], c["order"], c["s_sum"],
+                age_text(age), size, ",\n        ".join(map(part_text, t.parts)),
+                1 if plus_one else -1, order, s_sum,
             )
-            for c in value
+            for t, size, order, s_sum, age, plus_one in value
         )
         out[first] = "[" + out[first][1:]
         out.append("\n  ]")
@@ -143,12 +144,7 @@ def sympower_payload(
         "verdict": verdict_dict(v),
     }
     if records is not None:
-        age_text = _age_text()
-        payload["classes"] = [
-            {"cycle_type": list(t.parts), "class_size": size, "order": order, "s_sum": s_sum,
-             "age": age_text(age), "det": 1 if plus_one else -1}
-            for t, size, order, s_sum, age, plus_one in records
-        ]
+        payload["classes"] = records
     return payload
 
 
@@ -189,29 +185,38 @@ def markdown(payload: dict) -> str:
     """A heading from the ``model`` block, then one section per block present.
 
     Values appear as JSON spells them, so booleans read true/false.
+    Every line goes into one list joined once, so a long class table is
+    copied only into the final text.
     """
-    sections = [[HEADINGS[payload["model"]["kind"]].format(**payload["model"])]]
+    lines = [HEADINGS[payload["model"]["kind"]].format(**payload["model"])]
     if "verdict" in payload:
         v = payload["verdict"]
-        lines = [f"- {key.replace('_', ' ')}: {json.dumps(v[key])}" for key in VERDICT_KEYS]
+        lines.append("")
+        lines += [f"- {key.replace('_', ' ')}: {json.dumps(v[key])}" for key in VERDICT_KEYS]
         if v["min_age"] == "inf":
             lines.append("- min age: inf (trivial group, smooth point)")
         else:
             lines.append(f"- min age: {v['min_age']} at {v['witness']}")
-        sections.append(lines)
+    if "classes" in payload:
+        part_text, age_text = _PartText().__getitem__, _age_text()
+        lines += ("", "| cycle type | class size | order | S | age | det |",
+                  "| --- | --- | --- | --- | --- | --- |")
+        lines += (
+            f"| ({','.join(map(part_text, t.parts))}) | {size} | {order} | {s_sum} "
+            f"| {age_text(age)} | {'+1' if plus_one else '-1'} |"
+            for t, size, order, s_sum, age, plus_one in payload["classes"]
+        )
     if "rows" in payload:
-        sections.append([
-            "| m | P_m(X) | P_m(sym^d) | parity valid |",
-            "| --- | --- | --- | --- |",
-            *(
-                f"| {r['m']} | {r['p_m_x']} | {r['p_m_sigma']} | {json.dumps(r['valid'])} |"
-                for r in payload["rows"]
-            ),
-        ])
+        lines += ("", "| m | P_m(X) | P_m(sym^d) | parity valid |", "| --- | --- | --- | --- |")
+        lines += (
+            f"| {r['m']} | {r['p_m_x']} | {r['p_m_sigma']} | {json.dumps(r['valid'])} |"
+            for r in payload["rows"]
+        )
     if "kodaira" in payload:
         k = payload["kodaira"]
-        sections.append([f"- Kodaira dimension: {k['input']} scales to {k['scaled']}"])
-    return "\n\n".join("\n".join(lines) for lines in sections) + "\n"
+        lines += ("", f"- Kodaira dimension: {k['input']} scales to {k['scaled']}")
+    lines.append("")
+    return "\n".join(lines)
 
 
 def render(payload: dict, fmt: str) -> str:
@@ -222,16 +227,5 @@ def render(payload: dict, fmt: str) -> str:
 def sympower_markdown(
     n: int, d: int, v: SingularityVerdict, records: list[AgeRecord] | None = None
 ) -> str:
-    """Markdown of ``sympower_payload(n, d, v, records)``, class rows straight from the records."""
-    text = markdown(sympower_payload(n, d, v))
-    if records is None:
-        return text
-    part_text, age_text = _PartText().__getitem__, _age_text()
-    out = [f"{text}\n| cycle type | class size | order | S | age | det |\n"
-           "| --- | --- | --- | --- | --- | --- |\n"]
-    out += (
-        f"| ({','.join(map(part_text, t.parts))}) | {size} | {order} | {s_sum} "
-        f"| {age_text(age)} | {'+1' if plus_one else '-1'} |\n"
-        for t, size, order, s_sum, age, plus_one in records
-    )
-    return "".join(out)
+    """``markdown(sympower_payload(n, d, v, records))``."""
+    return markdown(sympower_payload(n, d, v, records))

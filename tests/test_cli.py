@@ -30,7 +30,7 @@ def test_sympower_json_roundtrips_byte_identically(run_cli):
     )
     assert code == 0
     payload = json.loads(out)
-    assert canonical_json(payload) == out
+    assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == out
     assert payload["verdict"]["index"] == 2
     assert payload["verdict"]["min_age"] == "3/2"
     assert payload["meta"] == {"version": "0.1.0"}
@@ -584,6 +584,12 @@ def test_plurigenera_bad_pm_is_usage_error(run_cli):
     )
     assert code == 2
     assert err.startswith("error: usage:")
+
+
+def test_plurigenera_repeated_level_is_one_usage_line_naming_it(run_cli):
+    code, out, err = run_cli("plurigenera", "--dim", "2", "--points", "3", "--pm", "1=2,1=3")
+    assert (code, out) == (2, "")
+    assert err == "error: usage: plurigenus level m=1 is given twice\n"
 
 
 def test_plurigenera_negative_pm_is_one_usage_line_naming_the_row(run_cli):

@@ -99,6 +99,12 @@ def test_plurigenus_table_validation():
         plurigenus_table(2, 2, [(1, -1)])
 
 
+def test_plurigenus_table_rejects_a_repeated_level():
+    with pytest.raises(ValueError, match=r"^plurigenus level m=2 is given twice$"):
+        plurigenus_table(2, 3, [(2, 1), (1, 2), (2, 5)])
+    assert [r.m for r in plurigenus_table(2, 3, [(2, 1), (1, 2)]).rows] == [2, 1]
+
+
 def test_plurigenus_table_at_the_bit_cap_prints():
     # min(1000, 8000 - 1) * (8000 + 1000 - 1).bit_length() = 1000 * 14
     assert 1000 * (8999).bit_length() == PLURIGENUS_BITS_CAP

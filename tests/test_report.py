@@ -1,27 +1,48 @@
 """Reports against their definitions: canonical JSON against json.dumps,
-the record-driven markdown class table against a renderer of payload rows."""
+the record-driven markdown class table against a renderer of payload rows.
+
+A sympower payload's ``classes`` holds the class records; the reference
+spelling of each one as a row dict is ``reference_rows``."""
 
 import gc
 import json
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symquot import analyze, close_group, rep_from_dict, sympower
+from symquot.combinatorics import CycleType
 from symquot.plurigenera import KodairaDim, kodaira_scale, plurigenus_table
 from symquot.report import (
     analyze_payload,
     canonical_json,
+    fraction_str,
     markdown,
     plurigenera_payload,
+    render,
     sympower_markdown,
     sympower_payload,
 )
+from symquot.sympower import AgeRecord
+
+
+def reference_rows(records):
+    """Each class record as the row dict that a JSON report parses back to."""
+    return [
+        {"cycle_type": list(t.parts), "class_size": size, "order": order, "s_sum": s_sum,
+         "age": fraction_str(age), "det": 1 if plus_one else -1}
+        for t, size, order, s_sum, age, plus_one in records
+    ]
 
 
 def assert_canonical(payload):
+    """``canonical_json(payload)`` is ``json.dumps`` of the payload with its rows spelled out."""
     text = canonical_json(payload)
+    if "classes" in payload:
+        payload = {**payload, "classes": reference_rows(payload["classes"])}
     assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
     assert json.loads(text) == payload
 
@@ -65,10 +86,10 @@ def test_analyze_and_plurigenera_reports_leave_no_garbage():
 
 
 def payload_markdown(payload):
-    """Markdown of a sympower payload with the class table drawn from its row dicts.
+    """Markdown of a sympower payload with the class table drawn from its reference rows.
 
-    The reference for ``sympower_markdown``, which writes the same table
-    from the class records without building the rows.
+    The reference for ``markdown``, which writes the same table from the
+    class records without building the rows.
     """
     text = markdown({k: v for k, v in payload.items() if k != "classes"})
     if "classes" not in payload:
@@ -79,7 +100,7 @@ def payload_markdown(payload):
         *(
             f"| ({','.join(map(str, c['cycle_type']))}) | {c['class_size']} "
             f"| {c['order']} | {c['s_sum']} | {c['age']} | {c['det']:+d} |"
-            for c in payload["classes"]
+            for c in reference_rows(payload["classes"])
         ),
     ]
     return text + "\n" + "\n".join(lines) + "\n"
@@ -91,8 +112,8 @@ def test_sympower_markdown_matches_payload_rows(n, d):
     v = sympower.verdict(n, d)
     records = sympower.class_table(n, d)
     for rows in (None, records, []):
-        expected = payload_markdown(sympower_payload(n, d, v, rows))
-        assert sympower_markdown(n, d, v, rows) == expected
+        payload = sympower_payload(n, d, v, rows)
+        assert markdown(payload) == sympower_markdown(n, d, v, rows) == payload_markdown(payload)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -103,6 +124,12 @@ def test_sympower_payload_is_json_dumps(n, d):
     assert_canonical(sympower_payload(n, d, v, sympower.class_table(n, d)))
 
 
+def test_sympower_payload_holds_the_records_themselves():
+    records = sympower.class_table(3, 5)
+    assert sympower_payload(3, 5, sympower.verdict(3, 5), records)["classes"] is records
+    assert "classes" not in sympower_payload(3, 5, sympower.verdict(3, 5))
+
+
 def test_empty_class_list_is_json_dumps():
     payload = sympower_payload(2, 1, sympower.verdict(2, 1), [])
     assert canonical_json(payload).count('"classes": []') == 1
@@ -110,9 +137,24 @@ def test_empty_class_list_is_json_dumps():
 
 
 def test_class_rows_escape_strings_like_json_dumps():
-    row = {"age": 'é"\\\n', "class_size": 10**40, "cycle_type": [3, 1], "det": -1,
-           "order": 3, "s_sum": 0}
-    assert_canonical({"classes": [row, row], "meta": {"classes": None}})
+    # a class size past any float, and a nested "classes" key that is not the class table
+    record = AgeRecord(CycleType((3, 1)), 10**40, 3, 3, Fraction(1, 1), True)
+    odd = AgeRecord(CycleType((2, 1, 1)), 6, 2, 3, Fraction(3, 2), False)
+    assert_canonical({"classes": [record, odd, record], "meta": {"classes": None}})
+
+
+@pytest.mark.parametrize("fmt", ["json", "md"])
+def test_class_table_render_stays_within_three_times_its_text(fmt):
+    # n = 3, d = 40: 37 338 rows; payload and render may hold little beyond the output
+    n, d = 3, 40
+    v, records = sympower.verdict(n, d), sympower.class_table(n, d)
+    tracemalloc.start()
+    try:
+        text = render(sympower_payload(n, d, v, records), fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text), f"traced peak {peak} B for {len(text)} B of {fmt}"
 
 
 def generator(perm, exponents):
@@ -153,7 +195,8 @@ def test_analyze_payload_is_json_dumps(name):
 @given(
     n=st.integers(2, 6),
     d=st.integers(1, 40),
-    rows=st.lists(st.tuples(st.integers(1, 12), st.integers(0, 30)), min_size=1, max_size=6),
+    rows=st.lists(st.tuples(st.integers(1, 12), st.integers(0, 30)), min_size=1, max_size=6,
+                  unique_by=lambda r: r[0]),
     kappa=st.none() | st.integers(-1, 6),
 )
 def test_plurigenera_payload_is_json_dumps(n, d, rows, kappa):
