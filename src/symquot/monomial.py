@@ -38,15 +38,30 @@ element is the witness and the verdict is settled. A group of index 1
 without an age-1 element (terminal, such as 1/2(1,1,1,1)) and every
 group of index > 1 are scanned in full.
 
-The closure and the scan work on one N-tuple of integer codes per
-element, ``code[i] = N * exponents[i] + perm[i]``: the image of e_i and
-its exponent in one int. Right multiplication by a generator gathers
-the codes by its permutation and, when it has nonzero exponents, adds
-N * exponents mod N * m. ``close_group`` does this for a whole slice of
-its queue at once, in C-level ``map`` and ``zip`` calls, and drops the
-products it has seen before in C too (``itertools.filterfalse``).
+The closure and the scan work on one code per matrix entry, which holds
+the entry's place and its exponent in one int, in one of two encodings:
+
+- when N * m <= 256 every code fits in a byte, and an element is a
+  ``bytes`` of row codes, ``code[j] = N * e + i`` for the entry zeta^e
+  at row j, column i. Right multiplication by g sends row code
+  N * e + k to N * (e + g.exponents[i] mod m) + i for i = g^-1(k),
+  whatever the row, so a product is one ``bytes.translate`` through a
+  256-byte table built once per generator (``_row_table``);
+- otherwise an element is an N-tuple of column codes,
+  ``code[i] = N * exponents[i] + perm[i]``: the image of e_i and its
+  exponent. Right multiplication by a generator gathers the codes by
+  its permutation and, when it has nonzero exponents, adds
+  N * exponents mod N * m.
+
+``close_group`` does this for a whole slice of its queue at once, in
+C-level ``map`` and ``zip`` calls, and drops the products it has seen
+before in C too (``itertools.filterfalse``). The scan needs no change for
+the encoding: ``_cycle_sums`` follows ``i -> code[i] % N``, the
+permutation for column codes and its inverse for row codes, so it meets
+the same cycles in the same order, and along a cycle the sum of
+``code[i] - i`` is N * K_c either way, since the places telescope.
 ``MonomialElement`` appears only at the edges: the generators and the
-reported witness and quasi-reflections, decoded as ``c % N``, ``c // N``.
+reported witness and quasi-reflections, decoded by ``_decode``.
 
 Closure construction is single-writer; every produced value is
 immutable, and the analysis scan is read-only, so verdicts and closed
@@ -68,17 +83,20 @@ from .errors import GroupTooLargeError, MatrixTooLargeError, QuasiReflectionErro
 
 DEFAULT_CLOSURE_CAP = 20000
 CLOSURE_CAP_ENV = "QC_CLOSURE_CAP"
-DIMENSION_CAP = 256  # for files read by rep_from_dict; every element is an N-tuple
+DIMENSION_CAP = 256  # for files read by rep_from_dict; every element holds N codes
 ROOT_ORDER_BITS_CAP = 128  # for files too; each element code N * e + i grows with m
 GENERATORS_CAP = 64  # for files too; closure work is |G| times the generator count
 REP_FILE_CHARS_CAP = 1 << 24  # characters read from a file, checked before decoding
-# Queue elements that close_group multiplies in one step. A wide step
-# copies its slice into N column tuples; the bound keeps that copy at
-# N * 256 references. Unbounded, it lifts the traced peak of S_8 on C^256,
-# which runs over the default cap, from 42.6 to 51.3 MB. 256 elements
-# still pay for the transpose and the per-column maps at N up to
-# DIMENSION_CAP.
+# Queue elements that close_group multiplies in one step. A step on row
+# codes holds its distinct products at once: at most 256 * 64 of at most
+# 256 bytes each, about 5 MB. A wide step on column codes copies its
+# slice into N column tuples; the bound keeps that copy at N * 256
+# references. Unbounded, it lifted the traced peak of S_8 on C^256, which
+# runs over the default cap, from 42.6 to 51.3 MB when that group was
+# closed on column codes. 256 elements still pay for the transpose and
+# the per-column maps at N up to DIMENSION_CAP.
 _QUEUE_SLICE = 256
+_BYTES = bytes(range(256))  # the identity translate table
 
 
 class MonomialElement(namedtuple("MonomialElement", "perm exponents")):
@@ -93,7 +111,13 @@ class MonomialElement(namedtuple("MonomialElement", "perm exponents")):
         return f"perm[{images}] exp[{exps}]"
 
 
-def _decode(code: tuple[int, ...], n: int) -> MonomialElement:
+def _decode(code: bytes | tuple[int, ...], n: int) -> MonomialElement:
+    if type(code) is bytes:  # row codes: code[j] = N * e + i, zeta^e at (j, i)
+        perm, exps = [0] * n, [0] * n
+        for j, c in enumerate(code):
+            e, i = divmod(c, n)
+            perm[i], exps[i] = j, e
+        return MonomialElement(tuple(perm), tuple(exps))
     return MonomialElement(tuple(c % n for c in code), tuple(c // n for c in code))
 
 
@@ -104,8 +128,10 @@ class MonomialRep(
 
     ``generators`` is a tuple of ``MonomialElement``. ``flat_elements``
     is None until ``close_group`` fills it with the closure in closure
-    order, each element as the N-tuple of codes ``N * exponents[i] +
-    perm[i]``; its length is the group order.
+    order; its length is the group order. When N * m <= 256 each element
+    is a ``bytes`` of row codes, ``code[j] = N * e + i`` for the entry
+    zeta^e at (j, i); otherwise it is the N-tuple of column codes
+    ``N * exponents[i] + perm[i]``. ``analyze`` reads either alike.
     """
 
     __slots__ = ()
@@ -174,30 +200,80 @@ def configured_cap(cap: int | None = None) -> int:
     return value
 
 
+def _row_table(g: MonomialElement, n: int, nm: int) -> bytes:
+    """The ``bytes.translate`` table of right multiplication by ``g`` on row codes.
+
+    Row code N * e + k, the entry zeta^e in column k, goes to
+    N * (e + g.exponents[i] mod m) + i for i = g^-1(k), wherever it sits.
+    So the m codes of column k, taken at stride N, become column i's
+    codes rotated by g.exponents[i]: one slice per column, where a
+    table built entry by entry would cost one step per code. Only the
+    first N * m entries are ever read; the rest keep their own value.
+    """
+    table = bytearray(_BYTES)
+    for i, (k, shift) in enumerate(zip(g.perm, g.exponents)):
+        column = _BYTES[i:nm:n]  # N * e + i for e = 0..m-1
+        table[k:nm:n] = column[shift:] + column[:shift]
+    return bytes(table)
+
+
 def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
     """Multiplicative closure of the generators, in breadth-first order.
 
     The identity comes first; each frontier element is multiplied on the
     right by the generators in their given order, which fixes the element
     ordering used for witness reporting. Raises GroupTooLargeError as
-    soon as the closure would exceed the cap.
+    soon as the closure would exceed the cap, holding exactly ``cap``
+    elements.
 
     The queue is walked in slices of up to ``_QUEUE_SLICE`` elements;
     new elements are only appended, so slicing keeps the order of the
-    one-element-at-a-time walk, and with it the witness. A slice of at
+    one-element-at-a-time walk, and with it the witness. The products of
+    a slice are interleaved per element in generator order, and known
+    ones are dropped in C.
+
+    When N * m <= 256 every element is a ``bytes`` of row codes and a
+    product is one ``bytes.translate`` by the generator's ``_row_table``.
+    A slice's products are deduplicated by ``dict.fromkeys``, filtered
+    against ``seen`` and appended at once; at the cap only the first new
+    elements up to it are kept before the error is raised.
+
+    Otherwise every element is an N-tuple of column codes. A slice of at
     least N elements is transposed once into N columns: a generator's
     gather is a reordering of the columns, its shift one ``map`` per
     column with a nonzero exponent, and ``zip`` rebuilds the products.
     A thinner slice, such as every level of a cyclic group, gathers
     element by element (``itemgetter``), which costs less than N columns
-    of a few entries each. The products of a slice are interleaved per
-    element in generator order, known ones are filtered out in C, and
-    the cap is checked on each new element as it comes, so the error is
-    raised at the same element as in the one-by-one walk.
+    of a few entries each. The cap is checked on each new element as it
+    comes, so the error is raised at the same element as in the
+    one-by-one walk.
     """
     cap = configured_cap(cap)
     n, nm = rep.dimension, rep.dimension * rep.root_order
     ident = tuple(range(n))
+    if nm <= 256:  # row codes fit in a byte
+        tables = [_row_table(g, n, nm) for g in rep.generators]
+        ordered = [bytes(ident)]
+        seen = set(ordered)
+        start = 0
+        while start < len(ordered):  # the list is the BFS queue, walked a slice at a time
+            chunk = ordered[start : start + _QUEUE_SLICE]
+            start += len(chunk)
+            # zip interleaves the generators per element: the order of the one-by-one walk
+            products = chain.from_iterable(
+                zip(*[map(bytes.translate, chunk, repeat(t)) for t in tables])
+            )
+            new = list(filterfalse(seen.__contains__, dict.fromkeys(products)))
+            room = max(cap - len(seen), 0)  # a cap below 1 still holds the identity
+            over = len(new) > room
+            del new[room:]  # past the cap, keep what the one-by-one walk holds
+            seen.update(new)
+            ordered += new
+            if over:
+                raise GroupTooLargeError(
+                    f"group closure exceeded the cap of {cap} elements", cap=cap
+                )
+        return rep._replace(flat_elements=tuple(ordered))
     # a @ g: a's codes gathered by g.perm, then N * g.exponents added mod N * m.
     # tuple(t) is t, where an itemgetter of one index would return a scalar.
     # A gather reorders an element's codes, or a slice's columns alike.

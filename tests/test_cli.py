@@ -3,7 +3,6 @@
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import time
@@ -686,7 +685,7 @@ def test_genus_bound_output(run_cli):
 def test_selftest_prints_every_section_line(run_cli):
     code, out, err = run_cli("selftest", "--max-dim", "3", "--max-points", "3")
     assert (code, err) == (0, "")
-    assert re.sub(r"\(\d+\.\d+s\)", "(<t>s)", out).splitlines() == [
+    assert out.splitlines() == [
         "selftest: oracle n=2, d=1..3: 6 classes",
         "selftest: oracle n=3, d=1..3: 6 classes",
         "selftest: verdict scan n=2..3, d=2..3: 4 models",
@@ -695,7 +694,7 @@ def test_selftest_prints_every_section_line(run_cli):
         "selftest: analyze against a full eigenvalue scan: 1658 groups",
         "selftest: Burnside identity p=0..10, d=1..10",
         "selftest: plurigenus growth exponents",
-        "selftest: OK (<t>s)",
+        "selftest: OK",
     ]
 
 
@@ -721,8 +720,8 @@ def stub_section(name, lines, failures, calls):
     "failures, code, verdict",
     [
         ((["first broke"], ["second broke", "second broke again"]), 1,
-         "selftest: FAILED with 3 discrepancies (<t>s)"),
-        (([], []), 0, "selftest: OK (<t>s)"),
+         "selftest: FAILED with 3 discrepancies"),
+        (([], []), 0, "selftest: OK"),
     ],
     ids=["failed", "ok"],
 )
@@ -740,7 +739,7 @@ def test_run_selftest_prints_each_section_then_every_failure(
     got, out, err = run_cli("selftest", "--max-dim", "3", "--max-points", "2")
     assert (got, err) == (code, "")
     assert calls == [("first", 3, 2), ("second", 3, 2)]
-    assert re.sub(r"\(\d+\.\d+s\)", "(<t>s)", out).splitlines() == [
+    assert out.splitlines() == [
         "selftest: first a",
         "selftest: first b",
         "selftest: second",
@@ -835,7 +834,7 @@ def test_selftest_catches_a_stop_at_age_1_that_ignores_the_index(monkeypatch):
     cycle_sums, stopped = monomial._cycle_sums, []
 
     def stop_at_age_1(code, n, nm, bound=None):  # as if every group lay in SL(N)
-        if code == tuple(range(n)):  # each closure, and so each scan, starts at the identity
+        if list(code) == list(range(n)):  # each closure, and so each scan, starts at the identity
             stopped.clear()
         if stopped and bound is not None:  # element_age walks the generators without a bound
             return None

@@ -53,10 +53,14 @@ def diag_rep(root_order, exps):
     return MonomialRep(dimension=len(exps), root_order=root_order, generators=(gen,))
 
 
-def zeta4_swap_rep():
-    # e_1 -> zeta_4 e_2, e_2 -> e_1; the square is zeta_4 times the identity
+def zeta_swap_rep(m):
+    # e_1 -> zeta_m e_2, e_2 -> e_1; the square is zeta_m times the identity
     gen = MonomialElement((1, 0), (1, 0))
-    return MonomialRep(dimension=2, root_order=4, generators=(gen,))
+    return MonomialRep(dimension=2, root_order=m, generators=(gen,))
+
+
+def zeta4_swap_rep():
+    return zeta_swap_rep(4)
 
 
 def test_closure_of_no_generators_is_trivial():
@@ -454,6 +458,10 @@ ORACLE_GROUPS = {
     "sl-4": lambda: sl_rep(4),
     "wreath-3": lambda: wreath_rep(3),
     "two-diag-5": two_diag_rep,
+    # one shape on both sides of the N * m <= 256 rule for row codes in bytes;
+    # (1, 5) has no quasi-reflection over either m, where a C^2 swap over odd m has one
+    "diag-128-1-5": lambda: diag_rep(128, (1, 5)),  # N * m = 256: bytes
+    "diag-129-1-5": lambda: diag_rep(129, (1, 5)),  # N * m = 258: tuples
 }
 
 
@@ -493,6 +501,13 @@ def test_generator_index_equals_det_order_over_all_elements(make_rep):
     )
 
 
+# C^1..C^4 with m <= 12, closed as bytes of row codes, or C^4 with m in 65..130,
+# where N * m > 256 keeps the closure on tuples of column codes
+sizes_and_root_orders = st.tuples(st.integers(1, 4), st.integers(1, 12)) | st.tuples(
+    st.just(4), st.integers(65, 130)
+)
+
+
 def draw_element(draw, size, m):
     perm = tuple(draw(st.permutations(range(size))))
     exps = tuple(draw(st.lists(st.integers(0, m - 1), min_size=size, max_size=size)))
@@ -517,8 +532,9 @@ def test_generator_age_denominators_give_the_det_order(data):
     )
 
 
-# The code-tuple closure against the MonomialElement reference closure:
-# same elements, in the same order, under the same cap.
+# The coded closure, on bytes of row codes and on tuples of column codes,
+# against the MonomialElement reference closure: same elements, in the
+# same order, under the same cap.
 
 
 def describe_all(elements):
@@ -544,7 +560,7 @@ def test_flat_closure_matches_reference_order(make_rep):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_flat_closure_matches_reference_on_random_groups(data):
-    size, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 12))
+    size, m = data.draw(sizes_and_root_orders)
     gens = [draw_element(data.draw, size, m) for _ in range(data.draw(st.integers(1, 3)))]
     rep = MonomialRep(dimension=size, root_order=m, generators=tuple(gens))
     assert_same_closure(rep, cap=3000)
@@ -574,6 +590,11 @@ def test_flat_closure_matches_reference_on_random_groups(data):
             ),
         ),
         sl_rep(16),  # 768 elements
+        MonomialRep(  # bytes at the largest N: a 256-cycle, N * m = 256
+            dimension=256,
+            root_order=1,
+            generators=(MonomialElement(tuple((i + 1) % 256 for i in range(256)), (0,) * 256),),
+        ),
         MonomialRep(  # codes past 2^64: -1 and a coordinate swap over m = 2^70
             dimension=2,
             root_order=2**70,
@@ -590,6 +611,7 @@ def test_flat_closure_matches_reference_on_random_groups(data):
         "m-1-dihedral",
         "wreath-mu3-S3",
         "sl-m-16",
+        "cycle-on-C256",
         "m-2-pow-70",
     ],
 )
@@ -600,11 +622,21 @@ def test_flat_closure_matches_reference_on_edge_cases(rep):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_flat_closure_matches_reference_under_small_caps(data):
-    # caps of 1-80 land inside a slice, often mid-way through its products
+    # caps of 1-80 land inside a slice, often mid-way through its products; 0 holds the identity
     size, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
     gens = [draw_element(data.draw, size, m) for _ in range(data.draw(st.integers(1, 4)))]
     rep = MonomialRep(dimension=size, root_order=m, generators=tuple(gens))
-    assert_same_closure(rep, cap=data.draw(st.integers(1, 80)))
+    assert_same_closure(rep, cap=data.draw(st.integers(0, 80)))
+
+
+@pytest.mark.parametrize("m", [1, 129], ids=["bytes", "tuples"])
+def test_closure_under_a_cap_below_one_holds_the_identity(m):
+    # as in the one-by-one walk: the identity is always held, and a new element raises
+    trivial = MonomialRep(dimension=2, root_order=m, generators=(identity(2),))
+    assert len(close_group(trivial, cap=0).flat_elements) == 1
+    swap = MonomialRep(dimension=2, root_order=m, generators=(MonomialElement((1, 0), (0, 0)),))
+    with pytest.raises(GroupTooLargeError):
+        close_group(swap, cap=0)
 
 
 def cyclic_powers_rep(order):
@@ -614,18 +646,22 @@ def cyclic_powers_rep(order):
     return MonomialRep(dimension=2, root_order=order, generators=gens)
 
 
+# N * m <= 256 closes on bytes, where slices differ only in length; past it the
+# tuple closure has wide slices (at least N elements) and thin ones.
 @pytest.mark.parametrize(
     "make_rep,order",
     [
-        (lambda: sl_rep(30), 2700),  # N = 3: wide slices of 256 after the first levels
-        (lambda: diag_rep(97, tuple(range(1, 17))), 97),  # one element per slice, all < N = 16
-        (lambda: materialize_rep(3, 5), 120),  # N = 15: thin slices of 1-12, wide of 15-22, thin
-        (lambda: cyclic_powers_rep(256), 256),  # slices 1, 255; one generator is the identity
-        (lambda: cyclic_powers_rep(257), 257),  # slices 1, 256
-        (lambda: cyclic_powers_rep(513), 513),  # slices 1, 256, 256
+        (lambda: sl_rep(30), 2700),  # bytes, N = 3: slices of 256 after the first levels
+        (lambda: diag_rep(97, tuple(range(1, 17))), 97),  # tuples: one element per slice, < N = 16
+        (lambda: materialize_rep(3, 5), 120),  # bytes, N = 15: slices of 1-22
+        (lambda: cyclic_powers_rep(256), 256),  # tuples: slices 1, 255; one generator is 1
+        (lambda: cyclic_powers_rep(257), 257),  # tuples: slices 1, 256
+        (lambda: cyclic_powers_rep(513), 513),  # tuples: slices 1, 256, 256
+        (lambda: wreath_rep(64), 8192),  # bytes at N * m = 256
+        (lambda: wreath_rep(65), 8450),  # tuples at N * m = 260: thin slices, then wide
     ],
     ids=["sl-30-wide", "cyclic-C16-thin", "sym-3-5-thin-then-wide", "order-256", "order-257",
-         "order-513"],
+         "order-513", "wreath-64-bytes", "wreath-65-tuples"],
 )
 def test_flat_closure_matches_reference_across_slice_forms(make_rep, order):
     rep = make_rep()
@@ -652,9 +688,9 @@ def closure_at_the_raise(rep, cap):
 @pytest.mark.parametrize(
     "make_rep,caps",
     [
-        (lambda: sl_rep(30), (1, 2, 299, 300, 2699)),  # wide slices, three generators
-        (lambda: materialize_rep(1, 6), (5, 100, 719)),  # S_6 on C^6: thin, then wide
-        (lambda: cyclic_powers_rep(513), (256, 257, 512)),  # slices 1, 256, 256
+        (lambda: sl_rep(30), (1, 2, 299, 300, 2699)),  # bytes, three generators
+        (lambda: materialize_rep(1, 6), (5, 100, 719)),  # bytes, S_6 on C^6
+        (lambda: cyclic_powers_rep(513), (256, 257, 512)),  # tuples: slices 1, 256, 256
     ],
     ids=["sl-30-wide", "sym-1-6", "order-513"],
 )
@@ -680,13 +716,15 @@ def test_flat_closure_cap_boundary():
 
 
 def test_decode_closure_reads_the_codes():
-    # code[i] = N * exponents[i] + perm[i]: (1 2) with exponents (1, 0) over N = 2
+    # (1 2) with exponents (1, 0) over N = 2. N * m <= 256: row codes in bytes,
+    # code[j] = N * e + i for the entry zeta^e at (j, i)
     closed = close_group(zeta4_swap_rep())
+    assert closed.flat_elements[:2] == (b"\x00\x01", b"\x01\x02")
+    assert decode_closure(closed)[:2] == (identity(2), MonomialElement((1, 0), (1, 0)))
+    # N * m > 256: column codes in tuples, code[i] = N * exponents[i] + perm[i]
+    closed = close_group(zeta_swap_rep(129))
     assert closed.flat_elements[:2] == ((0, 1), (3, 0))
-    assert decode_closure(closed)[:2] == (
-        identity(2),
-        MonomialElement((1, 0), (1, 0)),
-    )
+    assert decode_closure(closed)[:2] == (identity(2), MonomialElement((1, 0), (1, 0)))
     with pytest.raises(ValueError, match="not closed"):
         decode_closure(zeta4_swap_rep())
 
@@ -727,9 +765,8 @@ INVARIANCE_CAP = 2000
 
 @st.composite
 def small_reps(draw):
-    """A monomial group on C^1..C^4 with root order m <= 12 and 1..3 generators."""
-    size = draw(st.integers(1, 4))
-    m = draw(st.integers(1, 12))
+    """A monomial group from ``sizes_and_root_orders`` with 1..3 generators."""
+    size, m = draw(sizes_and_root_orders)
     gens = draw(st.lists(
         st.builds(
             lambda perm, exps: MonomialElement(tuple(perm), tuple(exps)),
@@ -784,6 +821,17 @@ def test_invariance_draws_reach_nontrivial_verdicts():
     def nontrivial(rep):
         outcome = verdict_outcome(rep)
         return isinstance(outcome, tuple) and outcome[-1] > 1
+
+    assert nontrivial(find(small_reps(), nontrivial))
+
+
+@pytest.mark.parametrize("tuples", [False, True], ids=["bytes", "tuples"])
+def test_draws_reach_nontrivial_verdicts_in_both_encodings(tuples):
+    # the properties hold the byte closure (N * m <= 256) and the tuple closure alike
+    def nontrivial(rep):
+        outcome = verdict_outcome(rep)
+        wide = rep.dimension * rep.root_order > 256
+        return wide == tuples and isinstance(outcome, tuple) and outcome[-1] > 1
 
     assert nontrivial(find(small_reps(), nontrivial))
 
