@@ -38,6 +38,12 @@ element is the witness and the verdict is settled. A group of index 1
 without an age-1 element (terminal, such as 1/2(1,1,1,1)) and every
 group of index > 1 are scanned in full.
 
+``close_group`` builds the group by Dimino's coset method: generators
+in decreasing order of their element order, the powers of the first,
+then for each later generator whole right cosets of the subgroup found
+so far. That fixes the closure order, and with it the witness and the
+order of the quasi-reflection list; ``close_group`` states it in full.
+
 The closure and the scan work on one code per matrix entry, which holds
 the entry's place and its exponent in one int, in one of two encodings:
 
@@ -46,22 +52,23 @@ the entry's place and its exponent in one int, in one of two encodings:
   at row j, column i. Right multiplication by g sends row code
   N * e + k to N * (e + g.exponents[i] mod m) + i for i = g^-1(k),
   whatever the row, so a product is one ``bytes.translate`` through a
-  256-byte table built once per generator (``_row_table``);
+  256-byte table (``_row_table``), and the table of a product x y is
+  x's table translated through y's;
 - otherwise an element is an N-tuple of column codes,
   ``code[i] = N * exponents[i] + perm[i]``: the image of e_i and its
-  exponent. Right multiplication by a generator gathers the codes by
-  its permutation and, when it has nonzero exponents, adds
-  N * exponents mod N * m.
+  exponent. Right multiplication by x gathers the codes by x's
+  ``code % N`` and adds ``code - code % N`` mod N * m.
 
-``close_group`` does this for a whole slice of its queue at once, in
-C-level ``map`` and ``zip`` calls, and drops the products it has seen
-before in C too (``itertools.filterfalse``). The scan needs no change for
-the encoding: ``_cycle_sums`` follows ``i -> code[i] % N``, the
-permutation for column codes and its inverse for row codes, so it meets
-the same cycles in the same order, and along a cycle the sum of
-``code[i] - i`` is N * K_c either way, since the places telescope.
-``MonomialElement`` appears only at the edges: the generators and the
-reported witness and quasi-reflections, decoded by ``_decode``.
+A coset is one C-level ``map`` over the subgroup for bytes; for tuples
+it is one ``map`` per column of the subgroup, transposed once, or one
+product per element while the subgroup has fewer than N elements. The
+scan needs no change for the encoding: ``_cycle_sums`` follows
+``i -> code[i] % N``, the permutation for column codes and its inverse
+for row codes, so it meets the same cycles in the same order, and along
+a cycle the sum of ``code[i] - i`` is N * K_c either way, since the
+places telescope. ``MonomialElement`` appears only at the edges: the
+generators and the reported witness and quasi-reflections, decoded by
+``_decode``.
 
 Closure construction is single-writer; every produced value is
 immutable, and the analysis scan is read-only, so verdicts and closed
@@ -73,10 +80,10 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections import namedtuple
+from collections import deque, namedtuple
 from fractions import Fraction
-from itertools import chain, filterfalse, repeat
-from math import lcm
+from itertools import repeat
+from math import gcd, lcm
 from operator import add, itemgetter, mod
 
 from .errors import GroupTooLargeError, MatrixTooLargeError, QuasiReflectionError, shown
@@ -85,17 +92,8 @@ DEFAULT_CLOSURE_CAP = 20000
 CLOSURE_CAP_ENV = "QC_CLOSURE_CAP"
 DIMENSION_CAP = 256  # for files read by rep_from_dict; every element holds N codes
 ROOT_ORDER_BITS_CAP = 128  # for files too; each element code N * e + i grows with m
-GENERATORS_CAP = 64  # for files too; closure work is |G| times the generator count
+GENERATORS_CAP = 64  # for files too; a taken one costs a product per coset representative
 REP_FILE_CHARS_CAP = 1 << 24  # characters read from a file, checked before decoding
-# Queue elements that close_group multiplies in one step. A step on row
-# codes holds its distinct products at once: at most 256 * 64 of at most
-# 256 bytes each, about 5 MB. A wide step on column codes copies its
-# slice into N column tuples; the bound keeps that copy at N * 256
-# references. Unbounded, it lifted the traced peak of S_8 on C^256, which
-# runs over the default cap, from 42.6 to 51.3 MB when that group was
-# closed on column codes. 256 elements still pay for the transpose and
-# the per-column maps at N up to DIMENSION_CAP.
-_QUEUE_SLICE = 256
 _BYTES = bytes(range(256))  # the identity translate table
 
 
@@ -128,7 +126,8 @@ class MonomialRep(
 
     ``generators`` is a tuple of ``MonomialElement``. ``flat_elements``
     is None until ``close_group`` fills it with the closure in closure
-    order; its length is the group order. When N * m <= 256 each element
+    order (Dimino's cosets, see ``close_group``); its length is the
+    group order. When N * m <= 256 each element
     is a ``bytes`` of row codes, ``code[j] = N * e + i`` for the entry
     zeta^e at (j, i); otherwise it is the N-tuple of column codes
     ``N * exponents[i] + perm[i]``. ``analyze`` reads either alike.
@@ -217,108 +216,175 @@ def _row_table(g: MonomialElement, n: int, nm: int) -> bytes:
     return bytes(table)
 
 
+def _element_order(g: MonomialElement, m: int) -> int:
+    """Order of ``g``: the lcm over its cycles c of l_c * m / gcd(K_c, m).
+
+    g^l_c is zeta^K_c times the identity on the l_c coordinates of c, and
+    zeta^K_c has order m / gcd(K_c, m).
+    """
+    n = len(g.perm)
+    seen = [False] * n
+    order = 1
+    for start in range(n):
+        k_sum = length = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            k_sum += g.exponents[i]
+            i = g.perm[i]
+            length += 1
+        if length:
+            order = lcm(order, length * m // gcd(k_sum, m))
+    return order
+
+
+class _RowCodes:
+    """Elements as ``bytes`` of row codes; the step of x, its right multiplication, is a table."""
+
+    times = staticmethod(bytes.translate)  # (x, step of y) -> x y
+
+    def __init__(self, n: int, nm: int):
+        self.n, self.nm = n, nm
+        self.identity, self.identity_step = bytes(range(n)), _BYTES
+
+    def generator(self, g: MonomialElement) -> tuple[bytes, bytes]:
+        table = _row_table(g, self.n, self.nm)
+        return self.identity.translate(table), table
+
+    @staticmethod
+    def compose(x_step: bytes, t_step: bytes, y: bytes) -> bytes:  # the step of y = x t
+        return x_step.translate(t_step)
+
+    @staticmethod
+    def cosets(subgroup: list[bytes]):  # x's step -> the right coset H x
+        return lambda table: list(map(bytes.translate, subgroup, repeat(table)))
+
+
+class _ColumnCodes:
+    """Elements as N-tuples of column codes; the step of x is a gather and shifts.
+
+    a x has the codes a[c % N] + (c - c % N) mod N * m over x's codes c. The
+    gather is an ``itemgetter``, or ``tuple`` for the identity permutation,
+    where an itemgetter of one index would return a scalar; it reorders an
+    element's codes, or a list of columns alike. Shifts all 0 are None.
+    """
+
+    def __init__(self, n: int, nm: int):
+        self.n, self.mods = n, repeat(nm)
+        self.identity = tuple(range(n))
+        self.identity_step = (tuple, None)
+
+    def generator(self, g: MonomialElement) -> tuple[tuple[int, ...], tuple]:
+        code = tuple(self.n * k + p for p, k in zip(g.perm, g.exponents))
+        return code, self.compose(None, None, code)
+
+    def compose(self, x_step, t_step, y: tuple[int, ...]) -> tuple:  # read off y's codes
+        perm = tuple(c % self.n for c in y)
+        shifts = tuple(c - p for c, p in zip(y, perm))
+        gather = tuple if perm == self.identity else itemgetter(*perm)
+        return gather, shifts if any(shifts) else None
+
+    def times(self, x: tuple[int, ...], step: tuple) -> tuple[int, ...]:
+        gather, shifts = step
+        x = gather(x)
+        return x if shifts is None else tuple(map(mod, map(add, x, shifts), self.mods))
+
+    def cosets(self, subgroup: list[tuple[int, ...]]):
+        """x's step -> the right coset H x.
+
+        An H of at least N elements is transposed once, here, so a coset is
+        one C-level ``map`` per shifted column and a ``zip``. A smaller H is
+        multiplied element by element, cheaper than N columns of a few codes.
+        """
+        if len(subgroup) < self.n:
+            return lambda step: [self.times(h, step) for h in subgroup]
+        cols, mods = list(zip(*subgroup)), self.mods
+
+        def coset(step):
+            gather, shifts = step
+            new = gather(cols)
+            if shifts is not None:
+                new = [map(mod, map(add, col, repeat(s)), mods) if s else col
+                       for col, s in zip(new, shifts)]
+            return list(zip(*new))
+
+        return coset
+
+
+def _over_cap(cap: int) -> GroupTooLargeError:
+    return GroupTooLargeError(f"group closure exceeded the cap of {cap} elements", cap=cap)
+
+
 def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
-    """Multiplicative closure of the generators, in breadth-first order.
+    """Multiplicative closure of the generators by Dimino's coset method.
 
-    The identity comes first; each frontier element is multiplied on the
-    right by the generators in their given order, which fixes the element
-    ordering used for witness reporting. Raises GroupTooLargeError as
-    soon as the closure would exceed the cap, holding exactly ``cap``
-    elements.
+    The closure order, which fixes the witness and the order of the
+    quasi-reflection list:
 
-    The queue is walked in slices of up to ``_QUEUE_SLICE`` elements;
-    new elements are only appended, so slicing keeps the order of the
-    one-element-at-a-time walk, and with it the witness. The products of
-    a slice are interleaved per element in generator order, and known
-    ones are dropped in C.
+    - generators are taken in decreasing order of their element order,
+      ties in input order; one already in the group at its turn is skipped;
+    - the list starts with the identity, then the powers g, g^2, ... of
+      the first generator;
+    - at each later generator s, with H the list so far, the right coset
+      H s is appended; then the coset representatives are walked in order,
+      and for each representative x and each generator t taken so far,
+      H (x t) is appended if x t is new.
 
-    When N * m <= 256 every element is a ``bytes`` of row codes and a
-    product is one ``bytes.translate`` by the generator's ``_row_table``.
-    A slice's products are deduplicated by ``dict.fromkeys``, filtered
-    against ``seen`` and appended at once; at the cap only the first new
-    elements up to it are kept before the error is raised.
+    The list is then a union of right cosets of H that right
+    multiplication by every generator maps into itself, so it is the
+    group (Butler, *Fundamental Algorithms for Permutation Groups*, LNCS
+    559, 1991). Each element costs one product; each representative costs
+    one product and one lookup per generator taken. With one generator
+    the order is that of the powers, as in a breadth-first closure.
 
-    Otherwise every element is an N-tuple of column codes. A slice of at
-    least N elements is transposed once into N columns: a generator's
-    gather is a reordering of the columns, its shift one ``map`` per
-    column with a nonzero exponent, and ``zip`` rebuilds the products.
-    A thinner slice, such as every level of a cyclic group, gathers
-    element by element (``itemgetter``), which costs less than N columns
-    of a few entries each. The cap is checked on each new element as it
-    comes, so the error is raised at the same element as in the
-    one-by-one walk.
+    Raises GroupTooLargeError iff the group has more than max(cap, 1)
+    elements. It is checked before each power or coset is appended, so
+    the list never holds more than max(cap, 1) elements: a cap below 1
+    still holds the identity. Elements are ``bytes`` of row codes when
+    N * m <= 256 (``_RowCodes``), N-tuples of column codes otherwise
+    (``_ColumnCodes``).
     """
     cap = configured_cap(cap)
-    n, nm = rep.dimension, rep.dimension * rep.root_order
-    ident = tuple(range(n))
-    if nm <= 256:  # row codes fit in a byte
-        tables = [_row_table(g, n, nm) for g in rep.generators]
-        ordered = [bytes(ident)]
-        seen = set(ordered)
-        start = 0
-        while start < len(ordered):  # the list is the BFS queue, walked a slice at a time
-            chunk = ordered[start : start + _QUEUE_SLICE]
-            start += len(chunk)
-            # zip interleaves the generators per element: the order of the one-by-one walk
-            products = chain.from_iterable(
-                zip(*[map(bytes.translate, chunk, repeat(t)) for t in tables])
-            )
-            new = list(filterfalse(seen.__contains__, dict.fromkeys(products)))
-            room = max(cap - len(seen), 0)  # a cap below 1 still holds the identity
-            over = len(new) > room
-            del new[room:]  # past the cap, keep what the one-by-one walk holds
-            seen.update(new)
-            ordered += new
-            if over:
-                raise GroupTooLargeError(
-                    f"group closure exceeded the cap of {cap} elements", cap=cap
-                )
-        return rep._replace(flat_elements=tuple(ordered))
-    # a @ g: a's codes gathered by g.perm, then N * g.exponents added mod N * m.
-    # tuple(t) is t, where an itemgetter of one index would return a scalar.
-    # A gather reorders an element's codes, or a slice's columns alike.
-    steps = [
-        (
-            tuple if g.perm == ident else itemgetter(*g.perm),
-            tuple(n * k for k in g.exponents) if any(g.exponents) else None,
-        )
-        for g in rep.generators
-    ]
-    mods = repeat(nm)
+    limit = max(cap, 1)  # a cap below 1 still holds the identity
+    n, m = rep.dimension, rep.root_order
+    codes = (_RowCodes if n * m <= 256 else _ColumnCodes)(n, n * m)
+    ident = codes.identity
+    elements = [ident]
     seen = {ident}
-    ordered = [ident]
-    start = 0
-    while start < len(ordered):  # the list is the BFS queue, walked a slice at a time
-        chunk = ordered[start : start + _QUEUE_SLICE]
-        start += len(chunk)
-        products = []
-        if len(chunk) >= n:  # wide: one C-level map per column of the slice
-            cols = list(zip(*chunk))
-            for gather, shifts in steps:
-                new = gather(cols)
-                if shifts is not None:
-                    new = [
-                        map(mod, map(add, col, repeat(s)), mods) if s else col
-                        for col, s in zip(new, shifts)
-                    ]
-                products.append(zip(*new))
-        else:  # thin: one C-level map per element, no column overhead
-            for gather, shifts in steps:
-                gathered = map(gather, chunk)
-                if shifts is not None:
-                    summed = map(map, repeat(add), gathered, repeat(shifts))
-                    gathered = map(tuple, map(map, repeat(mod), summed, repeat(mods)))
-                products.append(gathered)
-        # zip interleaves the generators per element: the order of the one-by-one walk.
-        # filterfalse reads ``seen`` lazily, so a repeat within the slice is dropped too.
-        for product in filterfalse(seen.__contains__, chain.from_iterable(zip(*products))):
-            if len(seen) >= cap:
-                raise GroupTooLargeError(
-                    f"group closure exceeded the cap of {cap} elements", cap=cap
-                )
-            seen.add(product)
-            ordered.append(product)
-    return rep._replace(flat_elements=tuple(ordered))
+    taken = []  # the steps of the generators taken so far
+    # sorted is stable: generators of equal order keep their input order
+    for g in sorted(rep.generators, key=lambda g: -_element_order(g, m)):
+        code, step = codes.generator(g)
+        if code in seen:
+            continue
+        taken.append(step)
+        if len(elements) == 1:  # the first generator: its powers
+            while code != ident:
+                if len(elements) >= limit:
+                    raise _over_cap(cap)
+                elements.append(code)
+                seen.add(code)
+                code = codes.times(code, step)
+            continue
+        size = len(elements)
+        coset = codes.cosets(elements[:])  # of H, the subgroup closed so far
+        # H = H 1 comes first: its walk meets H s as the first new coset, since the
+        # generators taken before s lie in H
+        reps = deque([(ident, codes.identity_step)])
+        while reps:  # new representatives join as they are met; walked ones are let go
+            x, x_step = reps.popleft()
+            for t_step in taken:
+                y = codes.times(x, t_step)
+                if y in seen:
+                    continue
+                if len(elements) + size > limit:
+                    raise _over_cap(cap)
+                y_step = codes.compose(x_step, t_step, y)
+                new = coset(y_step)
+                elements += new
+                seen.update(new)
+                reps.append((y, y_step))
+    return rep._replace(flat_elements=tuple(elements))
 
 
 def _cycle_sums(
@@ -369,7 +435,8 @@ def analyze(rep: MonomialRep) -> SingularityVerdict:
     greater. gorenstein: the determinant character is trivial; the index
     is that character's order, the lcm of the generators' age
     denominators. The witness is the first element of minimal age in
-    closure order. Quasi-reflections abort the analysis: the quotient is
+    closure order, the order ``close_group`` states; the quasi-reflections
+    are reported in that order too. Quasi-reflections abort the analysis: the quotient is
     not taken in that regime.
 
     Each element's cycle walk gets the least key so far as its bound. An

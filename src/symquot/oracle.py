@@ -22,7 +22,8 @@ This module holds the routes the tests and ``run_selftest`` compare them with:
   hold against ``sympower.verdict``;
 - ``multiply``, the matrix product of two ``MonomialElement`` values,
   and ``close_group_reference``, the breadth-first closure built on it,
-  against which ``monomial.close_group`` is held element by element
+  against which ``monomial.close_group`` (Dimino's cosets, in another
+  order) is held as a set, with the same length and the same cap outcome,
   through ``decode_closure``, on bytes of row codes (N * m <= 256) and on
   tuples of column codes alike;
 - the Terminal Lemma for cyclic 3-fold quotients, ``terminal_lemma``,
@@ -208,9 +209,11 @@ def close_group_reference(
 ) -> tuple[MonomialElement, ...]:
     """Breadth-first closure over ``MonomialElement`` values.
 
-    Same order and cap rule as ``monomial.close_group``: the identity
-    first, each element multiplied on the right by the generators in
-    their given order, and GroupTooLargeError before element cap + 1.
+    The identity first, each element multiplied on the right by the
+    generators in their given order, and GroupTooLargeError before
+    element max(cap, 1) + 1, the same cap rule as ``monomial.close_group``.
+    The order is not that of ``close_group``, which builds the group from
+    cosets, so the two closures are compared as sets.
     """
     cap = configured_cap(cap)
     ident = identity(rep.dimension)

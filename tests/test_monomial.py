@@ -88,19 +88,64 @@ def test_closure_order_is_deterministic():
     assert close_group(rep).flat_elements == close_group(rep).flat_elements
 
 
-def test_closure_order_is_breadth_first_by_generator():
-    # the witness reported by analyze is the first least-age element in this order
+def test_closure_order_is_powers_then_cosets():
+    # the witness reported by analyze is the first least-age element in this order.
+    # s = the block swap and d = diag(-1, -1, 1, 1) both have order 2, so they are
+    # taken in input order: 1 and s, then H = {1, s} and its coset H d = {d, s d}.
+    # The representative d gives d s, a new coset {d s, s d s}, and d d = 1; the
+    # representative d s gives d s s = d, known, and d s d, the last coset {d s d, s d s d}.
     closed = close_group(wreath_rep(2))
     assert describe_all(decode_closure(closed)) == [
-        "perm[1,2,3,4] exp[0,0,0,0]",
-        "perm[3,4,1,2] exp[0,0,0,0]",
-        "perm[1,2,3,4] exp[1,1,0,0]",
-        "perm[3,4,1,2] exp[1,1,0,0]",
-        "perm[3,4,1,2] exp[0,0,1,1]",
-        "perm[1,2,3,4] exp[0,0,1,1]",
-        "perm[3,4,1,2] exp[1,1,1,1]",
-        "perm[1,2,3,4] exp[1,1,1,1]",
+        "perm[1,2,3,4] exp[0,0,0,0]",  # 1
+        "perm[3,4,1,2] exp[0,0,0,0]",  # s
+        "perm[1,2,3,4] exp[1,1,0,0]",  # d
+        "perm[3,4,1,2] exp[1,1,0,0]",  # s d
+        "perm[3,4,1,2] exp[0,0,1,1]",  # d s
+        "perm[1,2,3,4] exp[0,0,1,1]",  # s d s
+        "perm[3,4,1,2] exp[1,1,1,1]",  # d s d
+        "perm[1,2,3,4] exp[1,1,1,1]",  # s d s d
     ]
+
+
+def test_closure_takes_the_larger_order_generator_first():
+    # on C^2 over m = 3: the swap s (order 2) is given before d = diag(1, 2) (order 3),
+    # but d is taken first: 1, d, d^2, then the coset {s, d s, d^2 s}, which holds s d
+    swap = MonomialElement((1, 0), (0, 0))
+    diag = MonomialElement((0, 1), (1, 2))
+    closed = close_group(MonomialRep(2, 3, (swap, diag)))
+    assert describe_all(decode_closure(closed)) == [
+        "perm[1,2] exp[0,0]",
+        "perm[1,2] exp[1,2]",  # d
+        "perm[1,2] exp[2,1]",  # d^2
+        "perm[2,1] exp[0,0]",  # s
+        "perm[2,1] exp[2,1]",  # d s: e_1 -> e_2 -> zeta^2 e_2
+        "perm[2,1] exp[1,2]",  # d^2 s
+    ]
+    assert closed.flat_elements == close_group(MonomialRep(2, 3, (diag, swap))).flat_elements
+
+
+def test_closure_keeps_input_order_on_a_tie():
+    # diag(1, 0) and diag(0, 1) over m = 2 both have order 2: the first given comes first
+    a, b = MonomialElement((0, 1), (1, 0)), MonomialElement((0, 1), (0, 1))
+    assert describe_all(decode_closure(close_group(MonomialRep(2, 2, (a, b))))) == [
+        "perm[1,2] exp[0,0]", "perm[1,2] exp[1,0]", "perm[1,2] exp[0,1]", "perm[1,2] exp[1,1]",
+    ]
+    assert describe_all(decode_closure(close_group(MonomialRep(2, 2, (b, a))))) == [
+        "perm[1,2] exp[0,0]", "perm[1,2] exp[0,1]", "perm[1,2] exp[1,0]", "perm[1,2] exp[1,1]",
+    ]
+
+
+@pytest.mark.parametrize(
+    "make_rep",
+    [lambda: wreath_rep(2), lambda: sl_rep(4), lambda: wreath_rep(65),
+     lambda: materialize_rep(2, 3)],
+    ids=["wreath-2", "sl-4", "wreath-65-tuples", "sym-2-3"],
+)
+def test_closure_skips_an_appended_identity_generator(make_rep):
+    # the identity has order 1, so it comes last, and it is in the group at its turn
+    rep = make_rep()
+    with_identity = with_generators(rep, rep.generators + (identity(rep.dimension),))
+    assert close_group(with_identity).flat_elements == close_group(rep).flat_elements
 
 
 def test_closure_cap_raises():
@@ -533,8 +578,9 @@ def test_generator_age_denominators_give_the_det_order(data):
 
 
 # The coded closure, on bytes of row codes and on tuples of column codes,
-# against the MonomialElement reference closure: same elements, in the
-# same order, under the same cap.
+# against the MonomialElement reference closure, a breadth-first walk: the
+# same elements, as a set and in number, and the same outcome under a cap.
+# The orders differ; the closure order is pinned by the tests above.
 
 
 def describe_all(elements):
@@ -548,8 +594,8 @@ def assert_same_closure(rep, cap=None):
         with pytest.raises(GroupTooLargeError):
             close_group(rep, cap)
         return
-    closed = close_group(rep, cap)
-    assert decode_closure(closed) == reference
+    elements = decode_closure(close_group(rep, cap))
+    assert len(elements) == len(reference) and set(elements) == set(reference)
 
 
 @pytest.mark.parametrize("make_rep", ORACLE_GROUPS.values(), ids=ORACLE_GROUPS.keys())
@@ -564,6 +610,47 @@ def test_flat_closure_matches_reference_on_random_groups(data):
     gens = [draw_element(data.draw, size, m) for _ in range(data.draw(st.integers(1, 3)))]
     rep = MonomialRep(dimension=size, root_order=m, generators=tuple(gens))
     assert_same_closure(rep, cap=3000)
+
+
+@st.composite
+def coset_tuple_reps(draw):
+    """2..4 generators on C^3..C^6 with N * m > 256, closed on tuples in several cosets.
+
+    m is a multiple of a small q and every exponent a multiple of m / q, and a
+    permutation moves at most three coordinates, so most groups stay under
+    the test caps while their generators add cosets of more than one element.
+    """
+    size, q = draw(st.integers(3, 6)), draw(st.integers(2, 4))
+    m = q * (256 // (size * q) + draw(st.integers(1, 8)))
+    gens = []
+    for _ in range(draw(st.integers(2, 4))):
+        moved = draw(st.lists(st.integers(0, size - 1), max_size=3, unique=True))
+        perm = list(range(size))
+        for i, j in zip(moved, draw(st.permutations(moved))):
+            perm[i] = j
+        exps = draw(st.lists(st.integers(0, q - 1), min_size=size, max_size=size))
+        gens.append(MonomialElement(tuple(perm), tuple(m // q * k for k in exps)))
+    return MonomialRep(dimension=size, root_order=m, generators=tuple(gens))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rep=coset_tuple_reps())
+def test_flat_closure_matches_reference_on_tuple_cosets(rep):
+    assert_same_closure(rep, cap=3000)
+
+
+def test_tuple_coset_draws_close_in_several_cosets():
+    # the property above must meet groups under the cap whose later generators
+    # add at least two cosets, each of more than one element
+    def several(rep):
+        try:
+            order = len(close_group(rep, cap=3000).flat_elements)
+        except GroupTooLargeError:
+            return False
+        first = max(monomial._element_order(g, rep.root_order) for g in rep.generators)
+        return first >= 2 and order >= 3 * first
+
+    assert several(find(coset_tuple_reps(), several))
 
 
 @pytest.mark.parametrize(
@@ -622,7 +709,7 @@ def test_flat_closure_matches_reference_on_edge_cases(rep):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_flat_closure_matches_reference_under_small_caps(data):
-    # caps of 1-80 land inside a slice, often mid-way through its products; 0 holds the identity
+    # caps of 1-80 land in the powers or before a coset, often mid-way; 0 holds the identity
     size, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
     gens = [draw_element(data.draw, size, m) for _ in range(data.draw(st.integers(1, 4)))]
     rep = MonomialRep(dimension=size, root_order=m, generators=tuple(gens))
@@ -631,7 +718,7 @@ def test_flat_closure_matches_reference_under_small_caps(data):
 
 @pytest.mark.parametrize("m", [1, 129], ids=["bytes", "tuples"])
 def test_closure_under_a_cap_below_one_holds_the_identity(m):
-    # as in the one-by-one walk: the identity is always held, and a new element raises
+    # the identity is always held, and a new element raises
     trivial = MonomialRep(dimension=2, root_order=m, generators=(identity(2),))
     assert len(close_group(trivial, cap=0).flat_elements) == 1
     swap = MonomialRep(dimension=2, root_order=m, generators=(MonomialElement((1, 0), (0, 0)),))
@@ -640,28 +727,39 @@ def test_closure_under_a_cap_below_one_holds_the_identity(m):
 
 
 def cyclic_powers_rep(order):
-    """1/order(1, 2) on C^2 given by its powers 1..256: the identity's slice yields
-    min(order - 1, 256) elements, and the next slices are 256 wide at most."""
+    """1/order(1, 2) on C^2 given by its powers 1..256: the generator (1, 2) has the
+    largest order, its powers are the whole group, and every other generator is skipped."""
     gens = tuple(MonomialElement((0, 1), (k % order, 2 * k % order)) for k in range(1, 257))
     return MonomialRep(dimension=2, root_order=order, generators=gens)
 
 
-# N * m <= 256 closes on bytes, where slices differ only in length; past it the
-# tuple closure has wide slices (at least N elements) and thin ones.
+def thin_then_wide_rep():
+    """On C^8 over m = 40: a 3-cycle (order 3), diag(20, 0, 0, 20, 0...) and a transposition
+    with exponents (10, 30), both of order 2, so the first coset step has H of 3 < N."""
+    three_cycle = MonomialElement((1, 2, 0, 3, 4, 5, 6, 7), (0,) * 8)
+    diag = MonomialElement(tuple(range(8)), (20, 0, 0, 20, 0, 0, 0, 0))
+    swap = MonomialElement((0, 1, 2, 4, 3, 5, 6, 7), (0, 0, 0, 10, 30, 0, 0, 0))
+    return MonomialRep(dimension=8, root_order=40, generators=(three_cycle, diag, swap))
+
+
+# N * m <= 256 closes on bytes, where cosets differ only in length; past it the
+# tuple closure multiplies an H of at least N elements as N columns (wide) and a
+# smaller H element by element (thin). Powers alone are neither.
 @pytest.mark.parametrize(
     "make_rep,order",
     [
-        (lambda: sl_rep(30), 2700),  # bytes, N = 3: slices of 256 after the first levels
-        (lambda: diag_rep(97, tuple(range(1, 17))), 97),  # tuples: one element per slice, < N = 16
-        (lambda: materialize_rep(3, 5), 120),  # bytes, N = 15: slices of 1-22
-        (lambda: cyclic_powers_rep(256), 256),  # tuples: slices 1, 255; one generator is 1
-        (lambda: cyclic_powers_rep(257), 257),  # tuples: slices 1, 256
-        (lambda: cyclic_powers_rep(513), 513),  # tuples: slices 1, 256, 256
+        (lambda: sl_rep(30), 2700),  # bytes, N = 3: 30 powers, cosets of 30, then of 900
+        (lambda: diag_rep(97, tuple(range(1, 17))), 97),  # tuples, N = 16: powers only
+        (lambda: materialize_rep(3, 5), 120),  # bytes, N = 15: 5 powers, then cosets of 5
+        (lambda: cyclic_powers_rep(256), 256),  # tuples: powers; one generator is 1
+        (lambda: cyclic_powers_rep(257), 257),  # tuples: powers; 255 generators skipped
+        (lambda: cyclic_powers_rep(513), 513),  # tuples: powers; 255 generators skipped
         (lambda: wreath_rep(64), 8192),  # bytes at N * m = 256
-        (lambda: wreath_rep(65), 8450),  # tuples at N * m = 260: thin slices, then wide
+        (lambda: wreath_rep(65), 8450),  # tuples at N * m = 260: 65 powers, then wide cosets
+        (thin_then_wide_rep, 96),  # tuples at N * m = 320: thin cosets of 3, then wide ones of 24
     ],
     ids=["sl-30-wide", "cyclic-C16-thin", "sym-3-5-thin-then-wide", "order-256", "order-257",
-         "order-513", "wreath-64-bytes", "wreath-65-tuples"],
+         "order-513", "wreath-64-bytes", "wreath-65-tuples", "tuples-thin-then-wide-cosets"],
 )
 def test_flat_closure_matches_reference_across_slice_forms(make_rep, order):
     rep = make_rep()
@@ -673,32 +771,29 @@ def test_flat_closure_matches_reference_across_slice_forms(make_rep, order):
         close_group(rep, cap=order - 1)
 
 
-def closure_at_the_raise(rep, cap):
-    """The lengths of ``close_group``'s ``seen`` and ``ordered`` when it raises at ``cap``."""
-    with pytest.raises(GroupTooLargeError) as info:
-        close_group(rep, cap=cap)
-    tb = info.tb
-    while tb.tb_next is not None:
-        tb = tb.tb_next
-    assert tb.tb_frame.f_code.co_name == "close_group"
-    held = tb.tb_frame.f_locals
-    return len(held["seen"]), len(held["ordered"])
-
-
 @pytest.mark.parametrize(
-    "make_rep,caps",
-    [
-        (lambda: sl_rep(30), (1, 2, 299, 300, 2699)),  # bytes, three generators
-        (lambda: materialize_rep(1, 6), (5, 100, 719)),  # bytes, S_6 on C^6
-        (lambda: cyclic_powers_rep(513), (256, 257, 512)),  # tuples: slices 1, 256, 256
-    ],
-    ids=["sl-30-wide", "sym-1-6", "order-513"],
+    "make_rep",
+    [lambda: sl_rep(30), lambda: materialize_rep(1, 6), lambda: cyclic_powers_rep(513)],
+    ids=["sl-30", "sym-1-6", "order-513"],  # bytes, three generators; bytes, S_6; tuples, powers
 )
-def test_closure_raises_when_it_holds_exactly_cap_elements(make_rep, caps):
-    # the cap is checked on each new element: a slice never carries the closure past it
+def test_closure_raises_iff_the_group_exceeds_the_cap(make_rep):
+    # every cap from 0 to |G| + 1; at the raise the list and the set hold at most max(cap, 1)
     rep = make_rep()
-    for cap in caps:
-        assert closure_at_the_raise(rep, cap) == (cap, cap)
+    order = len(close_group(rep).flat_elements)
+    for cap in range(order + 2):
+        if order <= max(cap, 1):
+            assert len(close_group(rep, cap=cap).flat_elements) == order
+            continue
+        with pytest.raises(GroupTooLargeError) as info:
+            close_group(rep, cap=cap)
+        assert info.value.cap == cap
+        assert str(info.value) == f"group closure exceeded the cap of {cap} elements"
+        tb = info.tb
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        assert tb.tb_frame.f_code.co_name == "close_group"
+        held = tb.tb_frame.f_locals
+        assert len(held["seen"]) == len(held["elements"]) <= max(cap, 1)
 
 
 def test_flat_closure_of_dimension_one():
@@ -928,7 +1023,7 @@ def full_scan_outcomes(rep):
 
 
 @settings(max_examples=150, deadline=None)
-@given(rep=small_reps() | reps_with_quasi_reflections() | sl_reps())
+@given(rep=small_reps() | reps_with_quasi_reflections() | sl_reps() | coset_tuple_reps())
 def test_analyze_matches_the_full_eigenvalue_scan(rep):
     outcomes = full_scan_outcomes(rep)
     assert outcomes is None or outcomes[0] == outcomes[1]
@@ -959,13 +1054,16 @@ def test_sl_draws_reach_the_age_1_stop():
     "rep,want",
     [
         (diag_rep(5, (1, 0)), [f"perm[1,2] exp[{k},0]" for k in (1, 2, 3, 4)]),
-        (  # S_3 on C^3: the later transpositions have the first one's age
+        (  # S_3 on C^3: the later transpositions have the first one's age. The 3-cycle c
+            # (order 3) is taken first, so the transposition t heads the coset {t, c t, c^2 t}
             materialize_rep(1, 3),
-            ["perm[2,1,3] exp[0,0,0]", "perm[1,3,2] exp[0,0,0]", "perm[3,2,1] exp[0,0,0]"],
+            ["perm[2,1,3] exp[0,0,0]", "perm[3,2,1] exp[0,0,0]", "perm[1,3,2] exp[0,0,0]"],
         ),
-        (  # an age-1/2 element comes first, then reflections of age 1/4 to 3/4
+        (  # an age-1/2 element comes first, then reflections of age 1/4 to 3/4: a = (1, 1)
+            # and b = (3, 0) tie at order 4, so the list is the powers of a, then the cosets
+            # of b, 2b and 3b, each led by its one reflection and holding one more
             MonomialRep(2, 4, (MonomialElement((0, 1), (1, 1)), MonomialElement((0, 1), (3, 0)))),
-            [f"perm[1,2] exp[{e}]" for e in ("3,0", "0,1", "2,0", "1,0", "0,2", "0,3")],
+            [f"perm[1,2] exp[{e}]" for e in ("3,0", "0,1", "2,0", "0,2", "1,0", "0,3")],
         ),
         (  # the same, with transpositions of eigenvalues 1 and -1
             MonomialRep(2, 4, (MonomialElement((0, 1), (1, 1)), MonomialElement((1, 0), (1, 3)))),
