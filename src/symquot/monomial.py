@@ -34,9 +34,23 @@ of index 1 lies in SL(N): every determinant exp(2 pi i age(g)) is 1, so
 every non-identity age is a whole number >= 1, and no element is a
 quasi-reflection, whose determinant is its one eigenvalue != 1. No later
 element can have a smaller age or be reported, so that first age-1
-element is the witness and the verdict is settled. A group of index 1
-without an age-1 element (terminal, such as 1/2(1,1,1,1)) and every
-group of index > 1 are scanned in full.
+element is the witness and the verdict is settled.
+
+A group of index > 1 gets a second proven least age, from the orbits of
+its coordinates (``_least_possible_key``). Orbits that one relabelling
+and one diagonal gauge carry onto each other, for every generator at
+once, form a class C, and an element moves either every orbit of C or
+none. On each orbit it moves, its age is a positive multiple of
+1/index_C, the order of the determinant there. So every g != 1 has age
+at least the least |C| / index_C, and when every class holds two orbits
+or more, it has two eigenvalues != 1 and is no quasi-reflection. The
+scan then stops at its first element of that age, as at age 1 in SL(N):
+n copies of S_d, the model of d coincident points on an n-fold, have
+index 2 for odd n and stop at their first element that is a
+transposition in every copy, of age n/2. A group with a class of
+one orbit (such as 1/7(1,2,3)), an index-1 group without an age-1
+element (terminal, such as 1/2(1,1,1,1)) and a group without an element
+at its bound are scanned in full.
 
 ``close_group`` builds the group by Dimino's coset method: generators
 in decreasing order of their element order, the powers of the first,
@@ -80,7 +94,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections import deque, namedtuple
+from collections import Counter, deque, namedtuple
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
@@ -216,28 +230,6 @@ def _row_table(g: MonomialElement, n: int, nm: int) -> bytes:
     return bytes(table)
 
 
-def _element_order(g: MonomialElement, m: int) -> int:
-    """Order of ``g``: the lcm over its cycles c of l_c * m / gcd(K_c, m).
-
-    g^l_c is zeta^K_c times the identity on the l_c coordinates of c, and
-    zeta^K_c has order m / gcd(K_c, m).
-    """
-    n = len(g.perm)
-    seen = [False] * n
-    order = 1
-    for start in range(n):
-        k_sum = length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            k_sum += g.exponents[i]
-            i = g.perm[i]
-            length += 1
-        if length:
-            order = lcm(order, length * m // gcd(k_sum, m))
-    return order
-
-
 class _RowCodes:
     """Elements as ``bytes`` of row codes; the step of x, its right multiplication, is a table."""
 
@@ -275,7 +267,7 @@ class _ColumnCodes:
         self.identity_step = (tuple, None)
 
     def generator(self, g: MonomialElement) -> tuple[tuple[int, ...], tuple]:
-        code = tuple(self.n * k + p for p, k in zip(g.perm, g.exponents))
+        code = _column_code(g, self.n)
         return code, self.compose(None, None, code)
 
     def compose(self, x_step, t_step, y: tuple[int, ...]) -> tuple:  # read off y's codes
@@ -346,14 +338,17 @@ def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
     """
     cap = configured_cap(cap)
     limit = max(cap, 1)  # a cap below 1 still holds the identity
-    n, m = rep.dimension, rep.root_order
-    codes = (_RowCodes if n * m <= 256 else _ColumnCodes)(n, n * m)
+    n, nm = rep.dimension, rep.dimension * rep.root_order
+    codes = (_RowCodes if nm <= 256 else _ColumnCodes)(n, nm)
     ident = codes.identity
     elements = [ident]
     seen = {ident}
     taken = []  # the steps of the generators taken so far
-    # sorted is stable: generators of equal order keep their input order
-    for g in sorted(rep.generators, key=lambda g: -_element_order(g, m)):
+
+    def descending_order(g):  # sorted is stable: generators of equal order keep their input order
+        return -_cycle_sums(_column_code(g, n), n, nm, order=True)[2]
+
+    for g in sorted(rep.generators, key=descending_order):
         code, step = codes.generator(g)
         if code in seen:
             continue
@@ -387,10 +382,15 @@ def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
     return rep._replace(flat_elements=tuple(elements))
 
 
+def _column_code(g: MonomialElement, n: int) -> tuple[int, ...]:
+    """``g`` as an N-tuple of column codes, ``N * exponents[i] + perm[i]``."""
+    return tuple(n * k + p for p, k in zip(g.perm, g.exponents))
+
+
 def _cycle_sums(
-    code: tuple[int, ...], n: int, nm: int, bound: int | None = None
-) -> tuple[int, int] | None:
-    """2Nm * age and the number of eigenvalues != 1 of a coded element.
+    code: tuple[int, ...], n: int, nm: int, bound: int | None = None, *, order: bool = False
+) -> tuple[int, ...] | None:
+    """2Nm * age and the number of eigenvalues != 1 of a coded element; its order on request.
 
     Summing ``c - i`` along a cycle of ``i -> c % N``, mod N * m, leaves
     N * K_c: a cycle of length l adds 2N * K_c + Nm * (l - 1) to 2Nm * age,
@@ -398,9 +398,15 @@ def _cycle_sums(
     the key reaches ``bound`` and the count is at least 2 the walk stops
     and returns None: the element's age is at least bound / 2Nm and it is
     neither the identity nor a quasi-reflection.
+
+    With ``order`` and no bound, the walk also returns the element's
+    order, as a third value: the lcm over cycles of l * m / gcd(K_c, m),
+    which is l * Nm / gcd(N * K_c, Nm), since g^l is zeta^K_c times the
+    identity on the l coordinates of the cycle.
     """
     seen = [False] * n
     key = moved = 0
+    period = 1
     for start in range(n):
         if seen[start]:
             continue
@@ -415,17 +421,111 @@ def _cycle_sums(
         k_sum %= nm
         key += 2 * k_sum + nm * (length - 1)
         moved += length - (k_sum == 0)  # a cycle with K_c = 0 has exactly one eigenvalue 1
-        if bound is not None and key >= bound and moved >= 2:
-            return None
-    return key, moved
+        if bound is not None:
+            if key >= bound and moved >= 2:
+                return None
+        elif order:
+            period = lcm(period, length * nm // gcd(k_sum, nm))
+    return (key, moved, period) if order else (key, moved)
 
 
 def element_age(g: MonomialElement, root_order: int) -> tuple[Fraction, int]:
     """Age of ``g`` and its number of eigenvalues != 1, from cycle sums."""
     n = len(g.perm)
-    code = tuple(n * k + i for i, k in zip(g.perm, g.exponents))
-    key, moved = _cycle_sums(code, n, n * root_order)
+    key, moved = _cycle_sums(_column_code(g, n), n, n * root_order)
     return Fraction(key, 2 * n * root_order), moved
+
+
+def _orbit_form(
+    gens: tuple[MonomialElement, ...], base: int, m: int
+) -> tuple[list[int], tuple[MonomialElement, ...]]:
+    """The orbit of ``base`` and the generators on it, relabelled and gauged from ``base``.
+
+    A breadth-first walk from ``base`` along the generators, in their
+    order, meets the orbit's points in an order that labels them 0, 1, ...
+    Conjugating by the diagonal zeta^{c_i} turns g's exponent e_i into
+    e_i + c_{g(i)} - c_i; the gauge c is 0 at ``base`` and makes the
+    exponent of each edge of the walk's tree 0. So the form depends on the
+    action on the orbit and on the base alone: two orbits are carried onto
+    each other by a relabelling and a diagonal gauge, for every generator
+    at once, iff the form of one from its first point is the form of the
+    other from some point.
+    """
+    orbit, gauge = [base], {base: 0}
+    for v in orbit:  # the orbit grows as the walk meets new points
+        for g in gens:
+            w = g.perm[v]
+            if w not in gauge:
+                gauge[w] = gauge[v] - g.exponents[v]
+                orbit.append(w)
+    label = {v: j for j, v in enumerate(orbit)}
+    return orbit, tuple(
+        MonomialElement(
+            tuple(label[g.perm[v]] for v in orbit),
+            tuple((g.exponents[v] + gauge[g.perm[v]] - gauge[v]) % m for v in orbit),
+        )
+        for g in gens
+    )
+
+
+def _least_possible_key(rep: MonomialRep) -> int | None:
+    """2Nm times a least age of the non-identity elements, read off the generators.
+
+    The coordinates fall into orbits O of the generators' permutations, and
+    each span V_O of e_i, i in O, is invariant. Orbits that a relabelling
+    and a diagonal gauge carry onto each other (``_orbit_form``) form a
+    class C; on its orbits an element has one kernel and one age. A g != 1
+    moves some V_O, so it moves every orbit of O's class C, and on each its
+    age is a positive multiple of 1/index_C, the order of the determinant
+    on one orbit of C: that age is the determinant's turn plus a whole
+    number. So age(g) >= min over C of |C| / index_C, and index_C divides
+    2m, so the bound is a whole key. When every class has two orbits or
+    more, every g != 1 also has two eigenvalues != 1: the group has no
+    quasi-reflection. Returns None when some class has one orbit, or when
+    matching the orbits would cost more than an eighth of a full scan.
+    ``analyze`` calls it only at index > 1, where there is a generator.
+
+    Diagonal groups have one orbit per coordinate, and its form is the
+    coordinate's column of exponents; index_C is the lcm of their orders.
+    """
+    n, m = rep.dimension, rep.root_order
+    gens = rep.generators
+    diagonal = {g.perm for g in gens} == {tuple(range(n))}
+    if diagonal:
+        columns = list(zip(*[g.exponents for g in gens]))
+        if 2 * len(set(columns)) > n:  # a cheap early out: some column has no equal
+            return None
+        classes = Counter(columns)
+    else:
+        classes, placed = Counter(), [False] * n
+        # a form costs some eight scan steps per point and generator; a full scan takes at
+        # most |G| * N steps, and the search for a matching base may spend an eighth of that
+        budget = len(rep.flat_elements) * n // 8
+        for start in range(n):
+            if placed[start]:
+                continue
+            orbit, form = _orbit_form(gens, start, m)
+            for v in orbit:
+                placed[v] = True
+            if form not in classes and any(len(f[0].perm) == len(orbit) for f in classes):
+                for base in orbit[1:]:
+                    budget -= len(orbit) * len(gens)
+                    if budget < 0:
+                        return None
+                    other = _orbit_form(gens, base, m)[1]
+                    if other in classes:
+                        form = other
+                        break
+            classes[form] += 1
+    if min(classes.values()) < 2:
+        return None
+
+    def index(form):  # the order of the determinant on an orbit of this form
+        if diagonal:
+            return lcm(1, *(m // gcd(k, m) for k in form))
+        return lcm(1, *(element_age(h, m)[0].denominator for h in form))
+
+    return min(2 * n * m * count // index(form) for form, count in classes.items())
 
 
 def analyze(rep: MonomialRep) -> SingularityVerdict:
@@ -450,15 +550,20 @@ def analyze(rep: MonomialRep) -> SingularityVerdict:
     every non-identity age is an integer >= 1 and no element is a
     quasi-reflection (its determinant would be its one eigenvalue != 1),
     so the scan ends at the first element of age 1: it is the witness, and
-    nothing after it can change the verdict. Other groups, and SL groups
-    with no age-1 element, are scanned to the end.
+    nothing after it can change the verdict. When it is larger,
+    ``_least_possible_key`` may prove a least age from the classes of
+    coordinate orbits, and with it that no element is a quasi-reflection;
+    the scan then ends at the first element of that age, for the same
+    reason. Other groups, and groups with no element at their bound, are
+    scanned to the end.
     """
     if rep.flat_elements is None:
         raise ValueError("group is not closed yet; call close_group first")
     n, m, nm = rep.dimension, rep.root_order, rep.dimension * rep.root_order
     index = lcm(1, *(element_age(g, m)[0].denominator for g in rep.generators))
-    # In SL(N) every non-identity key is at least 2Nm (age 1), so one equal to it ends the scan.
-    least_possible = 2 * nm if index == 1 else None
+    # No non-identity key is below this one, so the first element that reaches it ends the scan:
+    # in SL(N) it is 2Nm (age 1); otherwise the bound of the coordinate orbits, if any.
+    least_possible = 2 * nm if index == 1 else _least_possible_key(rep)
     quasi = []
     min_key: int | None = None  # 2Nm * age, so keys compare as ages do
     witness = None

@@ -31,7 +31,8 @@ This module holds the routes the tests and ``run_selftest`` compare them with:
   the groups of ``terminal_lemma_groups``;
 - ``analyze_reference``, the verdict of ``monomial.analyze`` by a full
   scan of every element on the eigenvalue route, against which the
-  engine's early-stopping scan is held;
+  engine's early-stopping scan is held, and the least age it reads off
+  the coordinate orbits, on groups and their gauged ``copies_rep``;
 - ``invariant_dim_burnside``, the Burnside trace average that
   recomputes ``plurigenera.sym_dim`` from the class sizes of
   ``combinatorics.conjugacy_classes``, so the exact identity checks every
@@ -42,7 +43,7 @@ This module holds the routes the tests and ``run_selftest`` compare them with:
 The numpy eigenvalue check is the only floating-point code in the package.
 
 The selftest is the tuple ``SELFTEST_SECTIONS``: oracle, verdict scan,
-cross-engine, Terminal Lemma, full scan, Burnside and growth. Each
+cross-engine, Terminal Lemma, full scan, orbit bound, Burnside and growth. Each
 section is a function of the range ``(max_dim, max_points)`` that returns
 ``(summary_lines, failure_lines)``, so a test can run the one section it
 checks. ``run_selftest`` checks the range, runs the sections in order,
@@ -499,6 +500,11 @@ TERMINAL_LEMMA_R_BELOW = 20
 # 242 000 elements and 6 s.
 FULL_SCAN_R_BELOW = 12
 FULL_SCAN_MAX_POINTS = 4
+# The orbit bound is held to the full scan on the full-scan groups and on
+# two and three copies of those with m below 8: 1/r(a,b,c) for r < 8 and
+# every S_d model.
+ORBIT_BOUND_M_BELOW = 8
+ORBIT_BOUND_COPIES = (2, 3)
 
 
 def oracle_section(max_dim: int, max_points: int) -> tuple[list[str], list[str]]:
@@ -564,16 +570,21 @@ def terminal_lemma_section(max_dim: int, max_points: int) -> tuple[list[str], li
     )
 
 
-def full_scan_section(max_dim: int, max_points: int) -> tuple[list[str], list[str]]:
-    """The monomial engine, whose scan stops early, against a full eigenvalue scan."""
+def full_scan_groups(max_dim: int, max_points: int) -> list[tuple[str, MonomialRep]]:
+    """The labelled groups of ``full_scan_section``: 1/r(a,b,c), then S_d on n blocks."""
     groups = [
         (f"1/{r}{weights}", rep) for r, weights, rep in terminal_lemma_groups(FULL_SCAN_R_BELOW)
     ]
-    groups += [
+    return groups + [
         (f"n={n} d={d}", materialize_rep(n, d))
         for n in range(1, max_dim + 1)
         for d in range(1, min(max_points, FULL_SCAN_MAX_POINTS) + 1)
     ]
+
+
+def full_scan_section(max_dim: int, max_points: int) -> tuple[list[str], list[str]]:
+    """The monomial engine, whose scan stops early, against a full eigenvalue scan."""
+    groups = full_scan_groups(max_dim, max_points)
     failures = []
     for label, rep in groups:
         closed = monomial.close_group(rep)
@@ -582,6 +593,60 @@ def full_scan_section(max_dim: int, max_points: int) -> tuple[list[str], list[st
         if got != want:
             failures.append(f"full scan {label}: analyze gives {got}, the full scan {want}")
     return [f"analyze against a full eigenvalue scan: {len(groups)} groups"], failures
+
+
+def copies_rep(rep: MonomialRep, k: int) -> MonomialRep:
+    """k copies of ``rep`` on C^(k * N), each gauged by a diagonal and interleaved.
+
+    Coordinate i of copy j is k * i + j, and copy j is conjugated by the
+    diagonal zeta^(j * i), which turns exponent e_i into e_i + j * (g(i) - i).
+    The copies are one class of orbits for every orbit of ``rep``.
+    """
+    n, m = rep.dimension, rep.root_order
+    gens = []
+    for g in rep.generators:
+        perm, exps = [0] * (k * n), [0] * (k * n)
+        for j in range(k):
+            for i, (image, e) in enumerate(zip(g.perm, g.exponents)):
+                perm[k * i + j] = k * image + j
+                exps[k * i + j] = (e + j * (image - i)) % m
+        gens.append(MonomialElement(tuple(perm), tuple(exps)))
+    return MonomialRep(dimension=k * n, root_order=m, generators=tuple(gens))
+
+
+def orbit_bound_section(max_dim: int, max_points: int) -> tuple[list[str], list[str]]:
+    """The least age the monomial engine reads off coordinate orbits, against a full scan.
+
+    On the full-scan groups, and on ``ORBIT_BOUND_COPIES`` copies of those
+    of root order below ``ORBIT_BOUND_M_BELOW``, each group with generators
+    that ``monomial._least_possible_key`` bounds must have no
+    quasi-reflection and no element of a smaller age.
+    """
+    groups = full_scan_groups(max_dim, max_points)
+    groups += [
+        (f"{k} copies of {label}", copies_rep(rep, k))
+        for label, rep in groups if rep.root_order < ORBIT_BOUND_M_BELOW
+        for k in ORBIT_BOUND_COPIES
+    ]
+    bounded, failures = 0, []
+    for label, rep in groups:
+        if not rep.generators:  # the trivial group has no element to bound
+            continue
+        closed = monomial.close_group(rep)
+        key = monomial._least_possible_key(closed)
+        if key is None:
+            continue
+        bounded += 1
+        bound = Fraction(key, 2 * closed.dimension * closed.root_order)
+        want = scan_outcome(analyze_reference, closed)
+        if isinstance(want, str):
+            failures.append(f"orbit bound {label}: the bound is {bound}, but the full scan {want}")
+        elif want.min_age is not None and bound > want.min_age:
+            failures.append(
+                f"orbit bound {label}: the bound {bound} is above the least age {want.min_age}"
+            )
+    return [f"orbit bound against a full eigenvalue scan: {len(groups)} groups, "
+            f"{bounded} bounded"], failures
 
 
 def burnside_section(max_dim: int, max_points: int) -> tuple[list[str], list[str]]:
@@ -616,6 +681,7 @@ SELFTEST_SECTIONS = (
     cross_engine_section,
     terminal_lemma_section,
     full_scan_section,
+    orbit_bound_section,
     burnside_section,
     growth_section,
 )

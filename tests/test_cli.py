@@ -692,6 +692,7 @@ def test_selftest_prints_every_section_line(run_cli):
         "selftest: cross-engine agreement on materialized groups: 4 groups",
         "selftest: Terminal Lemma 1/r(a,b,c), r=2..19: 14825 cases",
         "selftest: analyze against a full eigenvalue scan: 1658 groups",
+        "selftest: orbit bound against a full eigenvalue scan: 2286 groups, 667 bounded",
         "selftest: Burnside identity p=0..10, d=1..10",
         "selftest: plurigenus growth exponents",
         "selftest: OK",
@@ -814,8 +815,8 @@ def test_selftest_catches_an_early_stop_that_skips_quasi_reflections(monkeypatch
 
     cycle_sums = monomial._cycle_sums
 
-    def stop_without_count(code, n, nm, bound=None):  # stops on the key alone
-        sums = cycle_sums(code, n, nm)
+    def stop_without_count(code, n, nm, bound=None, **order):  # stops on the key alone
+        sums = cycle_sums(code, n, nm, **order)
         return None if bound is not None and sums[0] >= bound else sums
 
     monkeypatch.setattr(monomial, "_cycle_sums", stop_without_count)
@@ -833,12 +834,12 @@ def test_selftest_catches_a_stop_at_age_1_that_ignores_the_index(monkeypatch):
 
     cycle_sums, stopped = monomial._cycle_sums, []
 
-    def stop_at_age_1(code, n, nm, bound=None):  # as if every group lay in SL(N)
+    def stop_at_age_1(code, n, nm, bound=None, **order):  # as if every group lay in SL(N)
         if list(code) == list(range(n)):  # each closure, and so each scan, starts at the identity
             stopped.clear()
         if stopped and bound is not None:  # element_age walks the generators without a bound
             return None
-        sums = cycle_sums(code, n, nm, bound)
+        sums = cycle_sums(code, n, nm, bound, **order)
         if sums is not None and sums[0] == 2 * nm:
             stopped.append(code)
         return sums

@@ -25,6 +25,7 @@ from symquot.monomial import (
     MonomialRep,
     SingularityVerdict,
     _cycle_sums,
+    _least_possible_key,
     element_age,
 )
 from symquot.oracle import (
@@ -33,6 +34,7 @@ from symquot.oracle import (
     analyze_reference,
     class_element,
     close_group_reference,
+    copies_rep,
     decode_closure,
     det_turn,
     element_eigen_exponents,
@@ -42,6 +44,7 @@ from symquot.oracle import (
     monomial_matrix,
     multiply,
     numeric_exponents,
+    orbit_bound_section,
     scan_outcome,
     terminal_lemma,
     terminal_lemma_sweep,
@@ -647,7 +650,7 @@ def test_tuple_coset_draws_close_in_several_cosets():
             order = len(close_group(rep, cap=3000).flat_elements)
         except GroupTooLargeError:
             return False
-        first = max(monomial._element_order(g, rep.root_order) for g in rep.generators)
+        first = max(element_eigen_exponents(g, rep.root_order).order for g in rep.generators)
         return first >= 2 and order >= 3 * first
 
     assert several(find(coset_tuple_reps(), several))
@@ -970,6 +973,16 @@ def test_cycle_walk_stops_exactly_when_key_and_count_pass_the_bound(rep, data):
     assert _cycle_sums(coded(g), n, nm, bound) == (None if stops else (key, moved))
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cycle_walk_gives_the_element_order(data):
+    size, m = data.draw(sizes_and_root_orders)
+    g = draw_element(data.draw, size, m)
+    key, moved = _cycle_sums(coded(g), size, size * m)
+    order = element_eigen_exponents(g, m).order  # the lcm of the eigenvalues' orders
+    assert _cycle_sums(coded(g), size, size * m, order=True) == (key, moved, order)
+
+
 @st.composite
 def reps_with_quasi_reflections(draw):
     """``small_reps`` plus one diagonal or transposition quasi-reflection generator."""
@@ -1123,3 +1136,169 @@ def test_sl_scan_without_an_age_1_element_walks_every_element(monkeypatch, rep):
     v, walked = walks_of_analyze(monkeypatch, closed)
     assert walked == [coded(g) for g in closed.generators] + list(closed.flat_elements)
     assert (v.index, v.min_age) == (1, 2)
+
+
+# A group of index > 1 whose coordinate orbits fall into classes of two or
+# more gets a proven least age, the least |C| / index_C over its classes,
+# and no quasi-reflection; the scan ends at its first element of that age.
+
+
+@st.composite
+def copies_reps(draw):
+    """k copies of a small action, each gauged by its own diagonal, coordinates relabelled.
+
+    On bytes (N * m <= 256) or on tuples, where m is a multiple of a small q
+    and every exponent of the action a multiple of m / q, so that the group
+    stays small. The gauges are any exponents mod m.
+    """
+    k, size = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):  # tuples of column codes: N * m > 256
+        q = draw(st.integers(1, 4))
+        m = q * (256 // (k * size * q) + draw(st.integers(1, 4)))
+    else:
+        q = m = draw(st.integers(1, 8))
+    action = [draw_element(draw, size, q) for _ in range(draw(st.integers(1, 3)))]
+    gauges = [draw(st.lists(st.integers(0, m - 1), min_size=size, max_size=size))
+              for _ in range(k)]
+    relabel = tuple(draw(st.permutations(range(k * size))))
+    gens = []
+    for g in action:
+        perm, exps = [], []
+        for j, c in enumerate(gauges):  # copy j on coordinates j * size ..
+            pairs = enumerate(zip(g.perm, g.exponents))
+            perm += [j * size + p for p in g.perm]
+            exps += [(m // q * e + c[p] - c[i]) % m for i, (p, e) in pairs]
+        gens.append(conjugate_element(MonomialElement(tuple(perm), tuple(exps)), relabel))
+    return MonomialRep(dimension=k * size, root_order=m, generators=tuple(gens))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rep=copies_reps())
+def test_analyze_matches_the_full_eigenvalue_scan_on_copies(rep):
+    outcomes = full_scan_outcomes(rep)
+    assert outcomes is None or outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rep=copies_reps() | small_reps())
+def test_orbit_bound_is_a_least_age_without_quasi_reflections(rep):
+    try:
+        closed = close_group(rep, cap=INVARIANCE_CAP)
+    except GroupTooLargeError:
+        return
+    key = _least_possible_key(closed)
+    if key is not None:
+        want = analyze_reference(closed)  # raises on a quasi-reflection
+        nm = rep.dimension * rep.root_order
+        assert want.min_age is None or Fraction(key, 2 * nm) <= want.min_age
+
+
+def stops_at_the_orbit_bound(rep):
+    """True iff ``rep`` has index > 1 and a least age at its bound, before its last element."""
+    outcomes = full_scan_outcomes(rep)
+    if outcomes is None or not isinstance(outcomes[1], SingularityVerdict):
+        return False
+    v, closed = outcomes[1], close_group(rep)
+    if v.index == 1:
+        return False
+    at_bound = _least_possible_key(closed) == v.min_age * 2 * rep.dimension * rep.root_order
+    return at_bound and v.witness != decode_closure(closed)[-1].describe()
+
+
+@pytest.mark.parametrize("tuples", [False, True], ids=["bytes", "tuples"])
+def test_copies_draws_reach_the_orbit_stop_in_both_encodings(tuples):
+    # the properties above must meet groups whose scan ends at the orbit bound
+    def stops_early(rep):
+        wide = rep.dimension * rep.root_order > 256
+        return wide == tuples and stops_at_the_orbit_bound(rep)
+
+    assert stops_early(find(copies_reps(), stops_early))
+
+
+def two_orbit_rep(m, d, k):
+    """mu_m wr S_d on each of two C^d: S_d alike on both, z on the first and z^k on the second.
+
+    For k != 1 mod m the two orbits have one size and no relabelling and
+    gauge between them: the diagonal generator's cycle sums differ.
+    """
+    perms = dict.fromkeys([(1, 0, *range(2, d)), tuple((i + 1) % d for i in range(d))])
+    gens = [MonomialElement(p + tuple(d + i for i in p), (0,) * 2 * d) for p in perms]
+    gens.append(MonomialElement(tuple(range(2 * d)), (1,) + (0,) * (d - 1) + (k,) + (0,) * (d - 1)))
+    return MonomialRep(dimension=2 * d, root_order=m, generators=tuple(gens))
+
+
+@pytest.mark.parametrize(
+    "rep,want",
+    [
+        (materialize_rep(3, 7), Fraction(3, 2)),  # three transpositions, the least age
+        (materialize_rep(5, 3), Fraction(5, 2)),
+        (materialize_rep(2, 3), Fraction(1)),  # index 1: two orbits, det on one of order 2
+        (copies_rep(zeta4_swap_rep(), 3), Fraction(3, 4)),  # three orbits with det of order 4
+        (diag_rep(6, (5, 5, 5)), Fraction(1, 2)),  # one class of three columns 5 over 6
+        (diag_rep(97, (1,) * 8), Fraction(8, 97)),
+        (materialize_rep(1, 7), None),  # one orbit is a class of its own
+        (diag_rep(7, (1, 2, 3)), None),
+        (diag_rep(6, (1, 1, 5)), None),
+        (two_orbit_rep(5, 2, 4), None),  # z and 1/z: index 1, but the bound is none
+        (two_orbit_rep(5, 3, 2), None),
+    ],
+    ids=["S7x3", "S3x5", "S3x2", "zeta4-swap-x3", "1/6(5,5,5)", "1/97(1,...,1)",
+         "S7x1", "1/7(1,2,3)", "1/6(1,1,5)", "z-and-1/z", "z-and-z^2"],
+)
+def test_least_possible_age_of_the_orbit_classes(rep, want):
+    closed = close_group(rep)
+    key = _least_possible_key(closed)
+    nm = rep.dimension * rep.root_order
+    assert (None if key is None else Fraction(key, 2 * nm)) == want
+    if want is not None:
+        assert want <= analyze_reference(closed).min_age
+
+
+@pytest.mark.parametrize("n,d", [(3, 7), (3, 4), (5, 3)])
+def test_odd_copies_of_s_d_stop_at_their_first_transposition_triple(monkeypatch, n, d):
+    closed = close_group(materialize_rep(n, d))
+    elements = decode_closure(closed)
+    first = next(j for j, g in enumerate(elements) if element_age(g, 1)[0] == Fraction(n, 2))
+    moved = [i for i, image in enumerate(elements[first].perm) if i != image]
+    assert len(moved) == 2 * n  # a transposition in each copy
+    v, walked = walks_of_analyze(monkeypatch, closed)
+    forms = 2 * len(closed.generators)  # each generator for the index, then on the orbit class
+    assert walked[forms:] == list(closed.flat_elements[:first + 1])
+    assert first + 1 < len(elements)  # the scan ends before the last element
+    assert (v.index, v.min_age, v.witness) == (2, Fraction(n, 2), elements[first].describe())
+
+
+def test_a_scalar_cyclic_group_stops_at_its_generator(monkeypatch):
+    closed = close_group(diag_rep(97, (1,) * 8))  # one class of 8 columns; the bound is 8/97
+    v, walked = walks_of_analyze(monkeypatch, closed)
+    (gen,) = closed.generators  # a diagonal class's index is read off its column, unwalked
+    assert walked == [coded(gen)] + list(closed.flat_elements[:2])
+    assert (v.index, v.min_age, v.witness) == (97, Fraction(8, 97), gen.describe())
+
+
+@pytest.mark.parametrize(
+    "rep", [diag_rep(7, (1, 2, 3)), two_orbit_rep(5, 2, 2)], ids=["1/7(1,2,3)", "z-and-z^2"]
+)
+def test_groups_without_an_orbit_bound_walk_every_element(monkeypatch, rep):
+    closed = close_group(rep)
+    v, walked = walks_of_analyze(monkeypatch, closed)
+    assert walked == [coded(g) for g in closed.generators] + list(closed.flat_elements)
+    assert v.index > 1 and v == analyze_reference(closed)
+
+
+def test_orbit_bound_section_holds_the_bound_to_the_full_scan():
+    lines, failures = orbit_bound_section(3, 3)
+    assert failures == []
+    assert lines == ["orbit bound against a full eigenvalue scan: 2286 groups, 667 bounded"]
+
+
+def test_orbit_bound_section_catches_a_bound_above_the_least_age(monkeypatch):
+    least_possible_key = monomial._least_possible_key
+
+    def one_step_high(rep):  # the bound plus one key step, 1/2Nm of age
+        key = least_possible_key(rep)
+        return None if key is None else key + 1
+
+    monkeypatch.setattr(monomial, "_least_possible_key", one_step_high)
+    _, failures = orbit_bound_section(2, 2)
+    assert failures and all("is above the least age" in line for line in failures)
