@@ -36,27 +36,36 @@ quasi-reflection, whose determinant is its one eigenvalue != 1. No later
 element can have a smaller age or be reported, so that first age-1
 element is the witness and the verdict is settled.
 
-A group of index > 1 gets a second proven least age, from the orbits of
-its coordinates (``_least_possible_key``). Orbits that one relabelling
+A group also gets a proven least age from the orbits of its
+coordinates (``_least_possible_key``). Orbits that one relabelling
 and one diagonal gauge carry onto each other, for every generator at
 once, form a class C, and an element moves either every orbit of C or
 none. On each orbit it moves, its age is a positive multiple of
 1/index_C, the order of the determinant there. So every g != 1 has age
 at least the least |C| / index_C, and when every class holds two orbits
 or more, it has two eigenvalues != 1 and is no quasi-reflection. The
-scan then stops at its first element of that age, as at age 1 in SL(N):
-n copies of S_d, the model of d coincident points on an n-fold, have
-index 2 for odd n and stop at their first element that is a
-transposition in every copy, of age n/2. A group with a class of
-one orbit (such as 1/7(1,2,3)), an index-1 group without an age-1
-element (terminal, such as 1/2(1,1,1,1)) and a group without an element
-at its bound are scanned in full.
+scan then stops at its first element of that age, as at age 1 in SL(N),
+and in SL(N) at the first element of the larger of the two ages: n
+copies of S_d, the model of d coincident points on an n-fold, have index
+2 for odd n and stop at their first element that is a transposition in
+every copy, of age n/2, and index 1 for even n, where the stop is the
+same element, of age n/2 >= 1. A group with a class of one orbit (such
+as 1/7(1,2,3)) and no age-1 stop, and a group without an element at its
+bound, are scanned in full.
 
-``close_group`` builds the group by Dimino's coset method: generators
-in decreasing order of their element order, the powers of the first,
-then for each later generator whole right cosets of the subgroup found
-so far. That fixes the closure order, and with it the witness and the
-order of the quasi-reflection list; ``close_group`` states it in full.
+The closure order is that of Dimino's coset method: generators in
+decreasing order of their element order, the powers of the first, then
+for each later generator whole right cosets of the subgroup found so
+far. It fixes the witness and the order of the quasi-reflection list;
+``close_group`` states it in full. ``close_group`` finds the group order
+first and decides the cap on it. When N * m <= 256 the order comes from
+a deterministic Schreier–Sims run on the action of G on the N * m row
+codes below (``_table_group_order``), or, for one distinct generator,
+from that generator's order, and the elements of a group of 32 or more
+are walked in closure order on demand (``_dimino``, a generator), as far
+as a reader reads them (``_Closure``): a scan that stops early walks
+only a prefix of the group. Otherwise the walk runs to the end, and the
+order is its length.
 
 The closure and the scan work on one code per matrix entry, which holds
 the entry's place and its exponent in one int, in one of two encodings:
@@ -67,7 +76,9 @@ the entry's place and its exponent in one int, in one of two encodings:
   N * e + k to N * (e + g.exponents[i] mod m) + i for i = g^-1(k),
   whatever the row, so a product is one ``bytes.translate`` through a
   256-byte table (``_row_table``), and the table of a product x y is
-  x's table translated through y's;
+  x's table translated through y's. The tables permute the N * m row
+  codes, faithfully, since g's table carries the identity's codes to
+  g's: ``_table_group_order`` counts G on that action;
 - otherwise an element is an N-tuple of column codes,
   ``code[i] = N * exponents[i] + perm[i]``: the image of e_i and its
   exponent. Right multiplication by x gathers the codes by x's
@@ -84,9 +95,10 @@ places telescope. ``MonomialElement`` appears only at the edges: the
 generators and the reported witness and quasi-reflections, decoded by
 ``_decode``.
 
-Closure construction is single-writer; every produced value is
-immutable, and the analysis scan is read-only, so verdicts and closed
-groups can be shared freely across threads.
+Every produced value is immutable, or, for a closure walked on demand,
+read-only with its walk advanced under a lock; the analysis scan is
+read-only, so verdicts and closed groups can be shared freely across
+threads.
 """
 
 from __future__ import annotations
@@ -94,10 +106,11 @@ from __future__ import annotations
 import json
 import os
 import sys
+from _thread import allocate_lock
 from collections import Counter, deque, namedtuple
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, itemgetter, mod
 
 from .errors import GroupTooLargeError, MatrixTooLargeError, QuasiReflectionError, shown
@@ -140,11 +153,15 @@ class MonomialRep(
 
     ``generators`` is a tuple of ``MonomialElement``. ``flat_elements``
     is None until ``close_group`` fills it with the closure in closure
-    order (Dimino's cosets, see ``close_group``); its length is the
-    group order. When N * m <= 256 each element
-    is a ``bytes`` of row codes, ``code[j] = N * e + i`` for the entry
-    zeta^e at (j, i); otherwise it is the N-tuple of column codes
-    ``N * exponents[i] + perm[i]``. ``analyze`` reads either alike.
+    order (Dimino's cosets, see ``close_group``), whose length is the
+    group order: a tuple, or for a group of 32 elements or more on row
+    codes a read-only sequence (``_Closure``) whose elements are walked
+    on demand, as far as indexing, slicing or iteration reads; its
+    equality and hash are those of the tuple of its elements.
+    When N * m <= 256 each element is a ``bytes`` of row codes,
+    ``code[j] = N * e + i`` for the entry zeta^e at (j, i); otherwise it
+    is the N-tuple of column codes ``N * exponents[i] + perm[i]``.
+    ``analyze`` reads either alike.
     """
 
     __slots__ = ()
@@ -307,49 +324,23 @@ def _over_cap(cap: int) -> GroupTooLargeError:
     return GroupTooLargeError(f"group closure exceeded the cap of {cap} elements", cap=cap)
 
 
-def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
-    """Multiplicative closure of the generators by Dimino's coset method.
+def _dimino(codes, generators: list[tuple], elements: list, cap: int):
+    """Dimino's walk: extend ``elements``, which holds the identity, to the closure in order.
 
-    The closure order, which fixes the witness and the order of the
-    quasi-reflection list:
-
-    - generators are taken in decreasing order of their element order,
-      ties in input order; one already in the group at its turn is skipped;
-    - the list starts with the identity, then the powers g, g^2, ... of
-      the first generator;
-    - at each later generator s, with H the list so far, the right coset
-      H s is appended; then the coset representatives are walked in order,
-      and for each representative x and each generator t taken so far,
-      H (x t) is appended if x t is new.
-
-    The list is then a union of right cosets of H that right
-    multiplication by every generator maps into itself, so it is the
-    group (Butler, *Fundamental Algorithms for Permutation Groups*, LNCS
-    559, 1991). Each element costs one product; each representative costs
-    one product and one lookup per generator taken. With one generator
-    the order is that of the powers, as in a breadth-first closure.
-
-    Raises GroupTooLargeError iff the group has more than max(cap, 1)
-    elements. It is checked before each power or coset is appended, so
-    the list never holds more than max(cap, 1) elements: a cap below 1
-    still holds the identity. Elements are ``bytes`` of row codes when
-    N * m <= 256 (``_RowCodes``), N-tuples of column codes otherwise
-    (``_ColumnCodes``).
+    A generator function. It first yields before any product. Sent a
+    count, it walks on until ``elements`` holds at least that many codes,
+    to the end of a power or coset, and yields again; resumed by ``next``,
+    it walks to the end. So a reader walks no further than it reads.
+    ``generators`` are (code, step) pairs in the order ``close_group``
+    takes them. Raises GroupTooLargeError before ``elements`` would hold
+    more than max(cap, 1) codes.
     """
-    cap = configured_cap(cap)
     limit = max(cap, 1)  # a cap below 1 still holds the identity
-    n, nm = rep.dimension, rep.dimension * rep.root_order
-    codes = (_RowCodes if nm <= 256 else _ColumnCodes)(n, nm)
     ident = codes.identity
-    elements = [ident]
     seen = {ident}
     taken = []  # the steps of the generators taken so far
-
-    def descending_order(g):  # sorted is stable: generators of equal order keep their input order
-        return -_cycle_sums(_column_code(g, n), n, nm, order=True)[2]
-
-    for g in sorted(rep.generators, key=descending_order):
-        code, step = codes.generator(g)
+    want = (yield) or limit + 1  # a walk to the end holds at most limit codes
+    for code, step in generators:
         if code in seen:
             continue
         taken.append(step)
@@ -359,6 +350,8 @@ def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
                     raise _over_cap(cap)
                 elements.append(code)
                 seen.add(code)
+                if len(elements) >= want:
+                    want = (yield) or limit + 1
                 code = codes.times(code, step)
             continue
         size = len(elements)
@@ -378,7 +371,243 @@ def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
                 new = coset(y_step)
                 elements += new
                 seen.update(new)
+                if len(elements) >= want:
+                    want = (yield) or limit + 1
                 reps.append((y, y_step))
+
+
+class _Level:
+    """One level of a stabilizer chain: a base point, its strong generators and their orbit.
+
+    ``gens`` holds (table, inverse table) pairs; ``orbit`` maps each point
+    p of the orbit to (u, the table of u^-1), where u is a product of the
+    generators, as a ``bytes`` of the first N * m images, with u[point] = p.
+    ``tested`` holds the (p, j) whose Schreier generator u_p s_j u_q^-1,
+    q = s_j[p], is known to lie in the group of the levels below.
+    """
+
+    __slots__ = ("point", "gens", "orbit", "tested")
+
+    def __init__(self, point: int, ident: bytes):
+        self.point, self.gens, self.orbit, self.tested = point, [], {point: (ident, _BYTES)}, set()
+
+
+def _table_group_order(tables: list[bytes], nm: int, cap: int) -> int:
+    """The order of the group that ``bytes.translate`` tables generate, by Schreier–Sims.
+
+    A table t sends the point p < N * m to t[p], and x.translate(y) is x,
+    then y. The run is deterministic (Sims 1970; Seress, *Permutation
+    Group Algorithms*, 2003). It keeps a stabilizer chain: a base
+    b_0, b_1, ... and, at level l, strong generators that fix b_0 ..
+    b_{l-1} and the orbit of b_l under them (``_Level``). A table joins
+    the chain unless it sifts through the transversals to the identity,
+    which skips a generator already in the group. Level l is complete when
+    every Schreier generator u_p s u_{s[p]}^-1 sifts through the levels
+    below it to the identity; one that does not joins those levels, or
+    starts a new one, and the run goes on at the level where it stopped.
+    When every level is complete, |G| is the product of the orbit lengths.
+
+    That product never exceeds |G| while the run goes on, since the group
+    of level l + 1 fixes b_l inside the group of level l. So
+    GroupTooLargeError is raised as soon as it passes max(cap, 1).
+    """
+    limit = max(cap, 1)
+    ident = _BYTES[:nm]
+    levels: list[_Level] = []
+
+    def sift(h: bytes, start: int) -> tuple[bytes, int]:
+        """``h`` stripped by the transversals from level ``start`` on; the level it stopped at."""
+        for depth in range(start, len(levels)):
+            level = levels[depth]
+            p = h[level.point]
+            if p != level.point:
+                known = level.orbit.get(p)
+                if known is None:
+                    return h, depth
+                h = h.translate(known[1])
+        return h, len(levels)
+
+    def extend(h: bytes, first: int, stop: int) -> None:
+        """``h``, sifted from ``first`` to ``stop``, joins those levels; the last may be new."""
+        if stop == len(levels):
+            levels.append(_Level(next(p for p, q in enumerate(h) if p != q), ident))
+        pair = h + _BYTES[nm:], bytes.maketrans(h, ident)
+        for level in levels[first:stop + 1]:
+            gens, orbit, tested = level.gens, level.orbit, level.tested
+            gens.append(pair)
+            grown = [level.point] if len(gens) == 1 else list(orbit)
+            for p in grown:  # the list takes in the points its walk meets
+                u, u_inv = orbit[p]
+                for j, (s, s_inv) in enumerate(gens):
+                    q = s[p]
+                    if q not in orbit:  # u_q = u_p s: its Schreier generator is 1
+                        orbit[q] = u.translate(s), s_inv.translate(u_inv)
+                        tested.add((p, j))
+                        grown.append(q)
+        if prod(len(level.orbit) for level in levels) > limit:
+            raise _over_cap(cap)
+
+    def complete(depth: int) -> None:
+        while depth >= 0:
+            level = levels[depth]
+            orbit, tested = level.orbit, level.tested
+            found = None
+            for p, (u, _) in orbit.items():  # neither changes until a generator is found
+                for j, (s, _) in enumerate(level.gens):
+                    if (p, j) in tested:
+                        continue
+                    tested.add((p, j))
+                    h, stop = sift(u.translate(s).translate(orbit[s[p]][1]), depth + 1)
+                    if stop < len(levels) or h != ident:
+                        found = h, stop
+                        break
+                if found:
+                    break
+            if found is None:
+                depth -= 1
+                continue
+            h, stop = found
+            extend(h, depth + 1, stop)
+            depth = stop
+
+    for t in tables:
+        h, stop = sift(t[:nm], 0)
+        if stop < len(levels) or h != ident:
+            extend(h, 0, stop)
+            complete(stop)
+    return prod(len(level.orbit) for level in levels)
+
+
+class _Closure:
+    """A closed group's codes in closure order: a read-only sequence, walked on demand.
+
+    Its length, the group order, is known when it is made. Indexing,
+    slicing and iteration advance the Dimino walk (``_dimino``) only as
+    far as they read, to the end of a power or coset; iteration walks ahead
+    by at most what it has read, or 32 codes. The walk is advanced under a
+    lock, so one closure can be read from several threads.
+    Once the walk reaches the order it is dropped, and with it its set of
+    codes. Equality and hash are those of the tuple of the codes.
+    """
+
+    __slots__ = ("_order", "_elements", "_walk", "_lock")
+
+    def __init__(self, order: int, elements: list, walk):
+        self._order, self._elements, self._walk = order, elements, walk
+        self._lock = allocate_lock()
+
+    def _fill(self, count: int) -> None:
+        """Walk until at least ``count`` codes are known."""
+        elements = self._elements
+        if len(elements) >= count:
+            return
+        with self._lock:
+            if len(elements) < count:
+                self._walk.send(count)
+            if len(elements) == self._order:
+                self._walk = None
+
+    def __len__(self) -> int:
+        return self._order
+
+    def __getitem__(self, index):
+        picked = range(self._order)[index]  # an int for an index, a range for a slice
+        if type(picked) is int:
+            self._fill(picked + 1)
+            return self._elements[picked]
+        if picked:
+            self._fill(max(picked[0], picked[-1]) + 1)
+        return tuple(map(self._elements.__getitem__, picked))
+
+    def __iter__(self):
+        if len(self._elements) == self._order:
+            return iter(self._elements)
+        return self._walked()
+
+    def _walked(self):
+        elements, done = self._elements, 0
+        while done < self._order:
+            self._fill(min(2 * done + 32, self._order))  # ahead by at most what was read, or 32
+            known = elements[done:]
+            done += len(known)
+            yield from known
+
+    def __eq__(self, other):
+        if isinstance(other, _Closure):
+            return len(self) == len(other) and tuple(self) == tuple(other)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"<closure of {self._order} elements>"
+
+
+def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
+    """The group the generators generate: its order first, its elements on demand.
+
+    The closure order, which fixes the witness and the order of the
+    quasi-reflection list, is that of Dimino's coset method:
+
+    - generators are taken in decreasing order of their element order,
+      ties in input order; one already in the group at its turn is skipped;
+    - the list starts with the identity, then the powers g, g^2, ... of
+      the first generator;
+    - at each later generator s, with H the list so far, the right coset
+      H s is appended; then the coset representatives are walked in order,
+      and for each representative x and each generator t taken so far,
+      H (x t) is appended if x t is new.
+
+    The list is then a union of right cosets of H that right
+    multiplication by every generator maps into itself, so it is the
+    group (Butler, *Fundamental Algorithms for Permutation Groups*, LNCS
+    559, 1991). Each element costs one product; each representative costs
+    one product and one lookup per generator taken. With one generator
+    the order is that of the powers, as in a breadth-first closure.
+
+    When N * m <= 256 the elements are ``bytes`` of row codes
+    (``_RowCodes``), and the order comes before any element: a group with
+    one distinct generator besides the identity has that generator's
+    order, any other group the order that Schreier–Sims gives on the
+    faithful action of G on the N * m row codes (``_table_group_order``).
+    A group of 32 elements or more then gets a ``_Closure`` as its
+    ``flat_elements``: its length is the order, and indexing, slicing and
+    iteration walk the list above only as far as they read. A smaller
+    group costs less walked whole than on demand, and gets the tuple of
+    the whole walk. Otherwise the elements are N-tuples of column codes
+    (``_ColumnCodes``), and the walk runs to its end here: the order is its
+    length, and ``flat_elements`` the tuple of its codes.
+
+    Raises GroupTooLargeError iff the group has more than max(cap, 1)
+    elements: on row codes before any element is walked, on column codes
+    before the list would hold more than max(cap, 1) elements. A cap
+    below 1 still holds the identity.
+    """
+    cap = configured_cap(cap)
+    n, nm = rep.dimension, rep.dimension * rep.root_order
+    codes = (_RowCodes if nm <= 256 else _ColumnCodes)(n, nm)
+    # sorted keeps equal keys in input order, with reverse=True too
+    ranked = sorted(
+        ((_cycle_sums(_column_code(g, n), n, nm, order=True)[2], g) for g in rep.generators),
+        key=itemgetter(0), reverse=True,
+    )
+    generators = [codes.generator(g) for _, g in ranked]
+    elements = [codes.identity]
+    walk = _dimino(codes, generators, elements, cap)
+    if nm <= 256:
+        distinct = dict(generators)
+        distinct.pop(codes.identity, None)
+        if len(distinct) > 1:
+            order = _table_group_order(list(distinct.values()), nm, cap)
+        else:
+            order = ranked[0][0] if distinct else 1
+            if order > max(cap, 1):
+                raise _over_cap(cap)
+        if order >= 32:  # a smaller group costs less walked whole than on demand
+            next(walk)  # started, with nothing walked yet
+            return rep._replace(flat_elements=_Closure(order, elements, walk))
+    deque(walk, maxlen=0)  # the whole walk: column codes take their order from its length
     return rep._replace(flat_elements=tuple(elements))
 
 
@@ -483,7 +712,7 @@ def _least_possible_key(rep: MonomialRep) -> int | None:
     more, every g != 1 also has two eigenvalues != 1: the group has no
     quasi-reflection. Returns None when some class has one orbit, or when
     matching the orbits would cost more than an eighth of a full scan.
-    ``analyze`` calls it only at index > 1, where there is a generator.
+    ``analyze`` calls it only for a group with a generator.
 
     Diagonal groups have one orbit per coordinate, and its form is the
     coordinate's column of exponents; index_C is the lcm of their orders.
@@ -546,24 +775,31 @@ def analyze(rep: MonomialRep) -> SingularityVerdict:
     neither the identity nor a quasi-reflection, and the quasi-reflections
     are still every one in closure order.
 
-    The index comes first. When it is 1 the group lies in SL(N), where
-    every non-identity age is an integer >= 1 and no element is a
-    quasi-reflection (its determinant would be its one eigenvalue != 1),
-    so the scan ends at the first element of age 1: it is the witness, and
-    nothing after it can change the verdict. When it is larger,
-    ``_least_possible_key`` may prove a least age from the classes of
-    coordinate orbits, and with it that no element is a quasi-reflection;
-    the scan then ends at the first element of that age, for the same
-    reason. Other groups, and groups with no element at their bound, are
-    scanned to the end.
+    The index comes first. ``_least_possible_key`` may prove a least age
+    from the classes of coordinate orbits, and with it that no element is
+    a quasi-reflection; the scan then ends at the first element of that
+    age: it is the witness, and nothing after it can change the verdict.
+    When the index is 1 the group lies in SL(N), where every non-identity
+    age is an integer >= 1 and no element is a quasi-reflection (its
+    determinant would be its one eigenvalue != 1), so the scan ends at the
+    first element whose age is the larger of 1 and that bound; the orbits
+    are not read when a generator has age 1, since the least age is 1. Other
+    groups, and groups with no element at their bound, are scanned to the
+    end. The closure is walked only as far as the scan reads it.
     """
     if rep.flat_elements is None:
         raise ValueError("group is not closed yet; call close_group first")
     n, m, nm = rep.dimension, rep.root_order, rep.dimension * rep.root_order
-    index = lcm(1, *(element_age(g, m)[0].denominator for g in rep.generators))
+    ages = [element_age(g, m)[0] for g in rep.generators]
+    index = lcm(1, *(a.denominator for a in ages))
     # No non-identity key is below this one, so the first element that reaches it ends the scan:
-    # in SL(N) it is 2Nm (age 1); otherwise the bound of the coordinate orbits, if any.
-    least_possible = 2 * nm if index == 1 else _least_possible_key(rep)
+    # the bound of the coordinate orbits, if any, and in SL(N) at least 2Nm (age 1). A generator
+    # of age 1 in SL(N) is such an element, so there the orbits cannot raise the bound
+    least_possible = None
+    if index > 1 or (rep.generators and 1 not in ages):
+        least_possible = _least_possible_key(rep)
+    if index == 1:
+        least_possible = max(2 * nm, least_possible or 0)
     quasi = []
     min_key: int | None = None  # 2Nm * age, so keys compare as ages do
     witness = None

@@ -23,7 +23,9 @@ This module holds the routes the tests and ``run_selftest`` compare them with:
 - ``multiply``, the matrix product of two ``MonomialElement`` values,
   and ``close_group_reference``, the breadth-first closure built on it,
   against which ``monomial.close_group`` (Dimino's cosets, in another
-  order) is held as a set, with the same length and the same cap outcome,
+  order, and a group order from Schreier–Sims on row codes, held to the
+  reference's length by ``order_section``) is held as a set, with the
+  same length and the same cap outcome,
   through ``decode_closure``, on bytes of row codes (N * m <= 256) and on
   tuples of column codes alike;
 - the Terminal Lemma for cyclic 3-fold quotients, ``terminal_lemma``,
@@ -43,11 +45,12 @@ This module holds the routes the tests and ``run_selftest`` compare them with:
 The numpy eigenvalue check is the only floating-point code in the package.
 
 The selftest is the tuple ``SELFTEST_SECTIONS``: oracle, verdict scan,
-cross-engine, Terminal Lemma, full scan, orbit bound, Burnside and growth. Each
-section is a function of the range ``(max_dim, max_points)`` that returns
-``(summary_lines, failure_lines)``, so a test can run the one section it
-checks. ``run_selftest`` checks the range, runs the sections in order,
-prints their lines and tallies their failures. A new check is one more
+cross-engine, Terminal Lemma, full scan, orbit bound, group order,
+Burnside and growth. Each section is a function of the range
+``(max_dim, max_points)`` that returns ``(summary_lines,
+failure_lines)``, so a test can run the one section it checks.
+``run_selftest`` checks the range, runs the sections in order, prints
+their lines and tallies their failures. A new check is one more
 entry in the tuple. Every engine call goes through the ``monomial``
 module, so a patch of ``monomial.analyze`` reaches every section. numpy is
 imported inside the functions that use it, and no engine or CLI command
@@ -649,6 +652,33 @@ def orbit_bound_section(max_dim: int, max_points: int) -> tuple[list[str], list[
             f"{bounded} bounded"], failures
 
 
+def order_section(max_dim: int, max_points: int) -> tuple[list[str], list[str]]:
+    """The Schreier–Sims group order against the length of a breadth-first closure.
+
+    On the full-scan and cross-engine groups with two generators or more,
+    all on row codes (N * m <= 256): ``monomial._table_group_order`` on
+    the generators' row tables, which ``close_group`` reads the order of
+    such a group from, against ``close_group_reference``, which walks
+    every element.
+    """
+    pairs = [(n, d) for n, d in CROSS_ENGINE_PAIRS if n <= max_dim and d <= max_points]
+    labelled = full_scan_groups(max_dim, max_points) + [
+        (f"n={n} d={d}", materialize_rep(n, d)) for n, d in pairs
+    ]
+    groups = {rep: label for label, rep in labelled if len(rep.generators) > 1}
+    failures = []
+    for rep, label in groups.items():
+        n, nm = rep.dimension, rep.dimension * rep.root_order
+        tables = [monomial._row_table(g, n, nm) for g in rep.generators]
+        got = monomial._table_group_order(tables, nm, configured_cap())
+        want = len(close_group_reference(rep))
+        if got != want:
+            failures.append(
+                f"order {label}: Schreier-Sims gives {got}, a breadth-first closure {want}"
+            )
+    return [f"group order against a breadth-first closure: {len(groups)} groups"], failures
+
+
 def burnside_section(max_dim: int, max_points: int) -> tuple[list[str], list[str]]:
     """The symmetric-power dimension identity by two independent routes; the range is unused."""
     failures = [
@@ -682,6 +712,7 @@ SELFTEST_SECTIONS = (
     terminal_lemma_section,
     full_scan_section,
     orbit_bound_section,
+    order_section,
     burnside_section,
     growth_section,
 )

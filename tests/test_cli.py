@@ -693,6 +693,7 @@ def test_selftest_prints_every_section_line(run_cli):
         "selftest: Terminal Lemma 1/r(a,b,c), r=2..19: 14825 cases",
         "selftest: analyze against a full eigenvalue scan: 1658 groups",
         "selftest: orbit bound against a full eigenvalue scan: 2286 groups, 667 bounded",
+        "selftest: group order against a breadth-first closure: 3 groups",
         "selftest: Burnside identity p=0..10, d=1..10",
         "selftest: plurigenus growth exponents",
         "selftest: OK",
@@ -706,6 +707,9 @@ def test_selftest_sections_say_when_the_range_leaves_them_nothing():
     assert oracle.verdict_scan_section(2, 1) == (["verdict scan n=2..2, d=2..1: 0 models"], [])
     assert oracle.cross_engine_section(2, 1) == (
         ["cross-engine agreement on materialized groups: 0 groups"], []
+    )
+    assert oracle.order_section(2, 2) == (
+        ["group order against a breadth-first closure: 0 groups"], []
     )
 
 

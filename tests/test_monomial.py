@@ -1,7 +1,9 @@
 """Group closure and the verdict engine on explicit monomial groups."""
 
+import sys
+import threading
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from symquot.monomial import (
     SingularityVerdict,
     _cycle_sums,
     _least_possible_key,
+    _row_table,
     element_age,
 )
 from symquot.oracle import (
@@ -45,6 +48,7 @@ from symquot.oracle import (
     multiply,
     numeric_exponents,
     orbit_bound_section,
+    order_section,
     scan_outcome,
     terminal_lemma,
     terminal_lemma_sweep,
@@ -774,29 +778,103 @@ def test_flat_closure_matches_reference_across_slice_forms(make_rep, order):
         close_group(rep, cap=order - 1)
 
 
+def walked_lists(monkeypatch):
+    """The lists that ``monomial._dimino`` walks into from now on, one per closure."""
+    lists, dimino = [], monomial._dimino
+
+    def recording(codes, generators, elements, cap):
+        lists.append(elements)
+        return dimino(codes, generators, elements, cap)
+
+    monkeypatch.setattr(monomial, "_dimino", recording)
+    return lists
+
+
 @pytest.mark.parametrize(
     "make_rep",
     [lambda: sl_rep(30), lambda: materialize_rep(1, 6), lambda: cyclic_powers_rep(513)],
     ids=["sl-30", "sym-1-6", "order-513"],  # bytes, three generators; bytes, S_6; tuples, powers
 )
-def test_closure_raises_iff_the_group_exceeds_the_cap(make_rep):
-    # every cap from 0 to |G| + 1; at the raise the list and the set hold at most max(cap, 1)
+def test_closure_raises_iff_the_group_exceeds_the_cap(monkeypatch, make_rep):
+    # every cap from 0 to |G| + 1. On row codes the order comes first, so the raise
+    # walks no element; on column codes the walk raises holding at most max(cap, 1)
     rep = make_rep()
     order = len(close_group(rep).flat_elements)
+    wide = rep.dimension * rep.root_order > 256
     for cap in range(order + 2):
         if order <= max(cap, 1):
             assert len(close_group(rep, cap=cap).flat_elements) == order
             continue
+        lists = walked_lists(monkeypatch)
         with pytest.raises(GroupTooLargeError) as info:
             close_group(rep, cap=cap)
+        monkeypatch.undo()
         assert info.value.cap == cap
         assert str(info.value) == f"group closure exceeded the cap of {cap} elements"
+        (walked,) = lists
+        if not wide:
+            assert len(walked) == 1  # the identity alone
+            continue
         tb = info.tb
         while tb.tb_next is not None:
             tb = tb.tb_next
-        assert tb.tb_frame.f_code.co_name == "close_group"
+        assert tb.tb_frame.f_code.co_name == "_dimino"
         held = tb.tb_frame.f_locals
         assert len(held["seen"]) == len(held["elements"]) <= max(cap, 1)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_closure_order_of_the_symmetric_group(n):
+    # S_n on C^n by a transposition and an n-cycle (one generator at n = 2)
+    rep = materialize_rep(1, n)
+    order = factorial(n)
+    for cap in (order, order + 1):
+        assert len(close_group(rep, cap=cap).flat_elements) == order
+    with pytest.raises(GroupTooLargeError):
+        close_group(rep, cap=order - 1)
+
+
+def test_closure_order_of_the_wreath_product_at_256_row_codes():
+    rep = wreath_rep(64)  # N * m = 256: the largest row codes, 2 * 64^2 elements
+    for cap in (8192, 8193):
+        assert len(close_group(rep, cap=cap).flat_elements) == 8192
+    with pytest.raises(GroupTooLargeError):
+        close_group(rep, cap=8191)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_schreier_sims_order_matches_the_reference_closure(data):
+    size = data.draw(st.integers(1, 6))
+    m = data.draw(st.integers(1, min(256 // size, 12)))
+    gens = [draw_element(data.draw, size, m) for _ in range(data.draw(st.integers(2, 4)))]
+    rep = MonomialRep(dimension=size, root_order=m, generators=tuple(gens))
+    try:
+        want = len(close_group_reference(rep, cap=3000))
+    except GroupTooLargeError:
+        want = None
+    tables = [_row_table(g, size, size * m) for g in gens]
+    try:
+        got = monomial._table_group_order(tables, size * m, 3000)
+    except GroupTooLargeError:
+        got = None
+    assert got == want
+
+
+def test_an_order_over_the_cap_raises_when_the_orbit_bound_first_passes_it(monkeypatch):
+    # S_256 on C^256 is far over the cap: the run stops at the first product of
+    # orbit lengths past it, long before the chain is complete
+    bounds, product = [], monomial.prod
+
+    def recording(lengths):
+        bounds.append(product(lengths))
+        return bounds[-1]
+
+    monkeypatch.setattr(monomial, "prod", recording)
+    with pytest.raises(GroupTooLargeError) as info:
+        close_group(materialize_rep(1, 256), cap=20000)
+    assert info.value.cap == 20000
+    assert bounds[-1] > 20000 and all(b <= 20000 for b in bounds[:-1])
 
 
 def test_flat_closure_of_dimension_one():
@@ -1127,15 +1205,70 @@ def test_sl_scan_stops_at_its_first_age_1_element(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "rep",
-    [diag_rep(2, (1, 1, 1, 1)), materialize_rep(4, 3)],
-    ids=["1/2(1,1,1,1)", "S3-on-C4-blocks"],
+    "rep,forms",
+    [(diag_rep(2, (1, 1, 1, 1)), 0), (materialize_rep(4, 3), 2), (materialize_rep(4, 7), 2)],
+    ids=["1/2(1,1,1,1)", "S3-on-C4-blocks", "S7-on-C4-blocks"],
 )
-def test_sl_scan_without_an_age_1_element_walks_every_element(monkeypatch, rep):
+def test_sl_scan_without_an_age_1_element_stops_at_its_orbit_bound(monkeypatch, rep, forms):
+    # index 1 and least age 2, proven by the coordinate orbits: the scan ends at the
+    # first element of age 2, and the closure is walked no further than that element.
+    # -1 is the last element of 1/2(1,1,1,1); 4 copies of S_d stop at a transposition
+    # in every copy. A diagonal class reads its index off its column, unwalked; one
+    # orbit's form is walked once per generator
+    codes = close_group(rep).flat_elements
+    first = next(j for j, g in enumerate(decode_closure(close_group(rep)))
+                 if j and element_age(g, rep.root_order)[0] == 2)
     closed = close_group(rep)
     v, walked = walks_of_analyze(monkeypatch, closed)
-    assert walked == [coded(g) for g in closed.generators] + list(closed.flat_elements)
+    generators = [coded(g) for g in closed.generators]  # element_age's walks for the index
+    assert walked[:len(generators)] == generators
+    assert walked[len(generators) + forms:] == list(codes[:first + 1])
     assert (v.index, v.min_age) == (1, 2)
+    if rep.dimension == 28:  # 5 040 elements, walked on demand: the scan stops in the first coset
+        assert first < len(closed.flat_elements._elements) < len(codes) // 10
+
+
+# The closure is a sequence that walks Dimino's order only as far as it is read.
+
+
+def test_closure_reads_alike_however_it_is_walked():
+    rep = wreath_rep(4)  # 32 elements: 4 powers, then cosets of 4, 8 and 16
+    whole = tuple(close_group(rep).flat_elements)
+    closed = close_group(rep).flat_elements
+    assert len(closed) == 32 and len(closed._elements) == 1  # the order, nothing walked
+    assert closed[8] == whole[8] and len(closed._elements) < 32
+    assert closed[2:9:3] == whole[2:9:3] and closed[:0] == ()
+    assert closed[-1] == whole[-1] and closed[::-5] == whole[::-5]
+    assert closed == whole and whole == closed and hash(closed) == hash(whole)
+    assert closed == close_group(rep).flat_elements
+    assert closed != whole[:-1] and closed != list(whole)
+    assert list(closed) == list(whole) and closed._walk is None
+    with pytest.raises(IndexError):
+        closed[32]
+
+
+def test_two_threads_read_one_closure_alike():
+    rep = wreath_rep(4)
+    whole = tuple(close_group(rep).flat_elements)
+    for _ in range(20):
+        closed = close_group(rep).flat_elements
+        reads = [None, None]
+
+        def read(k, closed=closed, reads=reads):
+            reads[k] = tuple(closed)
+
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert reads == [whole, whole]
 
 
 # A group of index > 1 whose coordinate orbits fall into classes of two or
@@ -1302,3 +1435,20 @@ def test_orbit_bound_section_catches_a_bound_above_the_least_age(monkeypatch):
     monkeypatch.setattr(monomial, "_least_possible_key", one_step_high)
     _, failures = orbit_bound_section(2, 2)
     assert failures and all("is above the least age" in line for line in failures)
+
+
+def test_order_section_holds_the_group_order_to_a_breadth_first_closure():
+    lines, failures = order_section(4, 4)
+    assert failures == []
+    assert lines == ["group order against a breadth-first closure: 8 groups"]
+
+
+def test_order_section_catches_a_wrong_order(monkeypatch):
+    table_group_order = monomial._table_group_order
+
+    def one_short(tables, nm, cap):
+        return table_group_order(tables, nm, cap) - 1
+
+    monkeypatch.setattr(monomial, "_table_group_order", one_short)
+    _, failures = order_section(3, 3)
+    assert len(failures) == 3 and all("a breadth-first closure 6" in line for line in failures)
