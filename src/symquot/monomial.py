@@ -56,16 +56,12 @@ bound, are scanned in full.
 The closure order is that of Dimino's coset method: generators in
 decreasing order of their element order, the powers of the first, then
 for each later generator whole right cosets of the subgroup found so
-far. It fixes the witness and the order of the quasi-reflection list;
-``close_group`` states it in full. ``close_group`` finds the group order
-first and decides the cap on it. When N * m <= 256 the order comes from
-a deterministic Schreier–Sims run on the action of G on the N * m row
-codes below (``_table_group_order``), or, for one distinct generator,
-from that generator's order, and the elements of a group of 32 or more
-are walked in closure order on demand (``_dimino``, a generator), as far
-as a reader reads them (``_Closure``): a scan that stops early walks
-only a prefix of the group. Otherwise the walk runs to the end, and the
-order is its length.
+far. It fixes the witness and the order of the quasi-reflection list.
+``close_group`` states it in full, with the closure contract: the group
+order comes first and decides the cap, and the elements are walked
+(``_dimino``, a generator) only as far as a reader reads them
+(``_Closure``), so a scan that stops early walks only a prefix of the
+group.
 
 The closure and the scan work on one code per matrix entry, which holds
 the entry's place and its exponent in one int, in one of two encodings:
@@ -95,10 +91,9 @@ places telescope. ``MonomialElement`` appears only at the edges: the
 generators and the reported witness and quasi-reflections, decoded by
 ``_decode``.
 
-Every produced value is immutable, or, for a closure walked on demand,
-read-only with its walk advanced under a lock; the analysis scan is
-read-only, so verdicts and closed groups can be shared freely across
-threads.
+Every produced value is immutable, or, for a closure, read-only with
+its walk advanced under a lock; the analysis scan is read-only, so
+verdicts and closed groups can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -152,12 +147,9 @@ class MonomialRep(
     """A monomial group given by generators, closed or not.
 
     ``generators`` is a tuple of ``MonomialElement``. ``flat_elements``
-    is None until ``close_group`` fills it with the closure in closure
-    order (Dimino's cosets, see ``close_group``), whose length is the
-    group order: a tuple, or for a group of 32 elements or more on row
-    codes a read-only sequence (``_Closure``) whose elements are walked
-    on demand, as far as indexing, slicing or iteration reads; its
-    equality and hash are those of the tuple of its elements.
+    is None until ``close_group`` fills it with the group's codes in
+    closure order, a read-only sequence (``_Closure``) whose length is
+    the group order; ``close_group`` states what it holds.
     When N * m <= 256 each element is a ``bytes`` of row codes,
     ``code[j] = N * e + i`` for the entry zeta^e at (j, i); otherwise it
     is the N-tuple of column codes ``N * exponents[i] + perm[i]``.
@@ -327,19 +319,16 @@ def _over_cap(cap: int) -> GroupTooLargeError:
 def _dimino(codes, generators: list[tuple], elements: list, cap: int):
     """Dimino's walk: extend ``elements``, which holds the identity, to the closure in order.
 
-    A generator function. It first yields before any product. Sent a
-    count, it walks on until ``elements`` holds at least that many codes,
-    to the end of a power or coset, and yields again; resumed by ``next``,
-    it walks to the end. So a reader walks no further than it reads.
-    ``generators`` are (code, step) pairs in the order ``close_group``
-    takes them. Raises GroupTooLargeError before ``elements`` would hold
-    more than max(cap, 1) codes.
+    A generator function that yields after each power and each coset it
+    appends, so a reader walks no further than it reads. ``generators``
+    are (code, step) pairs in the order ``close_group`` takes them.
+    Raises GroupTooLargeError before ``elements`` would hold more than
+    max(cap, 1) codes.
     """
     limit = max(cap, 1)  # a cap below 1 still holds the identity
     ident = codes.identity
     seen = {ident}
     taken = []  # the steps of the generators taken so far
-    want = (yield) or limit + 1  # a walk to the end holds at most limit codes
     for code, step in generators:
         if code in seen:
             continue
@@ -350,8 +339,7 @@ def _dimino(codes, generators: list[tuple], elements: list, cap: int):
                     raise _over_cap(cap)
                 elements.append(code)
                 seen.add(code)
-                if len(elements) >= want:
-                    want = (yield) or limit + 1
+                yield
                 code = codes.times(code, step)
             continue
         size = len(elements)
@@ -371,8 +359,7 @@ def _dimino(codes, generators: list[tuple], elements: list, cap: int):
                 new = coset(y_step)
                 elements += new
                 seen.update(new)
-                if len(elements) >= want:
-                    want = (yield) or limit + 1
+                yield
                 reps.append((y, y_step))
 
 
@@ -479,15 +466,12 @@ def _table_group_order(tables: list[bytes], nm: int, cap: int) -> int:
 
 
 class _Closure:
-    """A closed group's codes in closure order: a read-only sequence, walked on demand.
+    """The ``flat_elements`` of a closed group, as ``close_group`` states them.
 
-    Its length, the group order, is known when it is made. Indexing,
-    slicing and iteration advance the Dimino walk (``_dimino``) only as
-    far as they read, to the end of a power or coset; iteration walks ahead
-    by at most what it has read, or 32 codes. The walk is advanced under a
-    lock, so one closure can be read from several threads.
-    Once the walk reaches the order it is dropped, and with it its set of
-    codes. Equality and hash are those of the tuple of the codes.
+    Indexing, slicing and iteration advance the Dimino walk (``_dimino``)
+    a power or a coset at a time; iteration walks ahead by at most what
+    it has read, or 32 codes. Once the walk reaches the order it is
+    dropped, and with it its set of codes.
     """
 
     __slots__ = ("_order", "_elements", "_walk", "_lock")
@@ -502,8 +486,8 @@ class _Closure:
         if len(elements) >= count:
             return
         with self._lock:
-            if len(elements) < count:
-                self._walk.send(count)
+            while len(elements) < count:
+                next(self._walk)
             if len(elements) == self._order:
                 self._walk = None
 
@@ -566,23 +550,26 @@ def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
     one product and one lookup per generator taken. With one generator
     the order is that of the powers, as in a breadth-first closure.
 
-    When N * m <= 256 the elements are ``bytes`` of row codes
-    (``_RowCodes``), and the order comes before any element: a group with
-    one distinct generator besides the identity has that generator's
-    order, any other group the order that Schreier–Sims gives on the
-    faithful action of G on the N * m row codes (``_table_group_order``).
-    A group of 32 elements or more then gets a ``_Closure`` as its
-    ``flat_elements``: its length is the order, and indexing, slicing and
-    iteration walk the list above only as far as they read. A smaller
-    group costs less walked whole than on demand, and gets the tuple of
-    the whole walk. Otherwise the elements are N-tuples of column codes
-    (``_ColumnCodes``), and the walk runs to its end here: the order is its
-    length, and ``flat_elements`` the tuple of its codes.
+    The elements are ``bytes`` of row codes (``_RowCodes``) when
+    N * m <= 256, else N-tuples of column codes (``_ColumnCodes``). The
+    order comes first: a group with one distinct generator besides the
+    identity has that generator's order; any other group on row codes
+    the order that Schreier–Sims gives on the faithful action of G on the
+    N * m row codes (``_table_group_order``), and any other group on
+    column codes the length of the whole walk.
+
+    ``flat_elements`` is then a ``_Closure``, a read-only sequence whose
+    length is the order and whose indexing, slicing and iteration walk
+    the list above only as far as they read, under a lock, so one closure
+    can be read from several threads. Its equality and hash are those of
+    the tuple of its codes. A group of fewer than 32 elements costs less
+    walked whole than on demand, so it is walked whole here, as is a
+    group whose order is the length of the walk.
 
     Raises GroupTooLargeError iff the group has more than max(cap, 1)
-    elements: on row codes before any element is walked, on column codes
-    before the list would hold more than max(cap, 1) elements. A cap
-    below 1 still holds the identity.
+    elements: before any element is walked when the order comes before
+    the walk, else before the list would hold more than max(cap, 1)
+    elements. A cap below 1 still holds the identity.
     """
     cap = configured_cap(cap)
     n, nm = rep.dimension, rep.dimension * rep.root_order
@@ -595,20 +582,20 @@ def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
     generators = [codes.generator(g) for _, g in ranked]
     elements = [codes.identity]
     walk = _dimino(codes, generators, elements, cap)
-    if nm <= 256:
-        distinct = dict(generators)
-        distinct.pop(codes.identity, None)
-        if len(distinct) > 1:
-            order = _table_group_order(list(distinct.values()), nm, cap)
-        else:
-            order = ranked[0][0] if distinct else 1
-            if order > max(cap, 1):
-                raise _over_cap(cap)
-        if order >= 32:  # a smaller group costs less walked whole than on demand
-            next(walk)  # started, with nothing walked yet
-            return rep._replace(flat_elements=_Closure(order, elements, walk))
-    deque(walk, maxlen=0)  # the whole walk: column codes take their order from its length
-    return rep._replace(flat_elements=tuple(elements))
+    distinct = dict(generators)
+    distinct.pop(codes.identity, None)
+    if len(distinct) <= 1:
+        order = ranked[0][0] if distinct else 1
+        if order > max(cap, 1):
+            raise _over_cap(cap)
+    elif nm <= 256:
+        order = _table_group_order(list(distinct.values()), nm, cap)
+    else:
+        order = 0  # column codes: the whole walk gives the order
+    if order < 32:  # a small group costs less walked whole than on demand
+        deque(walk, maxlen=0)
+        order, walk = len(elements), None
+    return rep._replace(flat_elements=_Closure(order, elements, walk))
 
 
 def _column_code(g: MonomialElement, n: int) -> tuple[int, ...]:

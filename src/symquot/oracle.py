@@ -23,9 +23,10 @@ This module holds the routes the tests and ``run_selftest`` compare them with:
 - ``multiply``, the matrix product of two ``MonomialElement`` values,
   and ``close_group_reference``, the breadth-first closure built on it,
   against which ``monomial.close_group`` (Dimino's cosets, in another
-  order, and a group order from Schreier–Sims on row codes, held to the
-  reference's length by ``order_section``) is held as a set, with the
-  same length and the same cap outcome,
+  order, and a group order known before the walk: a lone generator's
+  order, or Schreier–Sims on row codes, held to the reference's length
+  by ``order_section``) is held as a set, with the same length and the
+  same cap outcome,
   through ``decode_closure``, on bytes of row codes (N * m <= 256) and on
   tuples of column codes alike;
 - the Terminal Lemma for cyclic 3-fold quotients, ``terminal_lemma``,

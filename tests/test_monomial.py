@@ -792,15 +792,18 @@ def walked_lists(monkeypatch):
 
 @pytest.mark.parametrize(
     "make_rep",
-    [lambda: sl_rep(30), lambda: materialize_rep(1, 6), lambda: cyclic_powers_rep(513)],
-    ids=["sl-30", "sym-1-6", "order-513"],  # bytes, three generators; bytes, S_6; tuples, powers
+    [lambda: sl_rep(30), lambda: materialize_rep(1, 6), lambda: cyclic_powers_rep(513),
+     lambda: diag_rep(257, (1, 2))],
+    # bytes, three generators; bytes, S_6; tuples, powers; tuples, one generator
+    ids=["sl-30", "sym-1-6", "order-513", "1/257(1,2)"],
 )
 def test_closure_raises_iff_the_group_exceeds_the_cap(monkeypatch, make_rep):
-    # every cap from 0 to |G| + 1. On row codes the order comes first, so the raise
-    # walks no element; on column codes the walk raises holding at most max(cap, 1)
+    # every cap from 0 to |G| + 1. On row codes, and for one distinct generator on
+    # column codes, the order comes first, so the raise walks no element; otherwise
+    # the walk raises holding at most max(cap, 1)
     rep = make_rep()
     order = len(close_group(rep).flat_elements)
-    wide = rep.dimension * rep.root_order > 256
+    from_walk = rep.dimension * rep.root_order > 256 and len(set(rep.generators)) > 1
     for cap in range(order + 2):
         if order <= max(cap, 1):
             assert len(close_group(rep, cap=cap).flat_elements) == order
@@ -812,7 +815,7 @@ def test_closure_raises_iff_the_group_exceeds_the_cap(monkeypatch, make_rep):
         assert info.value.cap == cap
         assert str(info.value) == f"group closure exceeded the cap of {cap} elements"
         (walked,) = lists
-        if not wide:
+        if not from_walk:
             assert len(walked) == 1  # the identity alone
             continue
         tb = info.tb
@@ -1231,12 +1234,23 @@ def test_sl_scan_without_an_age_1_element_stops_at_its_orbit_bound(monkeypatch, 
 # The closure is a sequence that walks Dimino's order only as far as it is read.
 
 
-def test_closure_reads_alike_however_it_is_walked():
-    rep = wreath_rep(4)  # 32 elements: 4 powers, then cosets of 4, 8 and 16
+# wreath 4: 32 elements on row codes, 4 powers, then cosets of 4, 8 and 16, walked on
+# demand; wreath 2: 8 elements, walked whole when closed; wreath 65: 8 450 elements on
+# column codes, whose order is the length of the whole walk
+closures = pytest.mark.parametrize(
+    "rep,walked", [(wreath_rep(4), 1), (wreath_rep(2), 8), (wreath_rep(65), 8450)],
+    ids=["wreath-4-on-demand", "wreath-2-whole", "wreath-65-column-codes"],
+)
+
+
+@closures
+def test_closure_reads_alike_however_it_is_walked(rep, walked):
     whole = tuple(close_group(rep).flat_elements)
     closed = close_group(rep).flat_elements
-    assert len(closed) == 32 and len(closed._elements) == 1  # the order, nothing walked
-    assert closed[8] == whole[8] and len(closed._elements) < 32
+    order = len(whole)
+    assert len(closed) == order and len(closed._elements) == walked  # the order comes first
+    assert repr(closed) == f"<closure of {order} elements>"
+    assert closed[5] == whole[5] and len(closed._elements) in (walked, 8)  # or the first coset
     assert closed[2:9:3] == whole[2:9:3] and closed[:0] == ()
     assert closed[-1] == whole[-1] and closed[::-5] == whole[::-5]
     assert closed == whole and whole == closed and hash(closed) == hash(whole)
@@ -1244,11 +1258,11 @@ def test_closure_reads_alike_however_it_is_walked():
     assert closed != whole[:-1] and closed != list(whole)
     assert list(closed) == list(whole) and closed._walk is None
     with pytest.raises(IndexError):
-        closed[32]
+        closed[order]
 
 
-def test_two_threads_read_one_closure_alike():
-    rep = wreath_rep(4)
+@closures
+def test_two_threads_read_one_closure_alike(rep, walked):
     whole = tuple(close_group(rep).flat_elements)
     for _ in range(20):
         closed = close_group(rep).flat_elements
@@ -1406,6 +1420,9 @@ def test_a_scalar_cyclic_group_stops_at_its_generator(monkeypatch):
     v, walked = walks_of_analyze(monkeypatch, closed)
     (gen,) = closed.generators  # a diagonal class's index is read off its column, unwalked
     assert walked == [coded(gen)] + list(closed.flat_elements[:2])
+    # N * m = 776, column codes: the order is the generator's, so the closure is walked on
+    # demand and stops at the generator too
+    assert len(closed.flat_elements._elements) <= 32
     assert (v.index, v.min_age, v.witness) == (97, Fraction(8, 97), gen.describe())
 
 
