@@ -606,7 +606,7 @@ def assert_same_closure(rep, cap=None):
 
 
 @pytest.mark.parametrize("make_rep", ORACLE_GROUPS.values(), ids=ORACLE_GROUPS.keys())
-def test_flat_closure_matches_reference_order(make_rep):
+def test_flat_closure_matches_reference_as_a_set(make_rep):
     assert_same_closure(make_rep())
 
 
@@ -740,7 +740,7 @@ def cyclic_powers_rep(order):
     return MonomialRep(dimension=2, root_order=order, generators=gens)
 
 
-def thin_then_wide_rep():
+def cosets_of_3_then_24_rep():
     """On C^8 over m = 40: a 3-cycle (order 3), diag(20, 0, 0, 20, 0...) and a transposition
     with exponents (10, 30), both of order 2, so the first coset step has H of 3 < N."""
     three_cycle = MonomialElement((1, 2, 0, 3, 4, 5, 6, 7), (0,) * 8)
@@ -763,12 +763,12 @@ def thin_then_wide_rep():
         (lambda: cyclic_powers_rep(513), 513),  # tuples: powers; 255 generators skipped
         (lambda: wreath_rep(64), 8192),  # bytes at N * m = 256
         (lambda: wreath_rep(65), 8450),  # tuples at N * m = 260: 65 powers, then wide cosets
-        (thin_then_wide_rep, 96),  # tuples at N * m = 320: thin cosets of 3, then wide ones of 24
+        (cosets_of_3_then_24_rep, 96),  # tuples at N * m = 320: thin cosets of 3, then wide ones of 24
     ],
-    ids=["sl-30-wide", "cyclic-C16-thin", "sym-3-5-thin-then-wide", "order-256", "order-257",
-         "order-513", "wreath-64-bytes", "wreath-65-tuples", "tuples-thin-then-wide-cosets"],
+    ids=["sl-30-bytes-cosets", "cyclic-C16-tuple-powers", "sym-3-5-bytes-cosets", "order-256",
+         "order-257", "order-513", "wreath-64-bytes", "wreath-65-tuples", "tuple-cosets-of-3-then-24"],
 )
-def test_flat_closure_matches_reference_across_slice_forms(make_rep, order):
+def test_flat_closure_matches_reference_by_coset_shape(make_rep, order):
     rep = make_rep()
     assert_same_closure(rep, cap=order)
     assert len(close_group(rep, cap=order).flat_elements) == order
