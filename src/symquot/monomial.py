@@ -81,9 +81,8 @@ the entry's place and its exponent in one int, in one of two encodings:
   ``code % N`` and adds ``code - code % N`` mod N * m.
 
 A coset is one C-level ``map`` over the subgroup for bytes; for tuples
-it is one ``map`` per column of the subgroup, transposed once, or one
-product per element while the subgroup has fewer than N elements. The
-scan needs no change for the encoding: ``_cycle_sums`` follows
+it is one ``map`` per shifted column of the subgroup, transposed once
+per generator. The scan needs no change for the encoding: ``_cycle_sums`` follows
 ``i -> code[i] % N``, the permutation for column codes and its inverse
 for row codes, so it meets the same cycles in the same order, and along
 a cycle the sum of ``code[i] - i`` is N * K_c either way, since the
@@ -293,12 +292,9 @@ class _ColumnCodes:
     def cosets(self, subgroup: list[tuple[int, ...]]):
         """x's step -> the right coset H x.
 
-        An H of at least N elements is transposed once, here, so a coset is
-        one C-level ``map`` per shifted column and a ``zip``. A smaller H is
-        multiplied element by element, cheaper than N columns of a few codes.
+        H is transposed once, here, so a coset is one C-level ``map`` per
+        shifted column and a ``zip``; an unshifted column is H's own.
         """
-        if len(subgroup) < self.n:
-            return lambda step: [self.times(h, step) for h in subgroup]
         cols, mods = list(zip(*subgroup)), self.mods
 
         def coset(step):
@@ -422,7 +418,7 @@ def _table_group_order(tables: list[bytes], nm: int, cap: int) -> int:
         for level in levels[first:stop + 1]:
             gens, orbit, tested = level.gens, level.orbit, level.tested
             gens.append(pair)
-            grown = [level.point] if len(gens) == 1 else list(orbit)
+            grown = list(orbit)
             for p in grown:  # the list takes in the points its walk meets
                 u, u_inv = orbit[p]
                 for j, (s, s_inv) in enumerate(gens):
@@ -504,11 +500,6 @@ class _Closure:
         return tuple(map(self._elements.__getitem__, picked))
 
     def __iter__(self):
-        if len(self._elements) == self._order:
-            return iter(self._elements)
-        return self._walked()
-
-    def _walked(self):
         elements, done = self._elements, 0
         while done < self._order:
             self._fill(min(2 * done + 32, self._order))  # ahead by at most what was read, or 32

@@ -749,9 +749,17 @@ def cosets_of_3_then_24_rep():
     return MonomialRep(dimension=8, root_order=40, generators=(three_cycle, diag, swap))
 
 
-# N * m <= 256 closes on bytes, where cosets differ only in length; past it the
-# tuple closure multiplies an H of at least N elements as N columns (wide) and a
-# smaller H element by element (thin). Powers alone are neither.
+def coset_of_2_on_c130_rep():
+    """On C^130 over m = 2: a transposition, then -1 on a coordinate it fixes, so the one
+    coset step has H of 2 elements, far below N, and the group has 4 elements."""
+    swap = MonomialElement((1, 0) + tuple(range(2, 130)), (0,) * 130)
+    sign = MonomialElement(tuple(range(130)), (0, 0, 1) + (0,) * 127)
+    return MonomialRep(dimension=130, root_order=2, generators=(swap, sign))
+
+
+# N * m <= 256 closes on bytes, where a coset is H translated through one table.
+# Past it the tuple closure has one coset rule: H is transposed once per generator,
+# whatever its size, and a coset maps only the shifted columns. Powers are no coset.
 @pytest.mark.parametrize(
     "make_rep,order",
     [
@@ -762,11 +770,13 @@ def cosets_of_3_then_24_rep():
         (lambda: cyclic_powers_rep(257), 257),  # tuples: powers; 255 generators skipped
         (lambda: cyclic_powers_rep(513), 513),  # tuples: powers; 255 generators skipped
         (lambda: wreath_rep(64), 8192),  # bytes at N * m = 256
-        (lambda: wreath_rep(65), 8450),  # tuples at N * m = 260: 65 powers, then wide cosets
-        (cosets_of_3_then_24_rep, 96),  # tuples at N * m = 320: thin cosets of 3, then wide ones of 24
+        (lambda: wreath_rep(65), 8450),  # tuples at N * m = 260: 65 powers, then cosets of 65 >= N
+        (cosets_of_3_then_24_rep, 96),  # tuples at N * m = 320: cosets of 3 < N, then of 24 >= N
+        (coset_of_2_on_c130_rep, 4),  # tuples at N * m = 260: 2 powers, then one coset of 2 < N
     ],
     ids=["sl-30-bytes-cosets", "cyclic-C16-tuple-powers", "sym-3-5-bytes-cosets", "order-256",
-         "order-257", "order-513", "wreath-64-bytes", "wreath-65-tuples", "tuple-cosets-of-3-then-24"],
+         "order-257", "order-513", "wreath-64-bytes", "wreath-65-tuples", "tuple-cosets-of-3-then-24",
+         "tuple-coset-of-2-on-C130"],
 )
 def test_flat_closure_matches_reference_by_coset_shape(make_rep, order):
     rep = make_rep()
