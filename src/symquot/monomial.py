@@ -82,13 +82,13 @@ the entry's place and its exponent in one int, in one of two encodings:
 
 A coset is one C-level ``map`` over the subgroup for bytes; for tuples
 it is one ``map`` per shifted column of the subgroup, transposed once
-per generator. The scan needs no change for the encoding: ``_cycle_sums`` follows
-``i -> code[i] % N``, the permutation for column codes and its inverse
-for row codes, so it meets the same cycles in the same order, and along
-a cycle the sum of ``code[i] - i`` is N * K_c either way, since the
-places telescope. ``MonomialElement`` appears only at the edges: the
-generators and the reported witness and quasi-reflections, decoded by
-``_decode``.
+per generator. The scan needs no change for the encoding:
+``_cycle_sums`` follows ``i -> code[i] % N``, the permutation for column
+codes and its inverse for row codes, so it meets the same cycles in the
+same order, and along a cycle the sum of ``code[i] - i`` is N * K_c
+either way, since the places telescope. ``MonomialElement`` appears
+only at the edges: the generators and the reported witness and
+quasi-reflections, decoded by ``_decode``.
 
 Every produced value is immutable, or, for a closure, read-only with
 its walk advanced under a lock; the analysis scan is read-only, so
