@@ -57,11 +57,12 @@ The closure order is that of Dimino's coset method: generators in
 decreasing order of their element order, the powers of the first, then
 for each later generator whole right cosets of the subgroup found so
 far. It fixes the witness and the order of the quasi-reflection list.
-``close_group`` states it in full, with the closure contract: the group
-order comes first and decides the cap, and the elements are walked
-(``_dimino``, a generator) only as far as a reader reads them
-(``_Closure``), so a scan that stops early walks only a prefix of the
-group.
+``close_group`` states it in full, with the closure contract: the cap
+is checked first against the lcm of the generator orders, which divides
+the group order; the group order is known before any element is read;
+and the elements are walked (``_dimino``, a generator) only as far as a
+reader reads them (``_Closure``), so a scan that stops early walks only
+a prefix of the group.
 
 The closure and the scan work on one code per matrix entry, which holds
 the entry's place and its exponent in one int, in one of two encodings:
@@ -318,8 +319,10 @@ def _dimino(codes, generators: list[tuple], elements: list, cap: int):
     A generator function that yields after each power and each coset it
     appends, so a reader walks no further than it reads. ``generators``
     are (code, step) pairs in the order ``close_group`` takes them.
-    Raises GroupTooLargeError before ``elements`` would hold more than
-    max(cap, 1) codes.
+    Raises GroupTooLargeError before a coset would carry ``elements`` past
+    max(cap, 1) codes; the powers of the first generator need no check,
+    since ``close_group`` turns away a generator whose order passes the
+    cap.
     """
     limit = max(cap, 1)  # a cap below 1 still holds the identity
     ident = codes.identity
@@ -331,8 +334,6 @@ def _dimino(codes, generators: list[tuple], elements: list, cap: int):
         taken.append(step)
         if len(elements) == 1:  # the first generator: its powers
             while code != ident:
-                if len(elements) >= limit:
-                    raise _over_cap(cap)
                 elements.append(code)
                 seen.add(code)
                 yield
@@ -547,20 +548,20 @@ def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
     identity has that generator's order; any other group on row codes
     the order that Schreier–Sims gives on the faithful action of G on the
     N * m row codes (``_table_group_order``), and any other group on
-    column codes the length of the whole walk.
+    column codes the length of the whole walk, which is walked here.
 
     ``flat_elements`` is then a ``_Closure``, a read-only sequence whose
     length is the order and whose indexing, slicing and iteration walk
     the list above only as far as they read, under a lock, so one closure
     can be read from several threads. Its equality and hash are those of
-    the tuple of its codes. A group of fewer than 32 elements costs less
-    walked whole than on demand, so it is walked whole here, as is a
-    group whose order is the length of the walk.
+    the tuple of its codes.
 
     Raises GroupTooLargeError iff the group has more than max(cap, 1)
-    elements: before any element is walked when the order comes before
-    the walk, else before the list would hold more than max(cap, 1)
-    elements. A cap below 1 still holds the identity.
+    elements; a cap below 1 still holds the identity. Each generator's
+    order divides |G|, so when their lcm passes the cap the raise comes
+    first, before any walk. Otherwise Schreier–Sims raises as soon as
+    its bound on the order passes the cap, and a walk of the whole group
+    raises before its list would hold more than max(cap, 1) elements.
     """
     cap = configured_cap(cap)
     n, nm = rep.dimension, rep.dimension * rep.root_order
@@ -570,6 +571,8 @@ def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
         ((_cycle_sums(_column_code(g, n), n, nm, order=True)[2], g) for g in rep.generators),
         key=itemgetter(0), reverse=True,
     )
+    if lcm(1, *(order for order, _ in ranked)) > max(cap, 1):  # it divides |G|
+        raise _over_cap(cap)
     generators = [codes.generator(g) for _, g in ranked]
     elements = [codes.identity]
     walk = _dimino(codes, generators, elements, cap)
@@ -577,13 +580,9 @@ def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
     distinct.pop(codes.identity, None)
     if len(distinct) <= 1:
         order = ranked[0][0] if distinct else 1
-        if order > max(cap, 1):
-            raise _over_cap(cap)
     elif nm <= 256:
         order = _table_group_order(list(distinct.values()), nm, cap)
-    else:
-        order = 0  # column codes: the whole walk gives the order
-    if order < 32:  # a small group costs less walked whole than on demand
+    else:  # column codes: the whole walk gives the order
         deque(walk, maxlen=0)
         order, walk = len(elements), None
     return rep._replace(flat_elements=_Closure(order, elements, walk))

@@ -23,12 +23,11 @@ This module holds the routes the tests and ``run_selftest`` compare them with:
 - ``multiply``, the matrix product of two ``MonomialElement`` values,
   and ``close_group_reference``, the breadth-first closure built on it,
   against which ``monomial.close_group`` (Dimino's cosets, in another
-  order, and a group order known before the walk: a lone generator's
-  order, or Schreier–Sims on row codes, held to the reference's length
-  by ``order_section``) is held as a set, with the same length and the
-  same cap outcome,
+  order, with the cap held first to the lcm of the generator orders) is
+  held as a set, with the same length and the same cap outcome,
   through ``decode_closure``, on bytes of row codes (N * m <= 256) and on
-  tuples of column codes alike;
+  tuples of column codes alike. ``order_section`` holds the order that
+  ``close_group`` gives to the length of the reference's closure;
 - the Terminal Lemma for cyclic 3-fold quotients, ``terminal_lemma``,
   and ``terminal_lemma_sweep``, which holds ``monomial.analyze`` to it on
   the groups of ``terminal_lemma_groups``;
@@ -654,13 +653,12 @@ def orbit_bound_section(max_dim: int, max_points: int) -> tuple[list[str], list[
 
 
 def order_section(max_dim: int, max_points: int) -> tuple[list[str], list[str]]:
-    """The Schreier–Sims group order against the length of a breadth-first closure.
+    """The group order of ``monomial.close_group`` against the length of a breadth-first closure.
 
     On the full-scan and cross-engine groups with two generators or more,
-    all on row codes (N * m <= 256): ``monomial._table_group_order`` on
-    the generators' row tables, which ``close_group`` reads the order of
-    such a group from, against ``close_group_reference``, which walks
-    every element.
+    all on row codes (N * m <= 256), where ``close_group`` takes the
+    order from Schreier–Sims before any walk, against
+    ``close_group_reference``, which walks every element.
     """
     pairs = [(n, d) for n, d in CROSS_ENGINE_PAIRS if n <= max_dim and d <= max_points]
     labelled = full_scan_groups(max_dim, max_points) + [
@@ -669,13 +667,11 @@ def order_section(max_dim: int, max_points: int) -> tuple[list[str], list[str]]:
     groups = {rep: label for label, rep in labelled if len(rep.generators) > 1}
     failures = []
     for rep, label in groups.items():
-        n, nm = rep.dimension, rep.dimension * rep.root_order
-        tables = [monomial._row_table(g, n, nm) for g in rep.generators]
-        got = monomial._table_group_order(tables, nm, configured_cap())
+        got = len(monomial.close_group(rep).flat_elements)
         want = len(close_group_reference(rep))
         if got != want:
             failures.append(
-                f"order {label}: Schreier-Sims gives {got}, a breadth-first closure {want}"
+                f"order {label}: close_group gives {got}, a breadth-first closure {want}"
             )
     return [f"group order against a breadth-first closure: {len(groups)} groups"], failures
 

@@ -1,4 +1,4 @@
-"""The CLI corpus: rewrite ``tests/golden/cli.json`` and print the entries that moved.
+"""The output corpus: rewrite ``tests/golden/cli.json`` and ``outcomes.json``; print what moved.
 
 Each entry of the corpus is one ``symquot`` command line, run in-process
 through ``cli.run``: its argv, its exit code and the SHA-256 of its
@@ -11,14 +11,24 @@ nothing at all. Before hashing, the replay maps that path back to
 file was written. ``env`` sets the closure cap; without it the cap is
 the default. ``tests/test_golden.py`` replays every entry and compares.
 
-The cases are defined here, in ``CASES``. Rewrite the manifest with::
+The second manifest, ``outcomes.json``, holds one SHA-256 per entry of
+``DIGESTS``: ``analyze-outcomes`` over the outcome of ``monomial.analyze``
+on each group of ``outcome_groups``, a seeded draw, and
+``class-table-payloads`` over the JSON and markdown renderings of the
+``sympower --table`` payload over a range of models.
+
+The cases are defined here, in ``CASES`` and ``DIGESTS``. Rewrite the
+manifests with::
 
     PYTHONPATH=src python tests/golden/regen.py
 
 after adding a case, and after any change that moves an output on
 purpose. Every JSON payload carries ``meta.version``, so a version bump
-regenerates the manifest too. The script prints each entry whose exit
+regenerates the manifests too. The script prints each entry whose exit
 code or hashes moved; a change that moves one says which and why.
+
+The CI workflow writes its ``analyze`` inputs from ``DETERMINISM`` and
+``CASES``, so each input has one definition, here.
 """
 
 from __future__ import annotations
@@ -28,14 +38,26 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 from pathlib import Path
 
-from symquot import cli
-from symquot.monomial import CLOSURE_CAP_ENV, REP_FILE_CHARS_CAP
+from symquot import cli, report, sympower
+from symquot.errors import GroupTooLargeError
+from symquot.monomial import (
+    CLOSURE_CAP_ENV,
+    REP_FILE_CHARS_CAP,
+    MonomialElement,
+    MonomialRep,
+    analyze,
+    close_group,
+    element_age,
+)
+from symquot.oracle import scan_outcome
 
 MANIFEST = Path(__file__).with_name("cli.json")
+OUTCOMES = Path(__file__).with_name("outcomes.json")
 N = 256  # the dimension cap
 
 
@@ -131,6 +153,104 @@ CASES = {
 }
 
 
+OUTCOME_SEED = 30
+OUTCOME_GROUPS = 3000
+OUTCOME_CAP = 3000
+
+
+def _element(rng: random.Random, n: int, m: int) -> MonomialElement:
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return MonomialElement(tuple(perm), tuple(rng.randrange(m) for _ in range(n)))
+
+
+def _into_sl(g: MonomialElement, m: int) -> MonomialElement:
+    """``g`` moved into SL(N): an odd permutation over an odd m first swaps two images to
+    become even, since its determinant -zeta^k is no power of zeta; then the first exponent
+    is shifted so that the determinant sign(perm) * zeta^(sum of exponents) is 1."""
+    perm, exps = list(g.perm), list(g.exponents)
+    if element_age(g, m)[0] * m % 1:
+        perm[0], perm[1] = perm[1], perm[0]
+    turn = element_age(MonomialElement(tuple(perm), exps), m)[0] % 1
+    exps[0] = (exps[0] - int(turn * m)) % m
+    return MonomialElement(tuple(perm), tuple(exps))
+
+
+def _quasi_reflection(rng: random.Random, n: int, m: int) -> MonomialElement | None:
+    """A diagonal zeta^k on one coordinate, or a transposition with exponents k and -k."""
+    kinds = ["diagonal"] * (m > 1) + ["transposition"] * (n > 1)
+    if not kinds:  # C^1 with m = 1 has no quasi-reflection
+        return None
+    perm, exps = list(range(n)), [0] * n
+    if rng.choice(kinds) == "diagonal":
+        exps[rng.randrange(n)] = rng.randrange(1, m)
+    else:  # e_i -> zeta^k e_j -> e_i: eigenvalues 1 and -1
+        i, j = rng.sample(range(n), 2)
+        perm[i], perm[j] = j, i
+        exps[i] = rng.randrange(m)
+        exps[j] = -exps[i] % m
+    return MonomialElement(tuple(perm), tuple(exps))
+
+
+def outcome_groups() -> list[MonomialRep]:
+    """``OUTCOME_GROUPS`` groups drawn from ``random.Random(OUTCOME_SEED)``.
+
+    Seven draws in eight are on C^1..C^8 with m <= 9, on row codes; the
+    eighth is on C^2..C^4 with N * m > 256, on column codes. Each has 0-5
+    generators. Every third group has each generator moved into SL(N),
+    and every third from the second on has a quasi-reflection added at a
+    drawn place.
+    """
+    rng = random.Random(OUTCOME_SEED)
+    groups = []
+    for number in range(OUTCOME_GROUPS):
+        if rng.randrange(8):
+            n, m = rng.randint(1, 8), rng.randint(1, 9)
+        else:
+            n = rng.randint(2, 4)
+            m = rng.randint(256 // n + 1, 256 // n + 64)
+        gens = [_element(rng, n, m) for _ in range(rng.randint(0, 5))]
+        if number % 3 == 1:
+            gens = [_into_sl(g, m) for g in gens]
+        elif number % 3 == 2 and (quasi := _quasi_reflection(rng, n, m)) is not None:
+            gens.insert(rng.randint(0, len(gens)), quasi)
+        groups.append(MonomialRep(dimension=n, root_order=m, generators=tuple(gens)))
+    return groups
+
+
+def _analyze_outcomes() -> str:
+    """One line per group of ``outcome_groups``: the group, then its verdict or error."""
+    lines = []
+    for rep in outcome_groups():
+        try:
+            outcome = scan_outcome(analyze, close_group(rep, cap=OUTCOME_CAP))
+        except GroupTooLargeError as exc:
+            outcome = f"GroupTooLargeError({exc})"
+        gens = "; ".join(g.describe() for g in rep.generators)
+        lines.append(f"C^{rep.dimension} m={rep.root_order} [{gens}]: {outcome!r}\n")
+    return "".join(lines)
+
+
+def _class_table_payloads() -> str:
+    """The ``sympower --table`` payload of each model n = 2..6, d = 1..14, as JSON and markdown."""
+    texts = []
+    for n in range(2, 7):
+        for d in range(1, 15):
+            payload = report.sympower_payload(
+                n, d, sympower.verdict(n, d), sympower.class_table(n, d)
+            )
+            texts += [report.render(payload, "json"), report.render(payload, "md")]
+    return "".join(texts)
+
+
+DIGESTS = {"analyze-outcomes": _analyze_outcomes, "class-table-payloads": _class_table_payloads}
+
+
+def outcome_digest(name: str) -> str:
+    """The SHA-256 of the text that ``DIGESTS[name]`` builds."""
+    return hashlib.sha256(DIGESTS[name]().encode()).hexdigest()
+
+
 def replay(entry: dict, tmp: str | os.PathLike) -> dict:
     """Run one entry in-process; its exit code and the SHA-256 of its stdout and stderr."""
     path = os.path.join(tmp, "rep.json")
@@ -164,17 +284,24 @@ def replay(entry: dict, tmp: str | os.PathLike) -> dict:
     return {"exit": code, "stdout": digest(out.getvalue()), "stderr": digest(err.getvalue())}
 
 
-def main() -> int:
-    old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
-    new = {}
-    for name, case in CASES.items():
-        with tempfile.TemporaryDirectory() as tmp:
-            new[name] = {**case, **replay(case, tmp)}
+def _rewrite(path: Path, new: dict) -> None:
+    """Write ``new`` to ``path`` and print each entry that moved, was added or removed."""
+    old = json.loads(path.read_text()) if path.exists() else {}
+    for name in new:
         if old.get(name) != new[name]:
             print(f"moved: {name}" if name in old else f"added: {name}")
     for name in old.keys() - new.keys():
         print(f"removed: {name}")
-    MANIFEST.write_text(json.dumps(new, indent=1) + "\n")
+    path.write_text(json.dumps(new, indent=1) + "\n")
+
+
+def main() -> int:
+    corpus = {}
+    for name, case in CASES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus[name] = {**case, **replay(case, tmp)}
+    _rewrite(MANIFEST, corpus)
+    _rewrite(OUTCOMES, {name: outcome_digest(name) for name in DIGESTS})
     return 0
 
 

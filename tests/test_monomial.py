@@ -803,17 +803,21 @@ def walked_lists(monkeypatch):
 @pytest.mark.parametrize(
     "make_rep",
     [lambda: sl_rep(30), lambda: materialize_rep(1, 6), lambda: cyclic_powers_rep(513),
-     lambda: diag_rep(257, (1, 2))],
-    # bytes, three generators; bytes, S_6; tuples, powers; tuples, one generator
-    ids=["sl-30", "sym-1-6", "order-513", "1/257(1,2)"],
+     lambda: diag_rep(257, (1, 2)), cosets_of_3_then_24_rep],
+    # bytes, three generators; bytes, S_6; tuples, powers; tuples, one generator;
+    # tuples, generator orders 3, 2 and 2 in a group of 96
+    ids=["sl-30", "sym-1-6", "order-513", "1/257(1,2)", "cosets-of-3-then-24"],
 )
 def test_closure_raises_iff_the_group_exceeds_the_cap(monkeypatch, make_rep):
-    # every cap from 0 to |G| + 1. On row codes, and for one distinct generator on
-    # column codes, the order comes first, so the raise walks no element; otherwise
-    # the walk raises holding at most max(cap, 1)
+    # every cap from 0 to |G| + 1. Each generator's order divides |G|, so below their lcm
+    # the raise comes before the walk is made; on row codes Schreier–Sims raises with the
+    # walk made and not begun; otherwise a coset step of the walk raises, holding at most
+    # max(cap, 1)
     rep = make_rep()
     order = len(close_group(rep).flat_elements)
-    from_walk = rep.dimension * rep.root_order > 256 and len(set(rep.generators)) > 1
+    generator_lcm = lcm(
+        1, *(element_eigen_exponents(g, rep.root_order).order for g in rep.generators)
+    )
     for cap in range(order + 2):
         if order <= max(cap, 1):
             assert len(close_group(rep, cap=cap).flat_elements) == order
@@ -824,8 +828,11 @@ def test_closure_raises_iff_the_group_exceeds_the_cap(monkeypatch, make_rep):
         monkeypatch.undo()
         assert info.value.cap == cap
         assert str(info.value) == f"group closure exceeded the cap of {cap} elements"
+        if generator_lcm > max(cap, 1):
+            assert lists == []  # no walk
+            continue
         (walked,) = lists
-        if not from_walk:
+        if rep.dimension * rep.root_order <= 256:
             assert len(walked) == 1  # the identity alone
             continue
         tb = info.tb
@@ -833,7 +840,24 @@ def test_closure_raises_iff_the_group_exceeds_the_cap(monkeypatch, make_rep):
             tb = tb.tb_next
         assert tb.tb_frame.f_code.co_name == "_dimino"
         held = tb.tb_frame.f_locals
+        assert "size" in held  # set by a coset step, and by nothing else
         assert len(held["seen"]) == len(held["elements"]) <= max(cap, 1)
+
+
+def test_closure_raises_before_any_walk_when_the_generator_orders_exceed_the_cap(monkeypatch):
+    # 1/257(1,2) and a swap on C^2 over m = 257, on column codes: the generators have orders
+    # 257 and 2, whose lcm 514 divides |G| = 2 * 257^2, so a cap of 256 raises before any walk
+    rep = diag_rep(257, (1, 2))
+    rep = with_generators(rep, rep.generators + (MonomialElement((1, 0), (0, 0)),))
+    lists = walked_lists(monkeypatch)
+    for cap in (256, 513):
+        with pytest.raises(GroupTooLargeError) as info:
+            close_group(rep, cap=cap)
+        assert info.value.cap == cap
+    assert lists == []
+    with pytest.raises(GroupTooLargeError):
+        close_group(rep, cap=514)  # past the lcm, the walk raises
+    assert len(lists) == 1 and len(lists[0]) <= 514
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -1244,12 +1268,14 @@ def test_sl_scan_without_an_age_1_element_stops_at_its_orbit_bound(monkeypatch, 
 # The closure is a sequence that walks Dimino's order only as far as it is read.
 
 
-# wreath 4: 32 elements on row codes, 4 powers, then cosets of 4, 8 and 16, walked on
-# demand; wreath 2: 8 elements, walked whole when closed; wreath 65: 8 450 elements on
-# column codes, whose order is the length of the whole walk
+# The codes known when closed, and once element 5 is read. wreath 4: 32 elements on row
+# codes, 4 powers, then cosets of 4, 8 and 16, walked on demand; wreath 2: 8 elements on
+# row codes, 2 powers, then cosets of 2, walked on demand however small; wreath 65: 8 450
+# elements on column codes, whose order is the length of the whole walk
 closures = pytest.mark.parametrize(
-    "rep,walked", [(wreath_rep(4), 1), (wreath_rep(2), 8), (wreath_rep(65), 8450)],
-    ids=["wreath-4-on-demand", "wreath-2-whole", "wreath-65-column-codes"],
+    "rep,walked",
+    [(wreath_rep(4), (1, 8)), (wreath_rep(2), (1, 6)), (wreath_rep(65), (8450, 8450))],
+    ids=["wreath-4-on-demand", "wreath-2-on-demand", "wreath-65-column-codes"],
 )
 
 
@@ -1258,9 +1284,9 @@ def test_closure_reads_alike_however_it_is_walked(rep, walked):
     whole = tuple(close_group(rep).flat_elements)
     closed = close_group(rep).flat_elements
     order = len(whole)
-    assert len(closed) == order and len(closed._elements) == walked  # the order comes first
+    assert len(closed) == order and len(closed._elements) == walked[0]  # the order comes first
     assert repr(closed) == f"<closure of {order} elements>"
-    assert closed[5] == whole[5] and len(closed._elements) in (walked, 8)  # or the first coset
+    assert closed[5] == whole[5] and len(closed._elements) == walked[1]  # to the step holding it
     assert closed[2:9:3] == whole[2:9:3] and closed[:0] == ()
     assert closed[-1] == whole[-1] and closed[::-5] == whole[::-5]
     assert closed == whole and whole == closed and hash(closed) == hash(whole)
