@@ -57,12 +57,12 @@ The closure order is that of Dimino's coset method: generators in
 decreasing order of their element order, the powers of the first, then
 for each later generator whole right cosets of the subgroup found so
 far. It fixes the witness and the order of the quasi-reflection list.
-``close_group`` states it in full, with the closure contract: the cap
-is checked first against the lcm of the generator orders, which divides
-the group order; the group order is known before any element is read;
-and the elements are walked (``_dimino``, a generator) only as far as a
-reader reads them (``_Closure``), so a scan that stops early walks only
-a prefix of the group.
+``close_group`` states it in full, with the closure contract: the group
+order, |P| * |A| for the permutation image P and the diagonal subgroup
+A (``_group_order``), and with it the cap, are decided before any
+element is walked; and the elements are walked (``_dimino``, a
+generator) only as far as a reader reads them (``_Closure``), so a scan
+that stops early walks only a prefix of the group.
 
 The closure and the scan work on one code per matrix entry, which holds
 the entry's place and its exponent in one int, in one of two encodings:
@@ -73,9 +73,7 @@ the entry's place and its exponent in one int, in one of two encodings:
   N * e + k to N * (e + g.exponents[i] mod m) + i for i = g^-1(k),
   whatever the row, so a product is one ``bytes.translate`` through a
   256-byte table (``_row_table``), and the table of a product x y is
-  x's table translated through y's. The tables permute the N * m row
-  codes, faithfully, since g's table carries the identity's codes to
-  g's: ``_table_group_order`` counts G on that action;
+  x's table translated through y's;
 - otherwise an element is an N-tuple of column codes,
   ``code[i] = N * exponents[i] + perm[i]``: the image of e_i and its
   exponent. Right multiplication by x gathers the codes by x's
@@ -313,18 +311,15 @@ def _over_cap(cap: int) -> GroupTooLargeError:
     return GroupTooLargeError(f"group closure exceeded the cap of {cap} elements", cap=cap)
 
 
-def _dimino(codes, generators: list[tuple], elements: list, cap: int):
+def _dimino(codes, generators: list[tuple], elements: list):
     """Dimino's walk: extend ``elements``, which holds the identity, to the closure in order.
 
     A generator function that yields after each power and each coset it
     appends, so a reader walks no further than it reads. ``generators``
-    are (code, step) pairs in the order ``close_group`` takes them.
-    Raises GroupTooLargeError before a coset would carry ``elements`` past
-    max(cap, 1) codes; the powers of the first generator need no check,
-    since ``close_group`` turns away a generator whose order passes the
-    cap.
+    are (code, step) pairs in the order ``close_group`` takes them. It
+    checks no cap: ``close_group`` decides the order, and the cap, before
+    any walk.
     """
-    limit = max(cap, 1)  # a cap below 1 still holds the identity
     ident = codes.identity
     seen = {ident}
     taken = []  # the steps of the generators taken so far
@@ -339,7 +334,6 @@ def _dimino(codes, generators: list[tuple], elements: list, cap: int):
                 yield
                 code = codes.times(code, step)
             continue
-        size = len(elements)
         coset = codes.cosets(elements[:])  # of H, the subgroup closed so far
         # H = H 1 comes first: its walk meets H s as the first new coset, since the
         # generators taken before s lie in H
@@ -350,8 +344,6 @@ def _dimino(codes, generators: list[tuple], elements: list, cap: int):
                 y = codes.times(x, t_step)
                 if y in seen:
                     continue
-                if len(elements) + size > limit:
-                    raise _over_cap(cap)
                 y_step = codes.compose(x_step, t_step, y)
                 new = coset(y_step)
                 elements += new
@@ -360,106 +352,215 @@ def _dimino(codes, generators: list[tuple], elements: list, cap: int):
                 reps.append((y, y_step))
 
 
-class _Level:
-    """One level of a stabilizer chain: a base point, its strong generators and their orbit.
+def _lattice_add(rows: dict[int, list[int]], v: list[int], m: int) -> int:
+    """Put ``v`` into ``rows``, an echelon form of a subgroup L of (Z/m)^N; the factor |L| grew by.
 
-    ``gens`` holds (table, inverse table) pairs; ``orbit`` maps each point
-    p of the orbit to (u, the table of u^-1), where u is a product of the
-    generators, as a ``bytes`` of the first N * m images, with u[point] = p.
-    ``tested`` holds the (p, j) whose Schreier generator u_p s_j u_q^-1,
-    q = s_j[p], is known to lie in the group of the levels below.
+    ``rows`` maps each pivot column to its row, which is 0 before the
+    pivot and holds there a divisor d of m, and |L| is the product of m / d
+    over the pivots. That count holds while (m / d) * row, which is 0 up to
+    the pivot, lies in the span of the rows with later pivots: a Howell
+    form (Howell, "Spans in the module (Z_m)^s", 1986). At each nonzero
+    entry of ``v``, Euclid's algorithm on it and the pivot's entry, carrying
+    the two vectors along, leaves a row with their gcd g there and a ``v``
+    with 0 there, which goes on to the later columns. A column without a
+    row counts as m * e_col, which is 0 mod m, so a new pivot is
+    gcd(entry, m) and (m / g) * row is a multiple of the ``v`` that goes
+    on. For an old row, (m / g) * new row differs from (m / d) * old row
+    by a multiple of that ``v``. Either way the form stays a Howell form.
     """
+    grown, zero = 1, [0] * len(v)
+    for col in range(len(v)):
+        b = v[col]
+        if not b:
+            continue
+        row = old = rows.get(col, zero)
+        a = old[col] or m
+        while True:  # v -= q row leaves b mod a in v; then the two swap, until it is 0
+            q, b = divmod(b, a)
+            if q:
+                v = [(w - q * r) % m for r, w in zip(row, v)]
+            if not b:
+                break
+            row, v, a, b = v, row, b, a
+        if row is not old:
+            rows[col] = row
+            grown *= (old[col] or m) // a
+    return grown
 
-    __slots__ = ("point", "gens", "orbit", "tested")
 
-    def __init__(self, point: int, ident: bytes):
-        self.point, self.gens, self.orbit, self.tested = point, [], {point: (ident, _BYTES)}, set()
+def _group_order(gens: list[MonomialElement], n: int, m: int, cap: int) -> int:
+    """The order of the group G that ``gens`` generate, as |P| * |A|, by Schreier–Sims.
 
+    G maps onto its permutation image P <= S_N, and the kernel is its
+    diagonal subgroup A <= (Z/m)^N. The run is deterministic Schreier–Sims
+    (Sims 1970; Seress, *Permutation Group Algorithms*, 2003) on P's action
+    on the N coordinates, with each element kept whole: a permutation t,
+    which sends p to t[p], a ``bytes.translate`` table (a tuple past 256
+    points), and exponents e, None when all are 0. The element sends
+    zeta^k e_p to zeta^(k + e[p]) e_t[p], and products are taken left to
+    right. The run keeps a stabilizer chain: a base b_0, b_1, ... and, at
+    level l, strong generators that fix b_0 .. b_{l-1}, the orbit of b_l
+    under them and, for each point p of it, an element u_p that sends b_l
+    to p, with its inverse. A generator joins the chain unless it sifts
+    through the transversals to a diagonal element. Level l is complete
+    when every Schreier generator u_p s u_{s(p)}^-1 sifts through the levels
+    below it to a diagonal element; one that does not joins those levels,
+    or starts a new one, and the run goes on at the level where it stopped.
 
-def _table_group_order(tables: list[bytes], nm: int, cap: int) -> int:
-    """The order of the group that ``bytes.translate`` tables generate, by Schreier–Sims.
-
-    A table t sends the point p < N * m to t[p], and x.translate(y) is x,
-    then y. The run is deterministic (Sims 1970; Seress, *Permutation
-    Group Algorithms*, 2003). It keeps a stabilizer chain: a base
-    b_0, b_1, ... and, at level l, strong generators that fix b_0 ..
-    b_{l-1} and the orbit of b_l under them (``_Level``). A table joins
-    the chain unless it sifts through the transversals to the identity,
-    which skips a generator already in the group. Level l is complete when
-    every Schreier generator u_p s u_{s[p]}^-1 sifts through the levels
-    below it to the identity; one that does not joins those levels, or
-    starts a new one, and the run goes on at the level where it stopped.
-    When every level is complete, |G| is the product of the orbit lengths.
-
-    That product never exceeds |G| while the run goes on, since the group
-    of level l + 1 fixes b_l inside the group of level l. So
-    GroupTooLargeError is raised as soon as it passes max(cap, 1).
+    The diagonal residues of the sifts, with their conjugates under the
+    generators, which permute a residue's exponents, generate A (the kernel
+    of an action: Holt, Eick and O'Brien, *Handbook of Computational Group
+    Theory*, 2005). Its order comes from their echelon form mod m
+    (``_lattice_add``). When every level is complete, |P| is the product of
+    the orbit lengths. Until then that product times the |A| found so far
+    never exceeds |G|, so GroupTooLargeError is raised as soon as it passes
+    max(cap, 1). A group of permutation matrices, every exponent 0, runs
+    on its permutations alone and costs what they cost.
     """
     limit = max(cap, 1)
-    ident = _BYTES[:nm]
-    levels: list[_Level] = []
+    # x, then y is x.translate(y), for a y padded to 256 entries, and has x's length. The strong
+    # generators and the transversal inverses, the right factors, are padded; the rest have N
+    if n <= 256:
+        ident, word, then = _BYTES[:n], bytes, bytes.translate
 
-    def sift(h: bytes, start: int) -> tuple[bytes, int]:
+        def invert(t):
+            return bytes.maketrans(t, ident)
+
+        def pad(t):
+            return t + _BYTES[n:]
+    else:  # past a byte: tuples, composed by a gather
+        ident, word = tuple(range(n)), tuple
+
+        def then(x, y):
+            return tuple(map(y.__getitem__, x))
+
+        def invert(t):
+            return tuple(sorted(ident, key=t.__getitem__))
+
+        def pad(t):
+            return t
+
+    perms = [word(g.perm) for g in gens]
+    exponents = [tuple(g.exponents) if any(g.exponents) else None for g in gens]
+    signed = any(exponents)  # else every exponent is 0, and stays unread
+    mods = repeat(m)
+
+    def then_exps(x, xe, ye):  # the exponents of x, then y, for x's xe and y's ye
+        if ye is None:
+            return xe
+        ye = map(ye.__getitem__, x[:n])  # y's exponents at x's images
+        return tuple(ye) if xe is None else tuple(map(mod, map(add, xe, ye), mods))
+
+    # per level: the base point; the strong generators, as (s, s^-1); the orbit, each point p
+    # with (u_p, u_p^-1); the (p, j) whose Schreier generator is known to lie in the group of
+    # the levels below; and the exponents of each (u_p, u_p^-1) and each (s, s^-1), read only
+    # when signed
+    levels = []
+    rows: dict[int, list[int]] = {}  # A's echelon form
+    reduced = set()  # the exponents put into it so far
+    order_a = 1
+
+    def check() -> None:
+        if prod(len(level[2]) for level in levels) * order_a > limit:
+            raise _over_cap(cap)
+
+    def residue(e: tuple[int, ...]) -> None:
+        """The diagonal element with exponents ``e`` and its conjugates join A."""
+        nonlocal order_a
+        pending = [e]
+        while pending:
+            e = pending.pop()
+            if e in reduced:
+                continue
+            reduced.add(e)
+            grown = _lattice_add(rows, list(e), m)
+            if grown > 1:
+                order_a *= grown
+                check()
+                # conjugation by a generator permutes the exponents by its permutation
+                pending += [tuple(map(e.__getitem__, t)) for t in perms]
+
+    def sift(h, he, start: int):
         """``h`` stripped by the transversals from level ``start`` on; the level it stopped at."""
         for depth in range(start, len(levels)):
             level = levels[depth]
-            p = h[level.point]
-            if p != level.point:
-                known = level.orbit.get(p)
+            point = level[0]
+            p = h[point]
+            if p != point:
+                known = level[2].get(p)
                 if known is None:
-                    return h, depth
-                h = h.translate(known[1])
-        return h, len(levels)
+                    return h, he, depth
+                if signed:
+                    he = then_exps(h, he, level[4][p][1])
+                h = then(h, known[1])
+        return h, he, len(levels)
 
-    def extend(h: bytes, first: int, stop: int) -> None:
+    def extend(h, he, first: int, stop: int) -> None:
         """``h``, sifted from ``first`` to ``stop``, joins those levels; the last may be new."""
         if stop == len(levels):
-            levels.append(_Level(next(p for p, q in enumerate(h) if p != q), ident))
-        pair = h + _BYTES[nm:], bytes.maketrans(h, ident)
-        for level in levels[first:stop + 1]:
-            gens, orbit, tested = level.gens, level.orbit, level.tested
-            gens.append(pair)
+            point = next(p for p, q in enumerate(h) if p != q)
+            one = ident, pad(ident)
+            levels.append((point, [], {point: one}, set(), {point: (None, None)}, []))
+        h_inv = invert(h)
+        joined = pad(h), h_inv
+        joined_exps = he, None if he is None else tuple(-he[q] % m for q in h_inv[:n])
+        for point, strong, orbit, tested, exps, strong_exps in levels[first:stop + 1]:
+            strong.append(joined)
+            strong_exps.append(joined_exps)
+            # u_b h u_h(b)^-1 is h, in the level below, where h fixes b; at ``stop``, the
+            # orbit's new edge from b
+            tested.add((point, len(strong) - 1))
             grown = list(orbit)
             for p in grown:  # the list takes in the points its walk meets
-                u, u_inv = orbit[p]
-                for j, (s, s_inv) in enumerate(gens):
+                u, v = orbit[p]
+                for j, (s, t) in enumerate(strong):
                     q = s[p]
                     if q not in orbit:  # u_q = u_p s: its Schreier generator is 1
-                        orbit[q] = u.translate(s), s_inv.translate(u_inv)
+                        orbit[q] = then(u, s), then(t, v)
+                        if signed:
+                            (ue, ve), (se, te) = exps[p], strong_exps[j]
+                            exps[q] = then_exps(u, ue, se), then_exps(t, te, ve)
                         tested.add((p, j))
                         grown.append(q)
-        if prod(len(level.orbit) for level in levels) > limit:
-            raise _over_cap(cap)
+        check()
 
     def complete(depth: int) -> None:
         while depth >= 0:
-            level = levels[depth]
-            orbit, tested = level.orbit, level.tested
+            _, strong, orbit, tested, exps, strong_exps = levels[depth]
             found = None
             for p, (u, _) in orbit.items():  # neither changes until a generator is found
-                for j, (s, _) in enumerate(level.gens):
+                for j, (s, _) in enumerate(strong):
                     if (p, j) in tested:
                         continue
                     tested.add((p, j))
-                    h, stop = sift(u.translate(s).translate(orbit[s[p]][1]), depth + 1)
+                    # u_p s u_q^-1, q = s(p), sifted through the levels below
+                    us, q = then(u, s), s[p]
+                    he = None
+                    if signed:
+                        he = then_exps(us, then_exps(u, exps[p][0], strong_exps[j][0]), exps[q][1])
+                    h, he, stop = sift(then(us, orbit[q][1]), he, depth + 1)
                     if stop < len(levels) or h != ident:
-                        found = h, stop
+                        found = h, he, stop
                         break
+                    if he is not None:
+                        residue(he)
                 if found:
                     break
             if found is None:
                 depth -= 1
                 continue
-            h, stop = found
-            extend(h, depth + 1, stop)
+            h, he, stop = found
+            extend(h, he, depth + 1, stop)
             depth = stop
 
-    for t in tables:
-        h, stop = sift(t[:nm], 0)
+    for h, he in zip(perms, exponents):
+        h, he, stop = sift(h, he, 0)
         if stop < len(levels) or h != ident:
-            extend(h, 0, stop)
+            extend(h, he, 0, stop)
             complete(stop)
-    return prod(len(level.orbit) for level in levels)
+        elif he is not None:
+            residue(he)
+    return prod(len(level[2]) for level in levels) * order_a
 
 
 class _Closure:
@@ -468,7 +569,8 @@ class _Closure:
     Indexing, slicing and iteration advance the Dimino walk (``_dimino``)
     a power or a coset at a time; iteration walks ahead by at most what
     it has read, or 32 codes. Once the walk reaches the order it is
-    dropped, and with it its set of codes.
+    dropped, and with it its set of codes; a walk that ends short of the
+    order or passes it raises RuntimeError, a fault of the order.
     """
 
     __slots__ = ("_order", "_elements", "_walk", "_lock")
@@ -484,8 +586,14 @@ class _Closure:
             return
         with self._lock:
             while len(elements) < count:
-                next(self._walk)
-            if len(elements) == self._order:
+                if next(self._walk, True):  # each step yields None; True is the walk's end
+                    break
+            if len(elements) >= self._order or len(elements) < count:
+                if len(elements) != self._order:  # the walk and ``_group_order`` disagree
+                    raise RuntimeError(
+                        f"the closure walked {len(elements)} elements of a group of order "
+                        f"{self._order}"
+                    )
                 self._walk = None
 
     def __len__(self) -> int:
@@ -544,11 +652,11 @@ def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
 
     The elements are ``bytes`` of row codes (``_RowCodes``) when
     N * m <= 256, else N-tuples of column codes (``_ColumnCodes``). The
-    order comes first: a group with one distinct generator besides the
-    identity has that generator's order; any other group on row codes
-    the order that Schreier–Sims gives on the faithful action of G on the
-    N * m row codes (``_table_group_order``), and any other group on
-    column codes the length of the whole walk, which is walked here.
+    order comes first, on either encoding: |G| = |P| * |A|, for the
+    permutation image P <= S_N and the diagonal subgroup A, which is the
+    kernel of G -> P (``_group_order``). For a group with one distinct
+    generator besides the identity that is the generator's order, read off
+    its cycles, which rank the generators.
 
     ``flat_elements`` is then a ``_Closure``, a read-only sequence whose
     length is the order and whose indexing, slicing and iteration walk
@@ -557,11 +665,7 @@ def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
     the tuple of its codes.
 
     Raises GroupTooLargeError iff the group has more than max(cap, 1)
-    elements; a cap below 1 still holds the identity. Each generator's
-    order divides |G|, so when their lcm passes the cap the raise comes
-    first, before any walk. Otherwise Schreier–Sims raises as soon as
-    its bound on the order passes the cap, and a walk of the whole group
-    raises before its list would hold more than max(cap, 1) elements.
+    elements, before any walk; a cap below 1 still holds the identity.
     """
     cap = configured_cap(cap)
     n, nm = rep.dimension, rep.dimension * rep.root_order
@@ -571,20 +675,17 @@ def close_group(rep: MonomialRep, cap: int | None = None) -> MonomialRep:
         ((_cycle_sums(_column_code(g, n), n, nm, order=True)[2], g) for g in rep.generators),
         key=itemgetter(0), reverse=True,
     )
-    if lcm(1, *(order for order, _ in ranked)) > max(cap, 1):  # it divides |G|
-        raise _over_cap(cap)
     generators = [codes.generator(g) for _, g in ranked]
-    elements = [codes.identity]
-    walk = _dimino(codes, generators, elements, cap)
-    distinct = dict(generators)
+    distinct = {code: g for (code, _), (_, g) in zip(generators, ranked)}
     distinct.pop(codes.identity, None)
-    if len(distinct) <= 1:
-        order = ranked[0][0] if distinct else 1
-    elif nm <= 256:
-        order = _table_group_order(list(distinct.values()), nm, cap)
-    else:  # column codes: the whole walk gives the order
-        deque(walk, maxlen=0)
-        order, walk = len(elements), None
+    if len(distinct) == 1:
+        order = ranked[0][0]
+    else:  # raises as soon as its bound on |G| passes the cap
+        order = _group_order(list(distinct.values()), n, rep.root_order, cap)
+    if order > max(cap, 1):
+        raise _over_cap(cap)
+    elements = [codes.identity]
+    walk = _dimino(codes, generators, elements)
     return rep._replace(flat_elements=_Closure(order, elements, walk))
 
 

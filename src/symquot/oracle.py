@@ -23,7 +23,7 @@ This module holds the routes the tests and ``run_selftest`` compare them with:
 - ``multiply``, the matrix product of two ``MonomialElement`` values,
   and ``close_group_reference``, the breadth-first closure built on it,
   against which ``monomial.close_group`` (Dimino's cosets, in another
-  order, with the cap held first to the lcm of the generator orders) is
+  order, with the order |P| * |A| and the cap decided before any walk) is
   held as a set, with the same length and the same cap outcome,
   through ``decode_closure``, on bytes of row codes (N * m <= 256) and on
   tuples of column codes alike. ``order_section`` holds the order that
@@ -656,14 +656,20 @@ def order_section(max_dim: int, max_points: int) -> tuple[list[str], list[str]]:
     """The group order of ``monomial.close_group`` against the length of a breadth-first closure.
 
     On the full-scan and cross-engine groups with two generators or more,
-    all on row codes (N * m <= 256), where ``close_group`` takes the
-    order from Schreier–Sims before any walk, against
-    ``close_group_reference``, which walks every element.
+    on row codes (N * m <= 256), and, once ``max_dim`` reaches its N = 4,
+    on mu_65 wr S_2 on (C^2)^2, the block swap and diag(zeta, 1/zeta, 1, 1),
+    whose 8 450 elements are on column codes (N * m = 260).
+    ``close_group`` takes the order as |P| * |A| before any walk;
+    ``close_group_reference`` walks every element.
     """
     pairs = [(n, d) for n, d in CROSS_ENGINE_PAIRS if n <= max_dim and d <= max_points]
     labelled = full_scan_groups(max_dim, max_points) + [
         (f"n={n} d={d}", materialize_rep(n, d)) for n, d in pairs
     ]
+    if max_dim >= 4:
+        wreath = MonomialRep(4, 65, (MonomialElement((2, 3, 0, 1), (0, 0, 0, 0)),
+                                     MonomialElement((0, 1, 2, 3), (1, 64, 0, 0))))
+        labelled.append(("mu_65 wr S_2", wreath))
     groups = {rep: label for label, rep in labelled if len(rep.generators) > 1}
     failures = []
     for rep, label in groups.items():

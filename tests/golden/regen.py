@@ -88,6 +88,19 @@ DETERMINISM = {
         {"perm": [(i + 64) % 128 + 1 if i < 128 else i + 1 for i in range(N)]},
         {"perm": list(range(1, N + 1)), "exponents": [1] * 64 + [0] * 192}]),
 }
+
+
+def _wreath(m, d):
+    """mu_m wr S_d on (C^(N/d))^d with zeta scalar on the first block: the block d-cycle, for
+    d > 2 the swap of the first two blocks, and the scalar."""
+    b = N // d
+    gens = [{"perm": [(i + b) % N + 1 for i in range(N)]}]
+    if d > 2:
+        gens.append({"perm": [(i + b) % (2 * b) + 1 if i < 2 * b else i + 1 for i in range(N)]})
+    gens.append({"perm": list(range(1, N + 1)), "exponents": [1] * b + [0] * (N - b)})
+    return _rep(N, m, gens)
+
+
 SWAP = _rep(2, 1, [{"perm": [2, 1]}])  # a quasi-reflection
 S8 = _rep(8, 1, [{"perm": [2, 1, 3, 4, 5, 6, 7, 8]}, {"perm": [2, 3, 4, 5, 6, 7, 8, 1]}])
 ANALYZE = ["analyze", "--rep", "{rep}"]
@@ -127,11 +140,15 @@ CASES = {
        for name, rep in DETERMINISM.items()},
     **{f"analyze-{name}-md": {"argv": ANALYZE, "rep": DETERMINISM[name]}
        for name in ("sl-64", "wreath-65", "wreath-3-4")},
-    # the worst in-cap analyze input: mu_100 wr S_2 on (C^128)^2 with zeta on the first block,
-    # 20 000 elements on column codes, walked whole
-    "analyze-worst-wreath-json": {"argv": [*ANALYZE, *JSON], "rep": _rep(N, 100, [
-        {"perm": [(i + N // 2) % N + 1 for i in range(N)]},
-        {"perm": list(range(1, N + 1)), "exponents": [1] * (N // 2) + [0] * (N // 2)}])},
+    # mu_100 wr S_2 on (C^128)^2 with zeta on the first block: 20 000 elements on column
+    # codes, at the cap, walked on demand
+    "analyze-worst-wreath-json": {"argv": [*ANALYZE, *JSON], "rep": _wreath(100, 2)},
+    # mu_101 wr S_2, the same with m = 101: 20 402 elements, over the cap, though its generator
+    # orders 202 and 2 are not; it exits 3 before any walk
+    "analyze-over-cap-wreath": {"argv": ANALYZE, "rep": _wreath(101, 2)},
+    # mu_5 wr S_4 on (C^64)^4: 15 000 elements on column codes, scanned in full, since no
+    # element has the orbits' least possible age; the worst in-cap analyze input
+    "analyze-worst-scanned-wreath-json": {"argv": [*ANALYZE, *JSON], "rep": _wreath(5, 4)},
     "analyze-trivial": {"argv": ANALYZE, "rep": _rep(3, 5, [])},
     "analyze-quasi-reflection": {"argv": ANALYZE, "rep": SWAP},
     "analyze-closure-cap": {"argv": ANALYZE, "rep": S8},  # 40 320 elements, on row codes

@@ -28,7 +28,6 @@ from symquot.monomial import (
     SingularityVerdict,
     _cycle_sums,
     _least_possible_key,
-    _row_table,
     element_age,
 )
 from symquot.oracle import (
@@ -697,6 +696,27 @@ def test_tuple_coset_draws_close_in_several_cosets():
                 MonomialElement((1, 0), (2**69, 0)),
             ),
         ),
+        MonomialRep(  # past DIMENSION_CAP, so only through the library: the order's
+            # permutations are tuples past 256 points. S_3 on three coordinates and zeta_3
+            # on the first: |P| = 6 and |A| = 27
+            dimension=300,
+            root_order=3,
+            generators=(
+                MonomialElement((1, 0) + tuple(range(2, 300)), (0,) * 300),
+                MonomialElement((1, 2, 0) + tuple(range(3, 300)), (0,) * 300),
+                MonomialElement(tuple(range(300)), (1,) + (0,) * 299),
+            ),
+        ),
+        MonomialRep(  # lists, not tuples, through the library: the diagonal generator
+            # sifts to the identity permutation, so its exponents go straight into A's set
+            dimension=3,
+            root_order=3,
+            generators=(
+                MonomialElement([1, 0, 2], [0, 0, 0]),
+                MonomialElement([1, 2, 0], [0, 0, 0]),
+                MonomialElement([0, 1, 2], [1, 0, 0]),
+            ),
+        ),
     ],
     ids=[
         "dimension-1",
@@ -707,6 +727,8 @@ def test_tuple_coset_draws_close_in_several_cosets():
         "sl-m-16",
         "cycle-on-C256",
         "m-2-pow-70",
+        "tuple-permutations-on-C300",
+        "list-exponents",
     ],
 )
 def test_flat_closure_matches_reference_on_edge_cases(rep):
@@ -792,9 +814,9 @@ def walked_lists(monkeypatch):
     """The lists that ``monomial._dimino`` walks into from now on, one per closure."""
     lists, dimino = [], monomial._dimino
 
-    def recording(codes, generators, elements, cap):
+    def recording(codes, generators, elements):
         lists.append(elements)
-        return dimino(codes, generators, elements, cap)
+        return dimino(codes, generators, elements)
 
     monkeypatch.setattr(monomial, "_dimino", recording)
     return lists
@@ -809,15 +831,10 @@ def walked_lists(monkeypatch):
     ids=["sl-30", "sym-1-6", "order-513", "1/257(1,2)", "cosets-of-3-then-24"],
 )
 def test_closure_raises_iff_the_group_exceeds_the_cap(monkeypatch, make_rep):
-    # every cap from 0 to |G| + 1. Each generator's order divides |G|, so below their lcm
-    # the raise comes before the walk is made; on row codes Schreier–Sims raises with the
-    # walk made and not begun; otherwise a coset step of the walk raises, holding at most
-    # max(cap, 1)
+    # every cap from 0 to |G| + 1. The order, |P| * |A| or a lone generator's order, is
+    # decided before the walk is made, on both encodings, so a raise comes before any walk
     rep = make_rep()
     order = len(close_group(rep).flat_elements)
-    generator_lcm = lcm(
-        1, *(element_eigen_exponents(g, rep.root_order).order for g in rep.generators)
-    )
     for cap in range(order + 2):
         if order <= max(cap, 1):
             assert len(close_group(rep, cap=cap).flat_elements) == order
@@ -828,36 +845,40 @@ def test_closure_raises_iff_the_group_exceeds_the_cap(monkeypatch, make_rep):
         monkeypatch.undo()
         assert info.value.cap == cap
         assert str(info.value) == f"group closure exceeded the cap of {cap} elements"
-        if generator_lcm > max(cap, 1):
-            assert lists == []  # no walk
-            continue
-        (walked,) = lists
-        if rep.dimension * rep.root_order <= 256:
-            assert len(walked) == 1  # the identity alone
-            continue
-        tb = info.tb
-        while tb.tb_next is not None:
-            tb = tb.tb_next
-        assert tb.tb_frame.f_code.co_name == "_dimino"
-        held = tb.tb_frame.f_locals
-        assert "size" in held  # set by a coset step, and by nothing else
-        assert len(held["seen"]) == len(held["elements"]) <= max(cap, 1)
+        assert lists == []  # no walk
 
 
 def test_closure_raises_before_any_walk_when_the_generator_orders_exceed_the_cap(monkeypatch):
     # 1/257(1,2) and a swap on C^2 over m = 257, on column codes: the generators have orders
-    # 257 and 2, whose lcm 514 divides |G| = 2 * 257^2, so a cap of 256 raises before any walk
+    # 257 and 2, whose lcm 514 divides |G| = 2 * 257^2. Below the lcm and past it alike the
+    # raise comes before any walk: |P| = 2 and |A| = 257^2 are known first
     rep = diag_rep(257, (1, 2))
     rep = with_generators(rep, rep.generators + (MonomialElement((1, 0), (0, 0)),))
     lists = walked_lists(monkeypatch)
-    for cap in (256, 513):
+    for cap in (256, 513, 514, 2 * 257**2 - 1):
         with pytest.raises(GroupTooLargeError) as info:
             close_group(rep, cap=cap)
         assert info.value.cap == cap
     assert lists == []
-    with pytest.raises(GroupTooLargeError):
-        close_group(rep, cap=514)  # past the lcm, the walk raises
-    assert len(lists) == 1 and len(lists[0]) <= 514
+    assert len(close_group(rep, cap=2 * 257**2).flat_elements) == 2 * 257**2
+
+
+@pytest.mark.parametrize("off", [-1, 1], ids=["one-short", "one-over"])
+def test_a_walk_that_disagrees_with_the_order_raises(monkeypatch, off):
+    # S_3 on C^3: the powers of the 3-cycle, then one coset of 3. The coset passes an order one
+    # short, and the walk ends before an order one over; reading the closure whole says so
+    group_order = monomial._group_order
+    monkeypatch.setattr(
+        monomial, "_group_order", lambda gens, n, m, cap: group_order(gens, n, m, cap) + off
+    )
+    rep = MonomialRep(
+        dimension=3,
+        root_order=1,
+        generators=(MonomialElement((1, 0, 2), (0, 0, 0)), MonomialElement((1, 2, 0), (0, 0, 0))),
+    )
+    closure = close_group(rep).flat_elements
+    with pytest.raises(RuntimeError, match=f"walked 6 elements of a group of order {6 + off}$"):
+        tuple(closure)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -882,20 +903,45 @@ def test_closure_order_of_the_wreath_product_at_256_row_codes():
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_schreier_sims_order_matches_the_reference_closure(data):
-    size = data.draw(st.integers(1, 6))
-    m = data.draw(st.integers(1, min(256 // size, 12)))
-    gens = [draw_element(data.draw, size, m) for _ in range(data.draw(st.integers(2, 4)))]
-    rep = MonomialRep(dimension=size, root_order=m, generators=tuple(gens))
+    # m = q * k with every exponent a multiple of k: k = 1 keeps N * m <= 256, on row codes,
+    # and a k past 256 // N gives the same group on column codes
+    size, q = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
+    k = data.draw(st.sampled_from([1, 256 // size + 1]))
+    gens = []
+    for _ in range(data.draw(st.integers(2, 4))):
+        g = draw_element(data.draw, size, q)
+        gens.append(MonomialElement(g.perm, tuple(k * e for e in g.exponents)))
+    rep = MonomialRep(dimension=size, root_order=q * k, generators=tuple(gens))
     try:
         want = len(close_group_reference(rep, cap=3000))
     except GroupTooLargeError:
         want = None
-    tables = [_row_table(g, size, size * m) for g in gens]
     try:
-        got = monomial._table_group_order(tables, size * m, 3000)
+        got = monomial._group_order(gens, size, q * k, 3000)
     except GroupTooLargeError:
         got = None
     assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_lattice_order_matches_the_span(data):
+    # |A| from the echelon form against the subgroup of (Z/m)^N that the vectors span, walked
+    # whole; m with square factors gives pivots that are proper divisors of m
+    m, size = data.draw(st.sampled_from([2, 4, 6, 8, 9, 12])), data.draw(st.integers(1, 3))
+    vectors = data.draw(st.lists(st.lists(st.integers(0, m - 1), min_size=size, max_size=size),
+                                 min_size=1, max_size=4))
+    rows, order = {}, 1
+    for v in vectors:
+        order *= monomial._lattice_add(rows, list(v), m)
+    span, frontier = {(0,) * size}, [(0,) * size]
+    for x in frontier:
+        for v in vectors:
+            y = tuple((a + b) % m for a, b in zip(x, v))
+            if y not in span:
+                span.add(y)
+                frontier.append(y)
+    assert order == len(span)
 
 
 def test_an_order_over_the_cap_raises_when_the_orbit_bound_first_passes_it(monkeypatch):
@@ -1271,11 +1317,11 @@ def test_sl_scan_without_an_age_1_element_stops_at_its_orbit_bound(monkeypatch, 
 # The codes known when closed, and once element 5 is read. wreath 4: 32 elements on row
 # codes, 4 powers, then cosets of 4, 8 and 16, walked on demand; wreath 2: 8 elements on
 # row codes, 2 powers, then cosets of 2, walked on demand however small; wreath 65: 8 450
-# elements on column codes, whose order is the length of the whole walk
+# elements on column codes, 65 powers, then cosets of 65, walked on demand too
 closures = pytest.mark.parametrize(
     "rep,walked",
-    [(wreath_rep(4), (1, 8)), (wreath_rep(2), (1, 6)), (wreath_rep(65), (8450, 8450))],
-    ids=["wreath-4-on-demand", "wreath-2-on-demand", "wreath-65-column-codes"],
+    [(wreath_rep(4), (1, 8)), (wreath_rep(2), (1, 6)), (wreath_rep(65), (1, 6))],
+    ids=["wreath-4-on-demand", "wreath-2-on-demand", "wreath-65-column-codes-on-demand"],
 )
 
 
@@ -1493,15 +1539,18 @@ def test_orbit_bound_section_catches_a_bound_above_the_least_age(monkeypatch):
 def test_order_section_holds_the_group_order_to_a_breadth_first_closure():
     lines, failures = order_section(4, 4)
     assert failures == []
-    assert lines == ["group order against a breadth-first closure: 8 groups"]
+    assert lines == ["group order against a breadth-first closure: 9 groups"]
 
 
 def test_order_section_catches_a_wrong_order(monkeypatch):
-    table_group_order = monomial._table_group_order
+    group_order = monomial._group_order
 
-    def one_short(tables, nm, cap):
-        return table_group_order(tables, nm, cap) - 1
+    def one_short(gens, n, m, cap):
+        return group_order(gens, n, m, cap) - 1
 
-    monkeypatch.setattr(monomial, "_table_group_order", one_short)
+    monkeypatch.setattr(monomial, "_group_order", one_short)
     _, failures = order_section(3, 3)
     assert len(failures) == 3 and all("a breadth-first closure 6" in line for line in failures)
+    _, failures = order_section(4, 4)  # with the column-code wreath product, from N = 4 on
+    assert len(failures) == 9
+    assert failures[-1] == "order mu_65 wr S_2: close_group gives 8449, a breadth-first closure 8450"
